@@ -30,7 +30,7 @@ print(f"features: {train.shape[0]} train / {test.shape[0]} test rows, "
 
 models = {
     "forest": train_forest(train, dataset.y_train, n_trees=100, seed=0, threads=2),
-    "svm": train_svm_multiclass(train, dataset.y_train, C=1.0, threads=2),
+    "svm": train_svm_multiclass(train, dataset.y_train, C=1.0),
     "gbt": train_gbt(train, dataset.y_train, GbtParams(rounds=40, max_depth=3)),
 }
 for name, model in models.items():

@@ -103,6 +103,8 @@ def _svm_to_obj(model: SvmEnsemble):
                 "support_labels": m.support_labels.tolist(),
                 "converged": m.converged,
                 "n_train": m.n_train,
+                "updates": m.updates,
+                "kkt_gap": m.kkt_gap,
             }
         )
     return {
@@ -133,6 +135,8 @@ def _svm_from_obj(obj) -> SvmEnsemble:
                 C=obj["C"],
                 converged=m["converged"],
                 n_train=m["n_train"],
+                updates=m.get("updates"),
+                kkt_gap=m.get("kkt_gap"),
             )
         )
     return SvmEnsemble(

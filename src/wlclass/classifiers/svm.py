@@ -1,21 +1,33 @@
 """Soft-margin SVMs trained by sequential minimal optimization.
 
-The solver follows Platt's two-variable scheme: pick a KKT violator,
-pair it with a second multiplier, solve the restricted problem
-analytically, clip to the box, repeat. The equality constraint
-sum(alpha_i y_i) = 0 is preserved exactly by construction. Multiclass is
-one-vs-rest with argmax over decision values.
+The solver is the maximal-violating-pair SMO of LIBSVM with second-order
+working-set selection (Fan, Chen & Lin, JMLR 2005). It works on a
+precomputed kernel matrix and tracks, for every row t, the bias
+v_t = y_t - sum_s alpha_s y_s K(x_s, x_t) that would put x_t exactly on
+its margin. Each update takes i, the multiplier in I_up with the largest
+v, pairs it with the j in I_low whose exact two-variable step gains the
+most, and moves both along the equality constraint sum(alpha_i y_i) = 0
+as far as the box allows. It stops when m - M < tol, where m is the
+largest v over I_up and M the smallest over I_low (Keerthi et al. 2001:
+one gap, not Platt's single threshold). The bias is the mean v over the
+free multipliers, or the midpoint of m and M when none is free.
+Multiclass is one-vs-rest with argmax over decision values; every
+machine is solved against one shared kernel matrix.
 
-Hitting the iteration cap is not an error; the machine is returned with
-converged=False and callers decide what that means.
+Hitting the update cap (max_iter x n_train pair updates) is not an
+error; the machine is returned with converged=False and callers decide
+what that means.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from ..errors import ClassAbsentError, EmptyInputError, ShapeMismatchError, UsageError
+
+#: Curvature used for a pair whose kernel distance a is not positive (LIBSVM's TAU).
+TAU = 1e-12
 
 
 @dataclass(frozen=True)
@@ -57,7 +69,11 @@ def kernel_matrix(spec: KernelSpec, A, B) -> np.ndarray:
 
 @dataclass
 class SvmBinary:
-    """One trained binary machine; f(x) = sum_i alpha_i y_i K(x_i, x) + bias."""
+    """One trained binary machine; f(x) = sum_i alpha_i y_i K(x_i, x) + bias.
+
+    updates and kkt_gap are the solver's pair updates and final m - M;
+    they are None for machines read from files that predate them.
+    """
 
     alphas: np.ndarray
     bias: float
@@ -68,6 +84,8 @@ class SvmBinary:
     C: float
     converged: bool
     n_train: int
+    updates: int | None = None
+    kkt_gap: float | None = None
 
     def decision_function(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -85,165 +103,61 @@ class SvmBinary:
         return np.where(self.decision_function(X) >= 0.0, 1, -1).astype(np.int64)
 
 
-class _Smo:
-    """Solver state for one binary problem."""
-
-    def __init__(self, X, y, C, kernel, tol, eps=1e-12):
-        self.X = X
-        self.y = y.astype(np.float64)
-        self.C = float(C)
-        self.kernel = kernel
-        self.tol = tol
-        self.eps = eps
-        self.n = len(y)
-        self.alpha = np.zeros(self.n)
-        self.b = 0.0
-        self.K = kernel_matrix(kernel, X, X)
-        # f(x_i) - y_i with all alphas zero
-        self.errors = -self.y.copy()
-        self.rng = np.random.default_rng(0)
-
-    def objective(self) -> float:
-        coef = self.alpha * self.y
-        return float(self.alpha.sum() - 0.5 * coef @ self.K @ coef)
-
-    def _take_step(self, i1, i2) -> bool:
-        if i1 == i2:
-            return False
-        a1_old, a2_old = self.alpha[i1], self.alpha[i2]
-        y1, y2 = self.y[i1], self.y[i2]
-        e1, e2 = self.errors[i1], self.errors[i2]
-        s = y1 * y2
-        if s < 0:
-            low = max(0.0, a2_old - a1_old)
-            high = min(self.C, self.C + a2_old - a1_old)
-        else:
-            low = max(0.0, a1_old + a2_old - self.C)
-            high = min(self.C, a1_old + a2_old)
-        if low >= high:
-            return False
-        k11, k12, k22 = self.K[i1, i1], self.K[i1, i2], self.K[i2, i2]
-        eta = k11 + k22 - 2.0 * k12
-        if eta > 0:
-            a2 = a2_old + y2 * (e1 - e2) / eta
-            a2 = min(max(a2, low), high)
-        else:
-            # objective is linear (or concave) along the segment: test both ends
-            f1 = y1 * e1 - a1_old * k11 - s * a2_old * k12
-            f2 = y2 * e2 - a2_old * k22 - s * a1_old * k12
-            l1 = a1_old + s * (a2_old - low)
-            h1 = a1_old + s * (a2_old - high)
-            obj_low = (
-                l1 * f1
-                + low * f2
-                + 0.5 * l1**2 * k11
-                + 0.5 * low**2 * k22
-                + s * low * l1 * k12
-            )
-            obj_high = (
-                h1 * f1
-                + high * f2
-                + 0.5 * h1**2 * k11
-                + 0.5 * high**2 * k22
-                + s * high * h1 * k12
-            )
-            if obj_low < obj_high - self.eps:
-                a2 = low
-            elif obj_low > obj_high + self.eps:
-                a2 = high
-            else:
-                return False
-        if abs(a2 - a2_old) < self.eps * (a2 + a2_old + self.eps):
-            return False
-        if a2 < 1e-10:
-            a2 = 0.0
-        elif a2 > self.C - 1e-10:
-            a2 = self.C
-        a1 = a1_old + s * (a2_old - a2)
-        a1 = min(max(a1, 0.0), self.C)
-
-        d1, d2 = y1 * (a1 - a1_old), y2 * (a2 - a2_old)
-        b1 = self.b - e1 - d1 * k11 - d2 * k12
-        b2 = self.b - e2 - d1 * k12 - d2 * k22
-        if 0.0 < a1 < self.C:
-            b_new = b1
-        elif 0.0 < a2 < self.C:
-            b_new = b2
-        else:
-            b_new = (b1 + b2) / 2.0
-        self.errors += d1 * self.K[i1] + d2 * self.K[i2] + (b_new - self.b)
-        self.alpha[i1], self.alpha[i2] = a1, a2
-        self.b = b_new
-        return True
-
-    def _examine(self, i2) -> bool:
-        y2, a2, e2 = self.y[i2], self.alpha[i2], self.errors[i2]
-        r2 = e2 * y2
-        if not ((r2 < -self.tol and a2 < self.C) or (r2 > self.tol and a2 > 0.0)):
-            return False
-        non_bound = np.nonzero((self.alpha > 0.0) & (self.alpha < self.C))[0]
-        if len(non_bound) > 1:
-            i1 = int(non_bound[np.argmax(np.abs(self.errors[non_bound] - e2))])
-            if self._take_step(i1, i2):
-                return True
-        if len(non_bound):
-            start = int(self.rng.integers(len(non_bound)))
-            for k in range(len(non_bound)):
-                if self._take_step(int(non_bound[(start + k) % len(non_bound)]), i2):
-                    return True
-        start = int(self.rng.integers(self.n))
-        for k in range(self.n):
-            if self._take_step((start + k) % self.n, i2):
-                return True
-        return False
-
-    def solve(self, max_iter) -> bool:
-        iterations = 0
-        examine_all = True
-        changed = 0
-        while iterations < max_iter:
-            iterations += 1
-            changed = 0
-            targets = (
-                range(self.n)
-                if examine_all
-                else np.nonzero((self.alpha > 0.0) & (self.alpha < self.C))[0]
-            )
-            for i2 in targets:
-                changed += self._examine(int(i2))
-            if examine_all:
-                if changed == 0:
-                    return True
-                examine_all = False
-            elif changed == 0:
-                examine_all = True
-        return False
-
-    def final_bias(self) -> float:
-        """Recompute bias from KKT conditions at the solution."""
-        coef = self.alpha * self.y
-        raw = self.K @ coef  # decision values without bias
-        interior = (self.alpha > 1e-10) & (self.alpha < self.C - 1e-10)
-        if interior.any():
-            return float((self.y[interior] - raw[interior]).mean())
-        lower, upper = [], []
-        for i in range(self.n):
-            bound = self.y[i] - raw[i]
-            at_zero = self.alpha[i] <= 1e-10
-            positive = self.y[i] > 0
-            if (at_zero and positive) or (not at_zero and not positive):
-                lower.append(bound)
-            else:
-                upper.append(bound)
-        lo = max(lower) if lower else min(upper)
-        hi = min(upper) if upper else max(lower)
-        return float((lo + hi) / 2.0)
+def _solve_dual(K, X, y, C, kernel, tol, max_iter) -> SvmBinary:
+    """Second-order SMO on the precomputed kernel K of X; y holds -1/+1."""
+    n = len(y)
+    y = y.astype(np.float64)
+    pos = y > 0
+    alpha = np.zeros(n)
+    v = y.copy()  # alpha = 0: every row's margin bias is its own label
+    diag = K.diagonal().copy()
+    up, low = pos.copy(), ~pos  # rows that may raise / lower y_t alpha_t
+    updates = 0
+    while True:
+        v_up = np.where(up, v, -np.inf)
+        v_low = np.where(low, v, np.inf)
+        i = int(np.argmax(v_up))
+        m, M = v_up[i], v_low.min()
+        if m - M < tol or updates >= max_iter * n:
+            break
+        Ki = K[i]
+        a = np.maximum(diag[i] + diag - 2.0 * Ki, TAU)
+        b = np.maximum(m - v_low, 0.0)  # positive only for I_low rows below m
+        j = int(np.argmax(b * b / a))
+        target_i, target_j = (C if pos[i] else 0.0), (0.0 if pos[j] else C)
+        room_i, room_j = abs(target_i - alpha[i]), abs(target_j - alpha[j])
+        step = min(b[j] / a[j], room_i, room_j)
+        alpha[i] = target_i if step == room_i else alpha[i] + y[i] * step
+        alpha[j] = target_j if step == room_j else alpha[j] - y[j] * step
+        v -= step * (Ki - K[j])
+        for t in (i, j):
+            up[t] = alpha[t] < C if pos[t] else alpha[t] > 0.0
+            low[t] = alpha[t] > 0.0 if pos[t] else alpha[t] < C
+        updates += 1
+    free = (alpha > 0.0) & (alpha < C)
+    bias = float(v[free].mean()) if free.any() else float((m + M) / 2.0)
+    support = np.nonzero(alpha > 0.0)[0]
+    return SvmBinary(
+        alphas=alpha,
+        bias=bias,
+        support_indices=support,
+        support_vectors=X[support],
+        support_labels=y[support],
+        kernel=kernel,
+        C=float(C),
+        converged=bool(m - M < tol),
+        n_train=n,
+        updates=updates,
+        kkt_gap=float(m - M),
+    )
 
 
 def train_svm_binary(
     X, y, C: float, kernel: KernelSpec | None = None, tol: float = 1e-3, max_iter: int = 2000
 ) -> SvmBinary:
     """Solve the dual soft-margin problem for labels in {-1, +1}.
+
+    At most max_iter x len(y) pair updates are taken.
 
     Raises:
         EmptyInputError: no rows.
@@ -264,22 +178,7 @@ def train_svm_binary(
         raise UsageError(f"C must be positive, got {C}")
     if kernel is None:
         kernel = KernelSpec("rbf", default_gamma(X))
-
-    solver = _Smo(X, y.astype(np.float64), C, kernel, tol)
-    converged = solver.solve(max_iter)
-    solver.b = solver.final_bias()
-    support = np.nonzero(solver.alpha > 1e-10)[0]
-    return SvmBinary(
-        alphas=solver.alpha,
-        bias=solver.b,
-        support_indices=support,
-        support_vectors=X[support],
-        support_labels=y[support].astype(np.float64),
-        kernel=kernel,
-        C=float(C),
-        converged=converged,
-        n_train=X.shape[0],
-    )
+    return _solve_dual(kernel_matrix(kernel, X, X), X, y, C, kernel, tol, max_iter)
 
 
 def dual_objective(machine: SvmBinary, X, y) -> float:
@@ -300,11 +199,32 @@ class SvmEnsemble:
     def converged(self) -> bool:
         return all(m.converged for m in self.machines)
 
+    @cached_property
+    def _support(self) -> tuple:
+        """(support vectors of all machines, support x class coefficients).
+
+        Every machine was trained on the same rows, so a training index
+        names one row across machines; the rows are ordered by it.
+        """
+        rows, first = np.unique(
+            np.concatenate([m.support_indices for m in self.machines]), return_index=True
+        )
+        vectors = np.vstack([m.support_vectors for m in self.machines])[first]
+        coef = np.zeros((len(rows), len(self.machines)))
+        for c, m in enumerate(self.machines):
+            at = np.searchsorted(rows, m.support_indices)
+            coef[at, c] = m.alphas[m.support_indices] * m.support_labels
+        return vectors, coef
+
     def decision_matrix(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
+        vectors, coef = self._support
+        if X.ndim != 2 or (len(vectors) and X.shape[1] != vectors.shape[1]):
+            raise ShapeMismatchError(f"bad query shape {X.shape}")
         if X.shape[0] == 0:
             return np.zeros((0, self.class_count))
-        return np.column_stack([m.decision_function(X) for m in self.machines])
+        bias = np.array([m.bias for m in self.machines])
+        return kernel_matrix(self.kernel, X, vectors) @ coef + bias
 
     def predict(self, X) -> np.ndarray:
         scores = self.decision_matrix(X)
@@ -321,9 +241,10 @@ def train_svm_multiclass(
     tol: float = 1e-3,
     max_iter: int = 2000,
     n_classes: int | None = None,
-    threads: int = 1,
 ) -> SvmEnsemble:
     """One-vs-rest ensemble: one binary machine per class, argmax decision.
+
+    Every machine is solved against one kernel matrix of X.
 
     Raises:
         ClassAbsentError: some class index in [0, n_classes) has no rows.
@@ -338,20 +259,17 @@ def train_svm_multiclass(
         n_classes = int(y.max()) + 1
     if n_classes < 2:
         raise UsageError("multiclass training needs at least 2 classes")
+    if C <= 0:
+        raise UsageError(f"C must be positive, got {C}")
     present = np.bincount(y, minlength=n_classes)
     for c in range(n_classes):
         if present[c] == 0:
             raise ClassAbsentError(f"class {c} has zero training rows")
     if kernel is None:
         kernel = KernelSpec("rbf", default_gamma(X))
-
-    def fit_class(c):
-        signs = np.where(y == c, 1, -1)
-        return train_svm_binary(X, signs, C, kernel, tol, max_iter)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            machines = list(pool.map(fit_class, range(n_classes)))
-    else:
-        machines = [fit_class(c) for c in range(n_classes)]
+    K = kernel_matrix(kernel, X, X)
+    machines = [
+        _solve_dual(K, X, np.where(y == c, 1, -1), C, kernel, tol, max_iter)
+        for c in range(n_classes)
+    ]
     return SvmEnsemble(machines=machines, class_count=n_classes, kernel=kernel, C=float(C))

@@ -448,12 +448,13 @@ def _train_params(args) -> dict:
 def _check_converged(model, allow: bool) -> None:
     if getattr(model, "converged", True):
         return
+    stalled = [m for m in model.machines if not m.converged]
+    detail = (f"{len(stalled)} of {len(model.machines)} SVM machines did not converge "
+              f"(largest KKT gap {max(m.kkt_gap for m in stalled):.3g})")
     if allow:
-        log.warning("model did not converge; keeping it as requested")
+        log.warning("%s; keeping the model as requested", detail)
         return
-    raise NoConvergenceError(
-        "training did not converge; raise --max-iter or pass --allow-nonconverged"
-    )
+    raise NoConvergenceError(f"{detail}; raise --max-iter or pass --allow-nonconverged")
 
 
 def cmd_train(args) -> StageResult:
@@ -806,7 +807,8 @@ def build_parser():
     train.add_argument("--kernel", choices=("rbf", "linear"), default="rbf")
     train.add_argument("--rbf-gamma", type=float, default=None)
     train.add_argument("--tol", type=float, default=1e-3)
-    train.add_argument("--max-iter", type=int, default=2000)
+    train.add_argument("--max-iter", type=int, default=2000,
+                       help="SVM solver cap: at most this many pair updates per training row")
     train.add_argument("--rounds", type=int, default=40)
     train.add_argument("--learning-rate", type=float, default=0.3)
     train.add_argument("--min-split-loss", type=float, default=0.0, help="GBT gamma")
@@ -842,7 +844,8 @@ def build_parser():
     gs.add_argument("--n-trees", default="50,100,250")
     gs.add_argument("--c", default="0.1,1,10")
     gs.add_argument("--kernel", choices=("rbf", "linear"), default="rbf")
-    gs.add_argument("--max-iter", type=int, default=2000)
+    gs.add_argument("--max-iter", type=int, default=2000,
+                    help="SVM solver cap: at most this many pair updates per training row")
     gs.add_argument("--max-depth", type=int, default=None)
     gs.add_argument("--rounds", default="40")
     gs.add_argument("--learning-rate", type=float, default=0.3)

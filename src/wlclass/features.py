@@ -138,15 +138,26 @@ def covariance_feature_matrix(
     scale_unbiased: bool = False,
     sensor_names=None,
 ) -> FeatureMatrix:
-    """Standardize a trial tensor and stack per-trial Gram features."""
-    z = apply_standardizer(standardizer, tensor)
+    """Standardize a trial tensor and stack per-trial Gram features.
+
+    Trials are standardized one at a time, so no standardized copy of the
+    whole tensor is ever held.
+    """
+    x = np.asarray(tensor, dtype=np.float64)
+    if x.ndim != 3 or x.shape[2] != len(standardizer.means):
+        raise ShapeMismatchError(
+            f"expected trials x samples x {len(standardizer.means)} sensors, got {x.shape}"
+        )
     if sensor_names is None:
         m = len(standardizer.means)
         sensor_names = GPU_SENSORS if m == len(GPU_SENSORS) else tuple(
             f"s{i}" for i in range(m)
         )
     rows = [
-        covariance_features(trial, center_per_trial, scale_unbiased).values for trial in z
+        covariance_features(
+            apply_standardizer(standardizer, trial), center_per_trial, scale_unbiased
+        ).values
+        for trial in x
     ]
     variant = "centered" if center_per_trial else "raw_gram"
     if scale_unbiased:

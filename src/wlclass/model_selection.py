@@ -275,7 +275,6 @@ def train_family(family: str, features, y, params: dict, seed: int, n_classes: i
             tol=params.get("tol", 1e-3),
             max_iter=params.get("max_iter", 2000),
             n_classes=n_classes,
-            threads=threads,
         )
     if family == "gbt":
         gbt_params = GbtParams(

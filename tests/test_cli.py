@@ -89,7 +89,7 @@ class TestExitCodes:
                      "--length-min", "20", "--length-max", "20",
                      "--out", str(tmp_path / "c.csv")]) == 0
 
-    def test_nonconverged_svm_exits_3_unless_allowed(self, tmp_path):
+    def test_nonconverged_svm_exits_3_unless_allowed(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         features = rng.standard_normal((40, 6))
         labels = rng.integers(0, 2, size=40)
@@ -99,6 +99,7 @@ class TestExitCodes:
         args = ["train", "--in", str(feat), "--model", "svm", "--c", "10",
                 "--max-iter", "1", "--out", str(tmp_path / "m.wlc1")]
         assert main(args) == 3
+        assert "2 of 2 SVM machines did not converge" in capsys.readouterr().err
         assert main(args + ["--allow-nonconverged"]) == 0
 
 

@@ -157,6 +157,19 @@ class TestCovarianceFeatures:
         assert fm.feature_names[0] == "cov(utilization_gpu_pct,utilization_gpu_pct)"
         assert "standardize" in fm.provenance and "cov" in fm.provenance
 
+    def test_stacked_matrix_is_bit_identical_to_whole_tensor_standardization(self):
+        rng = np.random.default_rng(10)
+        tensor = rng.normal(3.0, 2.0, size=(9, 40, 7))
+        tensor[:, :, 4] = 1.5  # a constant sensor
+        std = fit_standardizer(tensor)
+        z = apply_standardizer(std, tensor)
+        for center, unbiased in ((False, False), (True, False), (False, True)):
+            expected = np.vstack([covariance_features(t, center, unbiased).values for t in z])
+            got = covariance_feature_matrix(tensor, std, center, unbiased).data
+            assert np.array_equal(got, expected)
+        with pytest.raises(ShapeMismatchError):
+            covariance_feature_matrix(np.zeros((0, 40, 6)), std)
+
 
 class TestFlatten:
     def test_sample_sensor_index_arithmetic(self):

@@ -76,6 +76,26 @@ class TestRoundTrip:
             np.testing.assert_array_equal(a.alphas, b.alphas)
             np.testing.assert_array_equal(a.support_vectors, b.support_vectors)
             assert a.bias == b.bias and a.converged == b.converged
+            assert a.updates == b.updates and a.kkt_gap == b.kkt_gap
+
+    def test_svm_file_without_solver_diagnostics_loads(self):
+        import json
+
+        from wlclass.classifiers.serialize import (
+            _canonical_json,
+            _decode_sections,
+            _encode_sections,
+        )
+
+        _, _, models = trained_models()
+        sections = _decode_sections(serialize_model(models["svm"]))
+        payload = json.loads(sections["model"])
+        for machine in payload["machines"]:
+            del machine["updates"], machine["kkt_gap"]
+        sections["model"] = _canonical_json(payload)
+        loaded, _ = deserialize_model(_encode_sections(sections))
+        assert all(m.updates is None and m.kkt_gap is None for m in loaded.machines)
+        assert loaded.converged
 
     def test_magic_starts_file(self, tmp_path):
         _, _, models = trained_models()

@@ -6,6 +6,7 @@ import pytest
 from wlclass.classifiers import (
     KernelSpec,
     default_gamma,
+    deserialize_model,
     dual_objective,
     kernel_matrix,
     predict,
@@ -13,7 +14,10 @@ from wlclass.classifiers import (
     train_svm_binary,
     train_svm_multiclass,
 )
-from wlclass.errors import ClassAbsentError, EmptyInputError, UsageError
+from wlclass.errors import ClassAbsentError, EmptyInputError, ShapeMismatchError, UsageError
+from wlclass.features import covariance_feature_matrix, fit_standardizer
+from wlclass.synth import default_26_class_spec, generate_corpus
+from wlclass.windowing import WindowPolicy, extract_window
 
 
 def qp_oracle(X, y, C, kernel):
@@ -152,6 +156,7 @@ class TestBinarySmo:
         y[:2] = [1, -1]
         machine = train_svm_binary(X, y, C=10.0, kernel=KernelSpec("rbf", 5.0), max_iter=1)
         assert not machine.converged
+        assert machine.updates == 60 and machine.kkt_gap >= 1e-3
         assert machine.predict(X).shape == (60,)
 
     def test_preconditions(self):
@@ -248,8 +253,31 @@ class TestMulticlass:
         b = serialize_model(train_svm_multiclass(X, y, C=1.0, kernel=LINEAR))
         assert a == b
 
-    def test_threaded_training_matches_serial(self):
-        X, y = blobs(seed=18)
-        a = serialize_model(train_svm_multiclass(X, y, C=1.0, kernel=LINEAR, threads=1))
-        b = serialize_model(train_svm_multiclass(X, y, C=1.0, kernel=LINEAR, threads=3))
-        assert a == b
+    def test_shared_kernel_decision_matrix_matches_per_machine(self):
+        X, y = blobs(seed=18, n_per=20)
+        ensemble = train_svm_multiclass(X, y, C=1.0, kernel=KernelSpec("rbf", 0.2))
+        loaded, _ = deserialize_model(serialize_model(ensemble))
+        queries = np.random.default_rng(19).uniform(-2, 10, size=(50, 2))
+        for model in (ensemble, loaded):
+            stacked = np.column_stack([m.decision_function(queries) for m in model.machines])
+            shared = model.decision_matrix(queries)
+            np.testing.assert_allclose(shared, stacked, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(predict(model, queries), np.argmax(stacked, axis=1))
+        with pytest.raises(ShapeMismatchError):
+            ensemble.decision_matrix(np.zeros((3, 5)))
+
+
+def test_every_machine_converges_at_realistic_scale():
+    """26 one-vs-rest machines on 1049 covariance rows, at the default max_iter."""
+    trials = generate_corpus(default_26_class_spec(seed=7, scale=0.3))
+    policy = WindowPolicy("middle", length=540)
+    x = np.stack([extract_window(t, policy).data for t in trials])
+    y = np.array([t.label for t in trials])
+    X = covariance_feature_matrix(x, fit_standardizer(x)).data
+    tol = 1e-3
+    ensemble = train_svm_multiclass(X, y, C=1.0, tol=tol)
+    assert X.shape == (1049, 28) and len(ensemble.machines) == 26
+    for c, machine in enumerate(ensemble.machines):
+        assert machine.converged, f"class {c}: gap {machine.kkt_gap} after {machine.updates}"
+        assert machine.kkt_gap <= tol
+        assert 0 < machine.updates <= 2000 * len(y)
