@@ -29,7 +29,7 @@ print(f"features: {train.shape[0]} train / {test.shape[0]} test rows, "
       f"{train.shape[1]} columns")
 
 models = {
-    "forest": train_forest(train, dataset.y_train, n_trees=100, seed=0, threads=2),
+    "forest": train_forest(train, dataset.y_train, n_trees=100, seed=0),
     "svm": train_svm_multiclass(train, dataset.y_train, C=1.0),
     "gbt": train_gbt(train, dataset.y_train, GbtParams(rounds=40, max_depth=3)),
 }
@@ -44,6 +44,6 @@ print(f"forest serialized to {len(blob)} bytes, provenance {provenance},")
 print("identical predictions after round trip:",
       np.array_equal(predict(models['forest'], test), predict(restored, test)))
 
-retrained = train_forest(train, dataset.y_train, n_trees=100, seed=0, threads=4)
+retrained = train_forest(train, dataset.y_train, n_trees=100, seed=0)
 print("retraining with the same seed is byte-identical:",
       serialize_model(retrained) == serialize_model(models["forest"]))

@@ -29,7 +29,7 @@ spec = GridSpec(
     folds=5,
     seed=0,
 )
-result = grid_search(dataset.x_train, dataset.y_train, spec, threads=4)
+result = grid_search(dataset.x_train, dataset.y_train, spec)
 
 print("cross-validated accuracy per cell:")
 for index, cell in enumerate(result.cells):

@@ -16,16 +16,16 @@ from .svm import (
     train_svm_binary,
     train_svm_multiclass,
 )
-from .tree import TreeNode, TreeParams, train_tree, tree_apply, tree_predict
+from .tree import NodeTable, TreeParams, stack_tables, train_tree, tree_predict
 
 __all__ = [
     "ForestModel",
     "GbtModel",
     "GbtParams",
     "KernelSpec",
+    "NodeTable",
     "SvmBinary",
     "SvmEnsemble",
-    "TreeNode",
     "TreeParams",
     "default_gamma",
     "deserialize_model",
@@ -38,12 +38,12 @@ __all__ = [
     "predict_forest",
     "save_model",
     "serialize_model",
+    "stack_tables",
     "train_forest",
     "train_gbt",
     "train_svm_binary",
     "train_svm_multiclass",
     "train_tree",
-    "tree_apply",
     "tree_predict",
 ]
 

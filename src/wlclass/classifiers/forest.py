@@ -1,44 +1,35 @@
 """Bagged CART forests with sqrt-feature subsampling and majority vote.
 
 Each tree gets its own generator derived from (seed, tree_index), so the
-model is byte-identical across runs and across thread counts; only the
-gather order is fixed, never the completion order.
+model is byte-identical across runs. The trees are stacked into one node
+table, and prediction walks all of them at once.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import EmptyInputError, ShapeMismatchError, UsageError
-from .tree import TreeNode, TreeParams, train_tree, tree_predict
+from .tree import NodeTable, TreeParams, rank_columns, stack_tables, train_tree
 
 
 @dataclass
 class ForestModel:
-    trees: list
+    table: NodeTable  # every tree; value rows are class histograms
     n_trees: int
     seed: int
     feature_count: int
     class_count: int
     max_depth: int | None = None
     min_leaf: int = 1
-    oob_info: dict | None = None
+    node_labels: np.ndarray = field(init=False, repr=False)  # argmax of each value row
+
+    def __post_init__(self):
+        self.node_labels = np.argmax(self.table.value, axis=1)
 
     def predict(self, X) -> np.ndarray:
         return predict_forest(self, X)
-
-
-def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, tree_index]))
-
-
-def _fit_one(X, y, n_classes, params, seed, tree_index) -> TreeNode:
-    rng = _tree_rng(seed, tree_index)
-    n = X.shape[0]
-    sample = rng.integers(0, n, size=n)
-    return train_tree(X[sample], y[sample], params, rng=rng, n_classes=n_classes)
 
 
 def train_forest(
@@ -49,7 +40,6 @@ def train_forest(
     max_depth: int | None = None,
     min_leaf: int = 1,
     n_classes: int | None = None,
-    threads: int = 1,
 ) -> ForestModel:
     """Train n_trees CART trees on size-N bootstrap samples.
 
@@ -73,17 +63,15 @@ def train_forest(
         min_leaf=min_leaf,
         feature_subsample=max(1, int(math.sqrt(d))),
     )
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_fit_one, X, y, n_classes, params, seed, t)
-                for t in range(n_trees)
-            ]
-            trees = [f.result() for f in futures]  # gather in index order
-    else:
-        trees = [_fit_one(X, y, n_classes, params, seed, t) for t in range(n_trees)]
+    ranks = rank_columns(X)  # ranked once; each bootstrap sample takes its columns
+    trees = []
+    for t in range(n_trees):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
+        sample = rng.integers(0, len(y), size=len(y))
+        trees.append(train_tree(X[sample], y[sample], params, rng=rng, n_classes=n_classes,
+                                ranks=ranks[:, sample]))
     return ForestModel(
-        trees=trees,
+        table=stack_tables(trees),
         n_trees=n_trees,
         seed=seed,
         feature_count=d,
@@ -100,13 +88,10 @@ def forest_votes(model: ForestModel, X) -> np.ndarray:
         raise ShapeMismatchError(
             f"expected n x {model.feature_count} features, got {X.shape}"
         )
-    votes = np.zeros((X.shape[0], model.class_count), dtype=np.int64)
-    if X.shape[0] == 0:
-        return votes
-    rows = np.arange(X.shape[0])
-    for tree in model.trees:
-        votes[rows, tree_predict(tree, X)] += 1
-    return votes
+    n, k = X.shape[0], model.class_count
+    labels = model.node_labels[model.table.apply(X)]
+    cells = (np.arange(n)[:, None] * k + labels).ravel()
+    return np.bincount(cells, minlength=n * k).reshape(n, k)
 
 
 def predict_forest(model: ForestModel, X) -> np.ndarray:

@@ -7,6 +7,9 @@ half [G_L^2/(H_L+lambda) + G_R^2/(H_R+lambda) - G^2/(H+lambda)], and a
 split is accepted only when that exceeds gamma. Leaf weights apply the
 l1 soft threshold: -sign(G) max(|G|-alpha, 0) / (H+lambda). Split counts
 and gains accumulate into per-feature importance.
+
+Trees come from tree.grow over one rank encoding of X that every tree shares,
+and the model keeps them stacked in one node table.
 """
 
 import math
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import EmptyInputError, ShapeMismatchError, UsageError
-from .tree import TreeNode
+from .tree import LEAF, NodeTable, grow, rank_columns, stack_tables
 
 
 @dataclass(frozen=True)
@@ -43,13 +46,18 @@ class GbtParams:
 
 @dataclass
 class GbtModel:
-    rounds: list  # rounds[r][c] is the round-r tree for class c
+    table: NodeTable  # every tree, round by round, class by class
     params: GbtParams
     feature_count: int
     class_count: int
     split_counts: np.ndarray  # per feature
     split_gains: np.ndarray  # per feature, accumulated recorded gain
     train_loss: list  # per-round multiclass log-loss
+
+    @property
+    def rounds(self) -> np.ndarray:
+        """rounds[r][c] is the root node of the round-r tree for class c."""
+        return self.table.roots.reshape(-1, self.class_count)
 
     def predict_scores(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -58,18 +66,14 @@ class GbtModel:
                 f"expected n x {self.feature_count} features, got {X.shape}"
             )
         scores = np.full((X.shape[0], self.class_count), self.params.base_score)
-        if X.shape[0] == 0:
-            return scores
-        for round_trees in self.rounds:
-            for c, tree in enumerate(round_trees):
-                scores[:, c] += self.params.learning_rate * _tree_values(tree, X)
+        weights = self.table.value[self.table.apply(X), 0].reshape(
+            X.shape[0], len(self.rounds), self.class_count)
+        for r in range(len(self.rounds)):  # round by round, as in training
+            scores += self.params.learning_rate * weights[:, r]
         return scores
 
     def predict(self, X) -> np.ndarray:
-        scores = self.predict_scores(X)
-        if scores.shape[0] == 0:
-            return np.zeros(0, dtype=np.int64)
-        return np.argmax(scores, axis=1).astype(np.int64)
+        return np.argmax(self.predict_scores(X), axis=1).astype(np.int64)
 
 
 def _leaf_weight(g: float, h: float, alpha: float, lam: float) -> float:
@@ -85,70 +89,33 @@ def _gain_term(g, h, lam):
     return np.where(denom > 0.0, g * g / np.where(denom > 0.0, denom, 1.0), 0.0)
 
 
-def _best_gain_split(X, g, h, idx, lam):
-    """Max recorded gain over features and midpoints; ties to lowest feature/threshold."""
-    g_total, h_total = float(g[idx].sum()), float(h[idx].sum())
-    parent_term = float(_gain_term(np.array(g_total), np.array(h_total), lam))
-    best = None
-    for f in range(X.shape[1]):
-        v = X[idx, f]
-        order = np.argsort(v, kind="stable")
-        vs = v[order]
-        cut = np.nonzero(vs[:-1] < vs[1:])[0]
-        if len(cut) == 0:
-            continue
-        g_prefix = np.cumsum(g[idx][order])[cut]
-        h_prefix = np.cumsum(h[idx][order])[cut]
-        gains = 0.5 * (
+class _Gain:
+    """Boosting criterion: leaf weights from (g, h) sums, second-order split gain."""
+
+    def __init__(self, g, h, params: GbtParams):
+        self.g, self.h, self.params = g, h, params
+
+    def node(self, rows):
+        g_sum, h_sum = float(self.g[rows].sum()), float(self.h[rows].sum())
+        weight = _leaf_weight(g_sum, h_sum, self.params.alpha, self.params.reg_lambda)
+        return (weight, g_sum, h_sum), True
+
+    def scores(self, ordered, fi, ci, value):
+        """Recorded gain at each cut."""
+        _, g_total, h_total = value
+        lam = self.params.reg_lambda
+        parent_term = float(_gain_term(np.array(g_total), np.array(h_total), lam))
+        cuts = fi * ordered.shape[1] + ci
+        g_prefix = np.cumsum(self.g[ordered], axis=1).ravel().take(cuts)
+        h_prefix = np.cumsum(self.h[ordered], axis=1).ravel().take(cuts)
+        return 0.5 * (
             _gain_term(g_prefix, h_prefix, lam)
             + _gain_term(g_total - g_prefix, h_total - h_prefix, lam)
             - parent_term
         )
-        pos = int(np.argmax(gains))  # first maximum: smallest threshold wins ties
-        if best is None or gains[pos] > best[0]:
-            threshold = float((vs[cut[pos]] + vs[cut[pos] + 1]) / 2.0)
-            best = (float(gains[pos]), int(f), threshold)
-    return best
 
-
-def _grow_regression(X, g, h, idx, depth, params: GbtParams, importance) -> TreeNode:
-    g_sum, h_sum = float(g[idx].sum()), float(h[idx].sum())
-    leaf = TreeNode(
-        weight=_leaf_weight(g_sum, h_sum, params.alpha, params.reg_lambda),
-        g_sum=g_sum,
-        h_sum=h_sum,
-    )
-    if depth >= params.max_depth or len(idx) < 2:
-        return leaf
-    best = _best_gain_split(X, g, h, idx, params.reg_lambda)
-    if best is None:
-        return leaf
-    gain, f, threshold = best
-    if not gain - params.gamma > 0.0:
-        return leaf
-    go_left = X[idx, f] <= threshold
-    node = TreeNode(feature_index=f, threshold=threshold, gain=gain)
-    importance[0][f] += 1
-    importance[1][f] += gain
-    node.left = _grow_regression(X, g, h, idx[go_left], depth + 1, params, importance)
-    node.right = _grow_regression(X, g, h, idx[~go_left], depth + 1, params, importance)
-    return node
-
-
-def _tree_values(node: TreeNode, X) -> np.ndarray:
-    out = np.zeros(X.shape[0])
-    stack = [(node, np.arange(X.shape[0]))]
-    while stack:
-        current, idx = stack.pop()
-        if len(idx) == 0:
-            continue
-        if current.is_leaf:
-            out[idx] = current.weight
-            continue
-        go_left = X[idx, current.feature_index] <= current.threshold
-        stack.append((current.left, idx[go_left]))
-        stack.append((current.right, idx[~go_left]))
-    return out
+    def accept(self, gain):
+        return gain - self.params.gamma > 0.0
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
@@ -181,27 +148,26 @@ def train_gbt(X, y, params: GbtParams | None = None, n_classes: int | None = Non
     onehot = np.zeros((n, n_classes))
     onehot[np.arange(n), y] = 1.0
     scores = np.full((n, n_classes), params.base_score)
-    importance = (np.zeros(d, dtype=np.int64), np.zeros(d))
-    all_idx = np.arange(n)
-    rounds, losses = [], []
+    ranks = rank_columns(X)  # every tree splits the same X
+    trees, losses = [], []
     for _ in range(params.rounds):
         proba = _softmax(scores)
-        round_trees = []
         for c in range(n_classes):
             g = proba[:, c] - onehot[:, c]
             h = proba[:, c] * (1.0 - proba[:, c])
-            tree = _grow_regression(X, g, h, all_idx, 0, params, importance)
-            scores[:, c] += params.learning_rate * _tree_values(tree, X)
-            round_trees.append(tree)
-        rounds.append(round_trees)
+            tree = grow(X, ranks, _Gain(g, h, params), params.max_depth)
+            scores[:, c] += params.learning_rate * tree.value[tree.apply(X)[:, 0], 0]
+            trees.append(tree)
         losses.append(_log_loss(_softmax(scores), y))
+    table = stack_tables(trees)
+    split = table.feature[table.feature != LEAF]
     return GbtModel(
-        rounds=rounds,
+        table=table,
         params=params,
         feature_count=d,
         class_count=n_classes,
-        split_counts=importance[0],
-        split_gains=importance[1],
+        split_counts=np.bincount(split, minlength=d),
+        split_gains=np.bincount(split, weights=table.gain[table.feature != LEAF], minlength=d),
         train_loss=losses,
     )
 

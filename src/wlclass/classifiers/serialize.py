@@ -6,6 +6,12 @@ Payloads are canonical JSON (sorted keys, no whitespace); floats survive
 the round trip exactly because JSON emits shortest-repr decimals. The
 "meta" section names the model kind and carries caller-supplied
 provenance so an evaluation can state what a model was trained on.
+
+Tree models (format 2) store their stacked node table (tree.NodeTable)
+as flat JSON arrays: feature, threshold, left, right, roots, value
+(row-major, class_count per node for forests, 3 for boosted trees) and,
+for boosted trees, gain. Loading checks that every walk over the table
+ends at a leaf without indexing out of range.
 """
 
 import json
@@ -17,73 +23,86 @@ from ..errors import ModelFormatError
 from .forest import ForestModel
 from .gbt import GbtModel, GbtParams
 from .svm import KernelSpec, SvmBinary, SvmEnsemble
-from .tree import TreeNode
+from .tree import LEAF, NodeTable
 
 MAGIC = b"WLC1"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+_TABLE_ARRAYS = ("feature", "threshold", "left", "right", "value", "roots", "gain")
 
 
-def _node_to_obj(node: TreeNode):
-    if node.is_leaf:
-        leaf = {}
-        if node.histogram is not None:
-            leaf["hist"] = [int(c) for c in node.histogram]
-        if node.weight is not None:
-            leaf["w"] = node.weight
-            leaf["g"] = node.g_sum
-            leaf["h"] = node.h_sum
-        return leaf
-    obj = {
-        "f": node.feature_index,
-        "t": node.threshold,
-        "l": _node_to_obj(node.left),
-        "r": _node_to_obj(node.right),
-    }
-    if node.gain is not None:
-        obj["gain"] = node.gain
-    return obj
+def _table_to_obj(table: NodeTable):
+    arrays = {name: getattr(table, name) for name in _TABLE_ARRAYS}
+    return {name: a.ravel().tolist() for name, a in arrays.items() if a is not None}
 
 
-def _node_from_obj(obj) -> TreeNode:
-    if "f" not in obj:
-        return TreeNode(
-            histogram=np.asarray(obj["hist"], dtype=np.int64) if "hist" in obj else None,
-            weight=obj.get("w"),
-            g_sum=obj.get("g"),
-            h_sum=obj.get("h"),
-        )
-    return TreeNode(
-        feature_index=obj["f"],
-        threshold=obj["t"],
-        left=_node_from_obj(obj["l"]),
-        right=_node_from_obj(obj["r"]),
-        gain=obj.get("gain"),
-    )
+def _count(obj, key) -> int:
+    value = obj[key]
+    if type(value) is not int or value < 1:
+        raise ModelFormatError(f"{key} must be a positive integer, got {value!r}")
+    return value
+
+
+def _table_from_obj(obj, n_trees, feature_count, width, boosted) -> NodeTable:
+    """Rebuild a node table, refusing any table whose walk could fail to end or
+    index out of range. Boosted trees carry float values and split gains,
+    CART trees integer histograms."""
+
+    def ints(name):
+        arr = np.asarray(obj[name])
+        if arr.ndim != 1 or arr.dtype.kind not in "iu":
+            raise ModelFormatError(f"node table {name!r} must be a list of integers")
+        return arr.astype(np.int64)
+
+    def floats(name):
+        return np.asarray(obj[name], dtype=np.float64)
+
+    feature, left, right, roots = (ints(name) for name in ("feature", "left", "right", "roots"))
+    threshold = floats("threshold")
+    value, gain = (floats("value"), floats("gain")) if boosted else (ints("value"), None)
+    n = len(feature)
+    if any(a.shape != (n,) for a in (threshold, left, right) + ((gain,) if boosted else ())):
+        raise ModelFormatError("node table arrays differ in length")
+    if value.shape != (n * width,):
+        raise ModelFormatError(f"node table values must be {width} per node")
+    if len(roots) != n_trees or roots[0] != 0 or (np.diff(roots) <= 0).any() or roots[-1] >= n:
+        raise ModelFormatError(f"node table must hold {n_trees} trees with increasing roots")
+    split = feature != LEAF
+    if ((feature < LEAF) | (feature >= feature_count)).any():
+        raise ModelFormatError("split feature out of range")
+    if not np.isfinite(threshold[split]).all():
+        raise ModelFormatError("split threshold is not finite")
+    tree_end = np.repeat(np.append(roots[1:], n), np.diff(np.append(roots, n)))[split]
+    for child in (left, right):
+        if ((child != LEAF) != split).any():
+            raise ModelFormatError("leaves must have no children and splits two")
+        if ((child[split] <= np.flatnonzero(split)) | (child[split] >= tree_end)).any():
+            raise ModelFormatError("child index must follow its parent inside its own tree")
+    return NodeTable(feature, threshold, left, right, value.reshape(n, width), roots, gain)
 
 
 def _forest_to_obj(model: ForestModel):
     return {
-        "trees": [_node_to_obj(t) for t in model.trees],
+        "table": _table_to_obj(model.table),
         "n_trees": model.n_trees,
         "seed": model.seed,
         "feature_count": model.feature_count,
         "class_count": model.class_count,
         "max_depth": model.max_depth,
         "min_leaf": model.min_leaf,
-        "oob_info": model.oob_info,
     }
 
 
 def _forest_from_obj(obj) -> ForestModel:
+    n_trees, feature_count = _count(obj, "n_trees"), _count(obj, "feature_count")
+    class_count = _count(obj, "class_count")
     return ForestModel(
-        trees=[_node_from_obj(t) for t in obj["trees"]],
-        n_trees=obj["n_trees"],
+        table=_table_from_obj(obj["table"], n_trees, feature_count, class_count, False),
+        n_trees=n_trees,
         seed=obj["seed"],
-        feature_count=obj["feature_count"],
-        class_count=obj["class_count"],
+        feature_count=feature_count,
+        class_count=class_count,
         max_depth=obj["max_depth"],
         min_leaf=obj["min_leaf"],
-        oob_info=obj["oob_info"],
     )
 
 
@@ -147,7 +166,7 @@ def _svm_from_obj(obj) -> SvmEnsemble:
 def _gbt_to_obj(model: GbtModel):
     p = model.params
     return {
-        "rounds": [[_node_to_obj(t) for t in round_trees] for round_trees in model.rounds],
+        "table": _table_to_obj(model.table),
         "params": {
             "rounds": p.rounds,
             "learning_rate": p.learning_rate,
@@ -176,11 +195,12 @@ def _gbt_from_obj(obj) -> GbtModel:
         reg_lambda=p["lambda"],
         base_score=p["base_score"],
     )
+    feature_count, class_count = _count(obj, "feature_count"), _count(obj, "class_count")
     return GbtModel(
-        rounds=[[_node_from_obj(t) for t in rt] for rt in obj["rounds"]],
+        table=_table_from_obj(obj["table"], params.rounds * class_count, feature_count, 3, True),
         params=params,
-        feature_count=obj["feature_count"],
-        class_count=obj["class_count"],
+        feature_count=feature_count,
+        class_count=class_count,
         split_counts=np.asarray(obj["split_counts"], dtype=np.int64),
         split_gains=np.asarray(obj["split_gains"], dtype=np.float64),
         train_loss=obj["train_loss"],

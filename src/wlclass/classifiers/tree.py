@@ -1,42 +1,159 @@
-"""CART classification trees: Gini impurity, exhaustive midpoint thresholds.
+"""Decision trees as flat node tables, grown by one split scan for both families.
 
-The split search is vectorized per feature with prefix class counts over
-the sorted column. Ties resolve to the lowest feature index, then the
-lowest threshold, so a tree is a pure function of (X, y, params, rng
-state). A node may split at zero impurity decrease as long as it is
-impure and a valid cut exists; both children are then strictly smaller,
-which keeps recursion finite and lets depth-2 trees represent XOR.
+A tree is a `NodeTable` numbered in preorder, left child before right,
+so every child index exceeds its parent's. Columns are ranked once
+(`rank_columns`); each node sorts its rows by rank for all candidate
+features at once, and the scan takes prefix sums of per-row statistics
+along them and scores every value boundary at its midpoint: class counts
+give the weighted Gini impurity (CART, below), gradient and hessian sums
+the second-order gain (gbt.py). This is XGBoost's exact greedy split
+finder (Chen & Guestrin 2016).
+
+Ties resolve to the lowest feature index, then the lowest threshold, so
+a tree is a pure function of (X, statistics, params, rng state). A CART
+node may split at zero impurity decrease as long as it is impure and a
+valid cut exists; both children are then strictly smaller, which keeps
+growth finite and lets depth-2 trees represent XOR.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import EmptyInputError, ShapeMismatchError
+from ..errors import DegenerateInputError, EmptyInputError, ShapeMismatchError
+
+LEAF = -1  # feature and child index of a leaf
 
 
 @dataclass
-class TreeNode:
-    """Either a split (feature_index/threshold/left/right) or a leaf.
+class NodeTable:
+    """One or more trees as parallel per-node arrays.
 
-    Classification leaves carry a class histogram; regression leaves (used
-    by the boosted trees) carry weight plus the (g_sum, h_sum) statistics
-    they were derived from. Rows with x[feature] <= threshold go left.
+    Rows with x[feature] <= threshold go `left`, others `right`; leaves
+    have feature, left and right LEAF. `value` has one row per node: the
+    class histogram of its training rows (CART) or (weight, g_sum, h_sum)
+    (boosted trees, which also keep each split's `gain`, 0 at leaves).
+    Tree t runs from roots[t] up to the next root.
     """
 
-    feature_index: int | None = None
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    histogram: np.ndarray | None = None
-    weight: float | None = None
-    g_sum: float | None = None
-    h_sum: float | None = None
-    gain: float | None = None
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    roots: np.ndarray
+    gain: np.ndarray | None = None
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature_index is None
+    def apply(self, X) -> np.ndarray:
+        """Node index of the leaf each row reaches in each tree: rows x trees."""
+        trees = len(self.roots)
+        node = np.tile(self.roots, X.shape[0])
+        live = np.arange(node.size)
+        while live.size:
+            at = node[live]
+            f = self.feature[at]
+            split = f != LEAF
+            live, at, f = live[split], at[split], f[split]
+            go_left = X[live // trees, f] <= self.threshold[at]
+            node[live] = np.where(go_left, self.left[at], self.right[at])
+        return node.reshape(X.shape[0], trees)
+
+
+def stack_tables(tables) -> NodeTable:
+    """One table holding every tree of `tables`, in order."""
+    offsets = np.cumsum([0] + [len(t.feature) for t in tables[:-1]])
+
+    def joined(name, shift=False):
+        parts = [getattr(t, name) for t in tables]
+        if shift:
+            parts = [np.where(p == LEAF, LEAF, p + o) for p, o in zip(parts, offsets)]
+        return np.concatenate(parts)
+
+    return NodeTable(
+        joined("feature"), joined("threshold"), joined("left", True), joined("right", True),
+        joined("value"), np.concatenate([t.roots + o for t, o in zip(tables, offsets)]),
+        None if tables[0].gain is None else joined("gain"),
+    )
+
+
+def rank_columns(X) -> np.ndarray:
+    """Dense rank of every value within its column, features x rows.
+
+    Equal values share a rank, so a stable sort by rank orders rows by
+    value, ties by row. Below 2**15 rows ranks fit int16, sorted by radix.
+
+    Raises:
+        DegenerateInputError: a value is not finite.
+    """
+    if not np.isfinite(X).all():
+        raise DegenerateInputError("training features contain non-finite entries")
+    order = np.argsort(X, axis=0, kind="stable")
+    values = np.take_along_axis(X, order, axis=0)
+    dense = np.zeros(X.shape, dtype=np.int64)
+    np.cumsum(values[1:] > values[:-1], axis=0, out=dense[1:])
+    ranks = np.empty_like(dense)
+    np.put_along_axis(ranks, order, dense, axis=0)
+    return np.ascontiguousarray(ranks.T, dtype=np.int16 if len(X) < 2**15 else np.int32)
+
+
+def _best_split(X, ranks, rows, feats, criterion, value, min_leaf):
+    """Best (score, feature, threshold) over every value boundary of the
+    candidate features, or None when no valid cut exists."""
+    rank = ranks[feats[:, None], rows]
+    order = np.argsort(rank, axis=1, kind="stable")
+    ordered = rows[order]  # candidate features x node rows, by value then row
+    rank = np.take_along_axis(rank, order, axis=1)
+    fi, ci = np.nonzero(rank[:, :-1] < rank[:, 1:])  # cut after sorted position ci
+    if min_leaf > 1:
+        keep = (ci + 1 >= min_leaf) & (len(rows) - 1 - ci >= min_leaf)
+        fi, ci = fi[keep], ci[keep]
+    if fi.size == 0:
+        return None
+    scores = criterion.scores(ordered, fi, ci, value)
+    best = int(np.argmax(scores))  # first maximum: lowest feature, then lowest threshold
+    f, c = feats[fi[best]], ci[best]
+    lo, hi = X[ordered[fi[best], c], f], X[ordered[fi[best], c + 1], f]
+    threshold = float((lo + hi) / 2.0)
+    if threshold >= hi:  # adjacent floats or overflow: keep both children non-empty
+        threshold = float(lo)
+    return float(scores[best]), int(f), threshold
+
+
+def grow(X, ranks, criterion, max_depth=None, min_leaf=1, pick_features=None) -> NodeTable:
+    """Grow one tree in preorder, left child before right, from an explicit stack.
+
+    `ranks` is rank_columns(X). The criterion gives each node's value row
+    and whether it may split (`node(rows)`), every candidate cut's score,
+    higher being better (`scores(ordered, fi, ci, value)`), and whether
+    the best cut is taken (`accept(score)`). `pick_features()` draws a
+    splitting node's candidate features; by default all.
+    """
+    nodes = []  # [feature, threshold, left, right, value, gain]
+    stack = [(None, 0, 0, np.arange(X.shape[0]))]
+    while stack:
+        parent, side, depth, rows = stack.pop()  # rows ascending
+        if parent is not None:
+            nodes[parent][side] = len(nodes)
+        value, splittable = criterion.node(rows)
+        nodes.append([LEAF, 0.0, LEAF, LEAF, value, 0.0])
+        if not splittable or len(rows) < 2 * min_leaf:
+            continue
+        if max_depth is not None and depth >= max_depth:
+            continue
+        feats = pick_features() if pick_features else np.arange(X.shape[1])
+        best = _best_split(X, ranks, rows, feats, criterion, value, min_leaf)
+        if best is None or not criterion.accept(best[0]):
+            continue
+        node = nodes[-1]
+        node[5], node[0], node[1] = best
+        go_left = X[rows, node[0]] <= node[1]
+        stack.append((len(nodes) - 1, 3, depth + 1, rows[~go_left]))
+        stack.append((len(nodes) - 1, 2, depth + 1, rows[go_left]))
+    feature, threshold, left, right, values, gains = zip(*nodes)
+    return NodeTable(
+        np.array(feature), np.array(threshold), np.array(left), np.array(right),
+        np.array(values), np.zeros(1, dtype=np.int64), np.array(gains),
+    )
 
 
 @dataclass(frozen=True)
@@ -46,46 +163,35 @@ class TreeParams:
     feature_subsample: int | None = None  # features considered per split
 
 
-def _gini_from_counts(counts: np.ndarray, n: float) -> float:
-    return 1.0 - float(((counts / n) ** 2).sum())
+class _Gini:
+    """CART criterion: class histograms, weighted Gini impurity of the children."""
 
+    def __init__(self, y, n_classes):
+        self.y, self.k = y, n_classes
 
-def _best_gini_split(X, y, idx, feats, n_classes, min_leaf):
-    """Scan candidate midpoints; return (weighted_impurity, feature, threshold) or None."""
-    yn = y[idx]
-    n = len(idx)
-    total = np.bincount(yn, minlength=n_classes).astype(np.float64)
-    best = None
-    for f in feats:
-        v = X[idx, f]
-        order = np.argsort(v, kind="stable")
-        vs = v[order]
-        ys = yn[order]
-        cut = np.nonzero(vs[:-1] < vs[1:])[0]
-        if len(cut) == 0:
-            continue
-        onehot = np.zeros((n, n_classes))
-        onehot[np.arange(n), ys] = 1.0
-        prefix = np.cumsum(onehot, axis=0)
-        n_left = (cut + 1).astype(np.float64)
+    def node(self, rows):
+        counts = np.bincount(self.y[rows], minlength=self.k)
+        return counts, 1.0 - float(((counts / len(rows)) ** 2).sum()) != 0.0
+
+    def scores(self, ordered, fi, ci, counts):
+        """Negated weighted impurity of the two children at each cut."""
+        f, n = ordered.shape
+        prefix = np.zeros((n, f, self.k), dtype=np.int32)  # one-hots, then class prefixes
+        cells = (np.arange(n)[:, None] * f + np.arange(f)) * self.k + self.y[ordered].T
+        prefix.reshape(-1)[cells] = 1
+        np.cumsum(prefix, axis=0, out=prefix)
+        left = np.take(prefix.reshape(-1, self.k), ci * f + fi, axis=0).astype(np.float64)
+        right = counts - left
+        n_left = (ci + 1).astype(np.float64)
         n_right = n - n_left
-        left_counts = prefix[cut]
-        right_counts = total - left_counts
-        gini_left = 1.0 - ((left_counts / n_left[:, None]) ** 2).sum(axis=1)
-        gini_right = 1.0 - ((right_counts / n_right[:, None]) ** 2).sum(axis=1)
-        weighted = (n_left * gini_left + n_right * gini_right) / n
-        if min_leaf > 1:
-            valid = (n_left >= min_leaf) & (n_right >= min_leaf)
-            if not valid.any():
-                continue
-            weighted = np.where(valid, weighted, np.inf)
-        pos = int(np.argmin(weighted))  # first minimum: smallest threshold wins ties
-        if not np.isfinite(weighted[pos]):
-            continue
-        if best is None or weighted[pos] < best[0]:
-            threshold = float((vs[cut[pos]] + vs[cut[pos] + 1]) / 2.0)
-            best = (float(weighted[pos]), int(f), threshold)
-    return best
+        left /= n_left[:, None]
+        right /= n_right[:, None]
+        gini_left = 1.0 - np.square(left, out=left).sum(axis=1)
+        gini_right = 1.0 - np.square(right, out=right).sum(axis=1)
+        return -((n_left * gini_left + n_right * gini_right) / n)
+
+    def accept(self, score):
+        return True
 
 
 def _pick_features(d, params: TreeParams, rng) -> np.ndarray:
@@ -95,30 +201,11 @@ def _pick_features(d, params: TreeParams, rng) -> np.ndarray:
     return np.sort(rng.choice(d, size=m, replace=False))
 
 
-def _grow(X, y, idx, depth, n_classes, params, rng) -> TreeNode:
-    counts = np.bincount(y[idx], minlength=n_classes)
-    node = TreeNode(histogram=counts)
-    if _gini_from_counts(counts.astype(np.float64), len(idx)) == 0.0:
-        return node
-    if params.max_depth is not None and depth >= params.max_depth:
-        return node
-    if len(idx) < 2 * params.min_leaf:
-        return node
-    feats = _pick_features(X.shape[1], params, rng)
-    best = _best_gini_split(X, y, idx, feats, n_classes, params.min_leaf)
-    if best is None:
-        return node
-    _, f, threshold = best
-    go_left = X[idx, f] <= threshold
-    node.feature_index = f
-    node.threshold = threshold
-    node.left = _grow(X, y, idx[go_left], depth + 1, n_classes, params, rng)
-    node.right = _grow(X, y, idx[~go_left], depth + 1, n_classes, params, rng)
-    return node
-
-
-def train_tree(X, y, params: TreeParams | None = None, rng=None, n_classes=None) -> TreeNode:
-    """Grow one CART tree. Deterministic given the rng state.
+def train_tree(
+    X, y, params: TreeParams | None = None, rng=None, n_classes=None, ranks=None
+) -> NodeTable:
+    """Grow one CART tree. Deterministic given the rng state. `ranks`, when
+    given, is rank_columns(X), or a superset's ranks taken at X's rows.
 
     Raises:
         EmptyInputError: no training rows.
@@ -135,37 +222,16 @@ def train_tree(X, y, params: TreeParams | None = None, rng=None, n_classes=None)
     rng = rng or np.random.default_rng(0)
     if n_classes is None:
         n_classes = int(y.max()) + 1
-    return _grow(X, y, np.arange(X.shape[0]), 0, n_classes, params, rng)
+    tree = grow(
+        X, rank_columns(X) if ranks is None else ranks, _Gini(y, n_classes),
+        params.max_depth, params.min_leaf, lambda: _pick_features(X.shape[1], params, rng),
+    )
+    tree.gain = None  # a CART split's score is not kept
+    return tree
 
 
-def tree_apply(node: TreeNode, X) -> np.ndarray:
-    """Return the leaf reached by each row."""
-    X = np.asarray(X, dtype=np.float64)
-    out = np.empty(X.shape[0], dtype=object)
-    stack = [(node, np.arange(X.shape[0]))]
-    while stack:
-        current, idx = stack.pop()
-        if len(idx) == 0:
-            continue
-        if current.is_leaf:
-            out[idx] = current
-            continue
-        go_left = X[idx, current.feature_index] <= current.threshold
-        stack.append((current.left, idx[go_left]))
-        stack.append((current.right, idx[~go_left]))
-    return out
-
-
-def tree_predict(node: TreeNode, X) -> np.ndarray:
-    """Predict labels: argmax of each leaf histogram, ties to the lowest class."""
-    leaves = tree_apply(node, X)
-    return np.array([int(np.argmax(leaf.histogram)) for leaf in leaves], dtype=np.int64)
-
-
-def tree_predict_counts(node: TreeNode, X, n_classes: int) -> np.ndarray:
-    leaves = tree_apply(node, X)
-    out = np.zeros((len(leaves), n_classes), dtype=np.float64)
-    for i, leaf in enumerate(leaves):
-        hist = leaf.histogram
-        out[i, : len(hist)] = hist
-    return out
+def tree_predict(tree: NodeTable, X) -> np.ndarray:
+    """Labels from a table's first tree: argmax of each leaf histogram,
+    ties to the lowest class."""
+    leaves = tree.apply(np.asarray(X, dtype=np.float64))[:, 0]
+    return np.argmax(tree.value[leaves], axis=1).astype(np.int64)

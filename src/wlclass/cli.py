@@ -376,7 +376,7 @@ def cmd_synth(args) -> StageResult:
 
 
 def cmd_window(args) -> StageResult:
-    trials = ingest_raw_csv(args.input, schema=args.schema, nonfinite=args.nonfinite)
+    trials = ingest_raw_csv(args.input, nonfinite=args.nonfinite)
     policy_seed = derive_seed(args.seed, "window-offset") if args.policy == "random" else None
     split_seed = derive_seed(args.seed, "split")
     policy = WindowPolicy(args.policy, seed=policy_seed, length=args.length)
@@ -460,10 +460,8 @@ def _check_converged(model, allow: bool) -> None:
 def cmd_train(args) -> StageResult:
     features_train, y_train, _, _, meta = read_feature_set(args.input)
     n_classes = max(len(meta.get("class_names", [])), int(y_train.max()) + 1)
-    threads = _resolve_threads(args.threads)
     params = _train_params(args)
-    model = train_family(args.model, features_train, y_train, params, args.seed,
-                         n_classes, threads=threads)
+    model = train_family(args.model, features_train, y_train, params, args.seed, n_classes)
     _check_converged(model, args.allow_nonconverged)
     provenance = {
         "family": args.model,
@@ -593,8 +591,7 @@ def cmd_gridsearch(args) -> StageResult:
         folds=args.folds,
         seed=args.seed,
     )
-    threads = _resolve_threads(args.threads)
-    result = grid_search(dataset.x_train, dataset.y_train, spec, threads=threads)
+    result = grid_search(dataset.x_train, dataset.y_train, spec)
     _check_converged(result.pipeline.model, args.allow_nonconverged)
 
     records = []
@@ -696,7 +693,6 @@ def cmd_reproduce(args) -> StageResult:
         present,
         families=families,
         seed=args.seed,
-        threads=_resolve_threads(args.threads),
         folds=args.folds,
         grids=grids,
         pca_ks=tuple(_int_list(args.pca_ks)),
@@ -735,8 +731,6 @@ def cmd_reproduce(args) -> StageResult:
 def _add_common(sub, out_required=True, out_help="output path"):
     sub.add_argument("--config", default=None, help="key = value file mirroring the flags")
     sub.add_argument("--seed", type=int, default=0, help="master seed for this stage")
-    sub.add_argument("--threads", type=int, default=None,
-                     help="parallelism (default: WLCLASS_THREADS or all cores)")
     sub.add_argument("-v", "--verbose", action="count", default=0)
     if out_required is not None:
         sub.add_argument("--out", required=out_required, help=out_help)
@@ -769,13 +763,14 @@ def build_parser():
     synth.add_argument("--policy", choices=("start", "middle", "random"), default="middle")
     synth.add_argument("--length", type=int, default=540)
     synth.add_argument("--split-ratio", type=float, default=0.8)
+    synth.add_argument("--threads", type=int, default=None,
+                       help="trial generation pool (default: WLCLASS_THREADS or all cores)")
     _add_common(synth, out_required=False, out_help="corpus CSV path")
     synth.set_defaults(func=cmd_synth)
     registry["synth"] = synth
 
     window = subs.add_parser("window", help="ingest raw CSV, window, and split")
     window.add_argument("--in", dest="input", required=True, help="corpus CSV")
-    window.add_argument("--schema", choices=("gpu", "cpu"), default="gpu")
     window.add_argument("--policy", choices=("start", "middle", "random"), default="middle")
     window.add_argument("--length", type=int, default=540)
     window.add_argument("--split-ratio", type=float, default=0.8)

@@ -51,18 +51,6 @@ GPU_SENSORS = (
     "power_draw_W",
 )
 
-#: CPU-side metrics ingested for completeness (not used by the GPU-only pipeline).
-CPU_SENSORS = (
-    "CPUFrequency",
-    "CPUTime",
-    "CPUUtilization",
-    "RSS",
-    "VMSize",
-    "Pages",
-    "ReadMB",
-    "WriteMB",
-)
-
 ARCHIVE_KEYS = ("X_train", "y_train", "model_train", "X_test", "y_test", "model_test")
 
 NUM_CLASSES = 26
@@ -244,7 +232,6 @@ class RawTrial:
     job_id: str
     label: int | None
     series: np.ndarray  # n_samples x n_sensors, float64
-    sensor_kind: str  # "gpu" | "cpu"
     label_name: str | None = None
     device_id: str = ""
 
@@ -252,12 +239,9 @@ class RawTrial:
         self.series = np.asarray(self.series, dtype=np.float64)
         if self.series.ndim != 2 or self.series.shape[0] < 1:
             raise ShapeMismatchError(f"trial series must be n x sensors, got {self.series.shape}")
-        expected = {"gpu": len(GPU_SENSORS), "cpu": len(CPU_SENSORS)}.get(self.sensor_kind)
-        if expected is None:
-            raise SchemaMismatchError(f"unknown sensor kind {self.sensor_kind!r}")
-        if self.series.shape[1] != expected:
+        if self.series.shape[1] != len(GPU_SENSORS):
             raise ShapeMismatchError(
-                f"{self.sensor_kind} trial needs {expected} sensors, got {self.series.shape[1]}"
+                f"trial needs {len(GPU_SENSORS)} sensors, got {self.series.shape[1]}"
             )
         if not np.isfinite(self.series).all():
             raise SchemaMismatchError(
@@ -468,21 +452,15 @@ def write_challenge_archive(dataset: ChallengeDataset, path) -> None:
 _META_COLUMNS = ("job_id", "timestamp", "device_id", "label")
 
 
-def ingest_raw_csv(path, schema: str = "gpu", nonfinite: str = "drop") -> list[RawTrial]:
+def ingest_raw_csv(path, nonfinite: str = "drop") -> list[RawTrial]:
     """Ingest delimited telemetry into one RawTrial per (job, device) group.
 
     The file must carry a header row naming job_id, timestamp, and exactly
-    the sensor columns of the requested schema; device_id and label columns
-    are optional. Rows are sorted by timestamp (stable, so input order
-    breaks ties). Non-finite readings are dropped row-wise by default or
-    forward-filled with ``nonfinite="ffill"``.
+    the GPU_SENSORS columns; device_id and label columns are optional.
+    Rows are sorted by timestamp (stable, so input order breaks ties).
+    Non-finite readings are dropped row-wise by default or forward-filled
+    with ``nonfinite="ffill"``.
     """
-    if schema == "gpu":
-        sensors = GPU_SENSORS
-    elif schema == "cpu":
-        sensors = CPU_SENSORS
-    else:
-        raise SchemaMismatchError(f"unknown schema {schema!r}")
     if nonfinite not in ("drop", "ffill"):
         raise SchemaMismatchError(f"unknown non-finite policy {nonfinite!r}")
 
@@ -499,15 +477,15 @@ def ingest_raw_csv(path, schema: str = "gpu", nonfinite: str = "drop") -> list[R
             raise EmptyFileError(f"{path} is empty") from None
         header = [h.strip() for h in header]
         present_sensors = [h for h in header if h not in _META_COLUMNS]
-        if set(present_sensors) != set(sensors) or len(present_sensors) != len(sensors):
+        if set(present_sensors) != set(GPU_SENSORS) or len(present_sensors) != len(GPU_SENSORS):
             raise SchemaMismatchError(
                 f"sensor columns {sorted(present_sensors)} do not match "
-                f"the {schema} schema {sorted(sensors)}"
+                f"the GPU sensors {sorted(GPU_SENSORS)}"
             )
         if "job_id" not in header or "timestamp" not in header:
             raise SchemaMismatchError("job_id and timestamp columns are required")
         col = {name: header.index(name) for name in header}
-        sensor_idx = [col[s] for s in sensors]
+        sensor_idx = [col[s] for s in GPU_SENSORS]
         has_device = "device_id" in col
         has_label = "label" in col
 
@@ -557,7 +535,6 @@ def ingest_raw_csv(path, schema: str = "gpu", nonfinite: str = "drop") -> list[R
                 job_id=job,
                 label=label,
                 series=series,
-                sensor_kind=schema,
                 label_name=label_name,
                 device_id=device,
             )

@@ -3,15 +3,13 @@
 The grid search consumes raw window tensors, never precomputed features:
 the standardizer (and PCA, when selected) is refit inside every fold on
 that fold's training rows only, so no statistic of a validation row ever
-reaches the model that is scored on it. Fold and cell work can run
-concurrently; results are gathered by (cell, fold) index so the output
-is independent of scheduling.
+reaches the model that is scored on it. Cells and folds run one after
+another, in (cell, fold) order.
 """
 
 import hashlib
 import itertools
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -253,7 +251,7 @@ def _svm_kernel(params: dict, features) -> KernelSpec:
     return KernelSpec("rbf", gamma if gamma is not None else default_gamma(features))
 
 
-def train_family(family: str, features, y, params: dict, seed: int, n_classes: int, threads: int = 1):
+def train_family(family: str, features, y, params: dict, seed: int, n_classes: int):
     """Train one model of the given family with one grid cell's parameters."""
     if family == "rf":
         return train_forest(
@@ -264,7 +262,6 @@ def train_family(family: str, features, y, params: dict, seed: int, n_classes: i
             max_depth=params.get("max_depth"),
             min_leaf=params.get("min_leaf", 1),
             n_classes=n_classes,
-            threads=threads,
         )
     if family == "svm":
         return train_svm_multiclass(
@@ -304,7 +301,7 @@ def _evaluate_cell_fold(x, y, cell, fold_pair, family, seed, n_classes):
     return accuracy, reduction.fingerprint()
 
 
-def grid_search(x, y, spec: GridSpec, threads: int = 1, collect_fingerprints: bool = False):
+def grid_search(x, y, spec: GridSpec, collect_fingerprints: bool = False):
     """Cross-validate every grid cell, pick the best, refit on the full split.
 
     x is the raw trials x samples x sensors tensor; all feature fitting
@@ -320,22 +317,15 @@ def grid_search(x, y, spec: GridSpec, threads: int = 1, collect_fingerprints: bo
     folds = kfold_indices(len(y), k, y, spec.seed)
     n_classes = int(y.max()) + 1
 
-    jobs = [(cell, fold_index) for cell in cells for fold_index in range(k)]
-
-    def run(job):
-        cell, fold_index = job
-        try:
-            return _evaluate_cell_fold(
-                x, y, cell, folds[fold_index], spec.model_family, spec.seed, n_classes
-            )
-        except WlclassError as exc:
-            raise _annotate(exc, f"cell {cell.index} ({cell.describe()}) fold {fold_index}")
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run, jobs))
-    else:
-        outcomes = [run(job) for job in jobs]
+    outcomes = []
+    for cell in cells:
+        for fold_index in range(k):
+            try:
+                outcomes.append(_evaluate_cell_fold(
+                    x, y, cell, folds[fold_index], spec.model_family, spec.seed, n_classes
+                ))
+            except WlclassError as exc:
+                raise _annotate(exc, f"cell {cell.index} ({cell.describe()}) fold {fold_index}")
 
     fold_accuracy = np.array([o[0] for o in outcomes]).reshape(len(cells), k)
     fingerprints = [o[1] for o in outcomes]
@@ -346,9 +336,7 @@ def grid_search(x, y, spec: GridSpec, threads: int = 1, collect_fingerprints: bo
     best = cells[best_cell]
     reduction = fit_reduction(best.reduction, x)
     features = reduction.transform(x)
-    model = train_family(
-        spec.model_family, features, y, best.params, spec.seed, n_classes, threads=threads
-    )
+    model = train_family(spec.model_family, features, y, best.params, spec.seed, n_classes)
     result = CvResult(
         cells=cells,
         mean_accuracy=mean_accuracy,
@@ -477,7 +465,6 @@ def reproduce_table(
     archives: dict,
     families=("svm", "rf"),
     seed: int = 0,
-    threads: int = 1,
     folds: int | None = None,
     grids: dict | None = None,
     pca_ks=PCA_GRID_KS,
@@ -526,7 +513,7 @@ def reproduce_table(
                 folds=folds,
                 seed=seed,
             )
-            result = grid_search(dataset.x_train, dataset.y_train, spec, threads=threads)
+            result = grid_search(dataset.x_train, dataset.y_train, spec)
             report = evaluate_pipeline(
                 result.pipeline,
                 dataset.x_test,

@@ -165,7 +165,6 @@ def _generate_job(corpus: SynthCorpusSpec, class_index: int, job_index: int, phy
         job_id=f"{cls.class_name}-{job_index:05d}",
         label=class_index,
         series=series,
-        sensor_kind="gpu",
         label_name=cls.class_name,
         device_id="0",
     )

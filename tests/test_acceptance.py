@@ -20,6 +20,7 @@ from wlclass.classifiers import predict
 from wlclass.classifiers.forest import train_forest
 from wlclass.classifiers.gbt import GbtParams, train_gbt
 from wlclass.classifiers.serialize import deserialize_model, serialize_model
+from wlclass.classifiers.tree import LEAF
 from wlclass.classifiers.svm import (
     KernelSpec,
     dual_objective,
@@ -55,7 +56,7 @@ def run_full_chain(d, threads):
     assert main(["featurize", "--in", str(d / "arc.npz"), "--reduction", "cov",
                  "--out", str(d / "feat.npz")]) == 0
     assert main(["train", "--in", str(d / "feat.npz"), "--model", "rf",
-                 "--n-trees", "100", "--seed", "7", "--threads", str(threads),
+                 "--n-trees", "100", "--seed", "7",
                  "--out", str(d / "model.wlc1")]) == 0
     assert main(["evaluate", "--model-path", str(d / "model.wlc1"),
                  "--in", str(d / "feat.npz"), "--out", str(d / "report.jsonl")]) == 0
@@ -192,12 +193,10 @@ def soft_threshold(g, a):
     return math.copysign(max(abs(g) - a, 0.0), g)
 
 
-def walk_splits(node):
-    if node.is_leaf:
-        return
-    yield node
-    yield from walk_splits(node.left)
-    yield from walk_splits(node.right)
+def split_gains(model):
+    """Recorded gain of every split node of every tree."""
+    table = model.table
+    return table.gain[table.feature != LEAF]
 
 
 def test_gbt_leaf_weights_split_gains_and_training_loss(boosting_features):
@@ -210,33 +209,22 @@ def test_gbt_leaf_weights_split_gains_and_training_loss(boosting_features):
         model = train_gbt(x, y, params)
         for class_index, g_hand in ((0, -1.0), (1, 1.0)):
             leaf = model.rounds[0][class_index]
-            assert leaf.is_leaf
+            assert model.table.feature[leaf] == LEAF
             expected = -soft_threshold(g_hand, alpha) / (1.0 + lam)
-            assert leaf.weight == expected, (alpha, lam, class_index)
+            assert model.table.value[leaf, 0] == expected, (alpha, lam, class_index)
 
     features, labels = boosting_features
     gated = train_gbt(features, labels, GbtParams(rounds=12, max_depth=3, gamma=0.5))
     restored, _ = deserialize_model(serialize_model(gated))
-    splits = [
-        node
-        for round_trees in restored.rounds
-        for tree in round_trees
-        for node in walk_splits(tree)
-    ]
-    assert splits, "expected the boosted model to contain splits"
-    assert all(node.gain > 0.5 for node in splits)
+    gains = split_gains(restored)
+    assert gains.size, "expected the boosted model to contain splits"
+    assert (gains > 0.5).all()
 
     curve = train_gbt(features, labels, GbtParams(rounds=40, max_depth=3))
     losses = np.array(curve.train_loss)
     assert len(losses) == 40
     assert (np.diff(losses) <= 1e-9).all(), "training loss increased"
-    open_splits = [
-        node
-        for round_trees in curve.rounds
-        for tree in round_trees
-        for node in walk_splits(tree)
-    ]
-    assert all(node.gain > 0.0 for node in open_splits)
+    assert (split_gains(curve) > 0.0).all()
 
 
 def test_synthetic_end_to_end_accuracy_and_permutation_floor(e2e):
@@ -247,7 +235,7 @@ def test_synthetic_end_to_end_accuracy_and_permutation_floor(e2e):
 
     features_train, y_train, features_test, y_test, _ = read_feature_set(e2e["dir"] / "feat.npz")
     permuted = np.random.default_rng(0).permutation(y_train)
-    model = train_forest(features_train, permuted, n_trees=100, seed=7, threads=4)
+    model = train_forest(features_train, permuted, n_trees=100, seed=7)
     shuffled_accuracy = 100.0 * float((predict(model, features_test) == y_test).mean())
     assert shuffled_accuracy <= 35.0, f"permuted-label accuracy {shuffled_accuracy}"
 
@@ -269,7 +257,7 @@ def test_middle_windows_beat_start_windows_on_warmup_corpus():
         reduction = fit_reduction(ReductionSpec("cov"), dataset.x_train)
         model = train_forest(
             reduction.transform(dataset.x_train), dataset.y_train,
-            n_trees=100, seed=1, threads=4,
+            n_trees=100, seed=1,
         )
         hits = predict(model, reduction.transform(dataset.x_test)) == dataset.y_test
         accuracy[policy] = 100.0 * float(hits.mean())
@@ -284,7 +272,7 @@ def test_middle_windows_beat_start_windows_on_warmup_corpus():
 def test_released_archive_reproduction():
     middle = read_challenge_archive(DATA_DIR / "60-middle-1.npz")
     spec = GridSpec("rf", {"n_trees": [50, 100, 250]}, (ReductionSpec("cov"),), seed=0)
-    cv = grid_search(middle.x_train, middle.y_train, spec, threads=4)
+    cv = grid_search(middle.x_train, middle.y_train, spec)
     report = evaluate_pipeline(cv.pipeline, middle.x_test, middle.y_test, middle.model_train)
     assert report.accuracy >= 90.0, f"forest accuracy {report.accuracy}"
 

@@ -403,15 +403,6 @@ class TestCsvIngest:
         with pytest.raises(SchemaMismatchError):
             ingest_raw_csv(self.write(tmp_path, rows, header=header))
 
-    def test_cpu_schema_accepted(self, tmp_path):
-        from wlclass.dataset_io import CPU_SENSORS
-
-        header = "job_id,timestamp," + ",".join(CPU_SENSORS)
-        rows = ["j1,0," + ",".join("1" for _ in CPU_SENSORS)]
-        trials = ingest_raw_csv(self.write(tmp_path, rows, header=header), schema="cpu")
-        assert trials[0].series.shape == (1, len(CPU_SENSORS))
-        assert trials[0].label is None
-
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
@@ -457,18 +448,14 @@ class TestCsvIngest:
         assert sorted(t.label for t in trials) == [4, 9]
         assert all(t.label_name is None for t in trials)
 
-    def test_unknown_schema(self, tmp_path):
-        with pytest.raises(SchemaMismatchError):
-            ingest_raw_csv(self.write(tmp_path, [self.row("j", 0)]), schema="tpu")
-
 
 class TestRawTrial:
     def test_wrong_sensor_count(self):
         with pytest.raises(ShapeMismatchError):
-            RawTrial("j", 0, np.zeros((5, 6)), "gpu")
+            RawTrial("j", 0, np.zeros((5, 6)))
 
     def test_nan_rejected(self):
         series = np.zeros((5, 7))
         series[2, 3] = np.nan
         with pytest.raises(SchemaMismatchError):
-            RawTrial("j", 0, series, "gpu")
+            RawTrial("j", 0, series)

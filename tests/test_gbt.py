@@ -8,20 +8,13 @@ from wlclass.classifiers import (
     serialize_model,
     train_gbt,
 )
+from wlclass.classifiers.tree import LEAF
 from wlclass.errors import EmptyInputError, ShapeMismatchError, UsageError
 
 
-def walk_nodes(node):
-    yield node
-    if not node.is_leaf:
-        yield from walk_nodes(node.left)
-        yield from walk_nodes(node.right)
-
-
-def all_nodes(model):
-    for round_trees in model.rounds:
-        for tree in round_trees:
-            yield from walk_nodes(tree)
+def leaves(model):
+    """Boolean mask of the leaves of every tree in the model's node table."""
+    return model.table.feature == LEAF
 
 
 class TestGbtTraining:
@@ -34,8 +27,7 @@ class TestGbtTraining:
     def test_infinite_gamma_prunes_everything(self):
         X, y = self.data()
         model = train_gbt(X, y, GbtParams(rounds=3, gamma=float("inf")))
-        for node in all_nodes(model):
-            assert node.is_leaf
+        assert leaves(model).all()
         # constant scores: one prediction for every input
         assert len(np.unique(predict(model, X))) == 1
 
@@ -48,24 +40,23 @@ class TestGbtTraining:
         # initial scores 0 -> p = 0.5 everywhere
         # class-0 tree: g_i = 0.5 - [y_i == 0], h_i = 0.25
         # left leaf {1,2}: G = -1.0, H = 0.5 -> w = 2.0; right leaf {3,4}: G = 1.0 -> w = -2.0
+        t = model.table
         tree0 = model.rounds[0][0]
-        assert tree0.feature_index == 0 and tree0.threshold == 2.5
-        np.testing.assert_allclose(tree0.left.weight, 2.0, rtol=1e-12)
-        np.testing.assert_allclose(tree0.right.weight, -2.0, rtol=1e-12)
+        assert t.feature[tree0] == 0 and t.threshold[tree0] == 2.5
+        np.testing.assert_allclose(t.value[t.left[tree0], 0], 2.0, rtol=1e-12)
+        np.testing.assert_allclose(t.value[t.right[tree0], 0], -2.0, rtol=1e-12)
         tree1 = model.rounds[0][1]
-        np.testing.assert_allclose(tree1.left.weight, -2.0, rtol=1e-12)
-        np.testing.assert_allclose(tree1.right.weight, 2.0, rtol=1e-12)
+        np.testing.assert_allclose(t.value[t.left[tree1], 0], -2.0, rtol=1e-12)
+        np.testing.assert_allclose(t.value[t.right[tree1], 0], 2.0, rtol=1e-12)
         # the split's recorded gain: 0.5 * (1/0.5 + 1/0.5 - 0/1) = 2.0
-        np.testing.assert_allclose(tree0.gain, 2.0, rtol=1e-12)
+        np.testing.assert_allclose(t.gain[tree0], 2.0, rtol=1e-12)
 
     def test_alpha_sweep_shrinks_leaf_weights(self):
         X, y = self.data(seed=1)
         weights = []
         for alpha in (0.0, 0.5, 1.0, 2.0):
             model = train_gbt(X, y, GbtParams(rounds=1, alpha=alpha))
-            weights.append(
-                np.array([n.weight for n in all_nodes(model) if n.is_leaf])
-            )
+            weights.append(model.table.value[leaves(model), 0])
         for previous, current in zip(weights, weights[1:]):
             assert len(previous) == len(current)  # alpha does not change structure
             assert (np.abs(current) <= np.abs(previous) + 1e-12).all()
@@ -74,21 +65,18 @@ class TestGbtTraining:
         X, y = self.data(seed=2, n=80)
         gamma = 0.4
         model = train_gbt(X, y, GbtParams(rounds=4, gamma=gamma))
-        splits = [n for n in all_nodes(model) if not n.is_leaf]
-        assert splits
-        for node in splits:
-            assert node.gain > gamma
+        splits = ~leaves(model)
+        assert splits.any()
+        assert (model.table.gain[splits] > gamma).all()
 
     def test_leaf_formula_reproducible_from_stats(self):
         X, y = self.data(seed=3, n=60)
         params = GbtParams(rounds=3, alpha=0.3, reg_lambda=2.0)
         model = train_gbt(X, y, params)
-        for node in all_nodes(model):
-            if node.is_leaf:
-                g, h = node.g_sum, node.h_sum
-                shrunk = max(abs(g) - params.alpha, 0.0)
-                expected = -np.sign(g) * shrunk / (h + params.reg_lambda) if h + params.reg_lambda > 0 else 0.0
-                np.testing.assert_allclose(node.weight, expected, atol=1e-10)
+        for weight, g, h in model.table.value[leaves(model)]:
+            shrunk = max(abs(g) - params.alpha, 0.0)
+            expected = -np.sign(g) * shrunk / (h + params.reg_lambda) if h + params.reg_lambda > 0 else 0.0
+            np.testing.assert_allclose(weight, expected, atol=1e-10)
 
     def test_score_shift_leaves_argmax_unchanged(self):
         X, y = self.data(seed=4)
@@ -174,10 +162,10 @@ class TestFeatureImportance:
         model = train_gbt(X, y, GbtParams(rounds=3))
         counts = np.zeros(4, dtype=int)
         gains = np.zeros(4)
-        for node in all_nodes(model):
-            if not node.is_leaf:
-                counts[node.feature_index] += 1
-                gains[node.feature_index] += node.gain
+        t = model.table
+        for node in np.flatnonzero(~leaves(model)):
+            counts[t.feature[node]] += 1
+            gains[t.feature[node]] += t.gain[node]
         np.testing.assert_array_equal(model.split_counts, counts)
         np.testing.assert_allclose(model.split_gains, gains, rtol=1e-12)
 

@@ -207,21 +207,6 @@ class TestGridSearch:
         # the refit pipeline, in contrast, uses the whole split
         assert result.pipeline.reduction.fingerprint() == full_fit
 
-    def test_threaded_matches_serial_including_model_bytes(self, easy_problem):
-        x, y = easy_problem
-        spec = GridSpec(
-            model_family="rf",
-            hyperparameter_grid={"n_trees": [3, 7]},
-            reduction_grid=(ReductionSpec("cov"), ReductionSpec("pca", k=5)),
-            folds=3,
-            seed=1,
-        )
-        serial = grid_search(x, y, spec, threads=1)
-        threaded = grid_search(x, y, spec, threads=4)
-        np.testing.assert_array_equal(serial.fold_accuracy, threaded.fold_accuracy)
-        assert serial.best_cell == threaded.best_cell
-        assert serialize_model(serial.pipeline.model) == serialize_model(threaded.pipeline.model)
-
     def test_rerun_is_byte_identical(self, easy_problem):
         x, y = easy_problem
         spec = GridSpec(

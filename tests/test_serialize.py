@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,8 @@ from wlclass.classifiers import (
     train_gbt,
     train_svm_multiclass,
 )
-from wlclass.errors import ModelFormatError
+from wlclass.classifiers.serialize import _canonical_json, _decode_sections, _encode_sections
+from wlclass.errors import ModelFormatError, WlclassError
 
 
 def sample_problem(seed=0):
@@ -55,18 +58,9 @@ class TestRoundTrip:
         gbt = models["gbt"]
         loaded, _ = deserialize_model(serialize_model(gbt))
         np.testing.assert_array_equal(loaded.split_gains, gbt.split_gains)
-        for a_round, b_round in zip(gbt.rounds, loaded.rounds):
-            for a, b in zip(a_round, b_round):
-                stack = [(a, b)]
-                while stack:
-                    na, nb = stack.pop()
-                    if na.is_leaf:
-                        assert nb.is_leaf and na.weight == nb.weight
-                        assert na.g_sum == nb.g_sum and na.h_sum == nb.h_sum
-                    else:
-                        assert na.threshold == nb.threshold and na.gain == nb.gain
-                        stack.append((na.left, nb.left))
-                        stack.append((na.right, nb.right))
+        np.testing.assert_array_equal(loaded.rounds, gbt.rounds)
+        for name in ("feature", "threshold", "left", "right", "value", "roots", "gain"):
+            np.testing.assert_array_equal(getattr(loaded.table, name), getattr(gbt.table, name))
 
     def test_svm_alphas_reconstructed(self):
         X, y, models = trained_models()
@@ -79,14 +73,6 @@ class TestRoundTrip:
             assert a.updates == b.updates and a.kkt_gap == b.kkt_gap
 
     def test_svm_file_without_solver_diagnostics_loads(self):
-        import json
-
-        from wlclass.classifiers.serialize import (
-            _canonical_json,
-            _decode_sections,
-            _encode_sections,
-        )
-
         _, _, models = trained_models()
         sections = _decode_sections(serialize_model(models["svm"]))
         payload = json.loads(sections["model"])
@@ -130,21 +116,95 @@ class TestMalformedModelFiles:
             deserialize_model(bytes(raw))
 
     def test_mutation_fuzz_total(self):
-        _, _, models = trained_models()
+        """Random bytes anywhere, then random digits inside the payload: digit
+        edits keep most files parseable, so the node table checks and predict
+        see them too."""
+        X, _, models = trained_models()
         base = serialize_model(models["forest"])
+        digits = [i for i in range(8, len(base)) if chr(base[i]).isdigit()]
         rng = np.random.default_rng(42)
-        for _ in range(200):
+        predicted = 0
+        for trial in range(400):
             raw = bytearray(base)
             for _ in range(rng.integers(1, 4)):
-                raw[rng.integers(0, len(raw))] = rng.integers(0, 256)
+                if trial < 200:
+                    raw[rng.integers(0, len(raw))] = rng.integers(0, 256)
+                else:
+                    raw[rng.choice(digits)] = ord("0") + rng.integers(0, 10)
             try:
-                deserialize_model(bytes(raw))
+                model, _ = deserialize_model(bytes(raw))
             except ModelFormatError:
-                pass
+                continue
+            try:
+                labels = predict(model, X)
+            except WlclassError:
+                continue
+            assert labels.shape == (len(X),)
+            assert ((labels >= 0) & (labels < model.class_count)).all()
+            predicted += 1
+        assert predicted > 0
+
+    def test_version_1_forest_file(self):
+        _, _, models = trained_models()
+        raw = bytearray(serialize_model(models["forest"]))
+        raw[4:6] = (1).to_bytes(2, "little")
+        with pytest.raises(ModelFormatError, match="version 1"):
+            deserialize_model(bytes(raw))
+
+    def tampered(self, model, edit):
+        """The model's file after edit(payload) changed its decoded model payload."""
+        sections = _decode_sections(serialize_model(model))
+        payload = json.loads(sections["model"])
+        edit(payload)
+        sections["model"] = _canonical_json(payload)
+        return _encode_sections(sections)
+
+    def test_child_index_pointing_backwards(self):
+        _, _, models = trained_models()
+        for name in ("forest", "gbt"):
+            table = models[name].table
+            split = int(np.flatnonzero(table.feature >= 0)[-1])
+
+            def edit(payload):
+                payload["table"]["right"][split] = split - 1
+
+            with pytest.raises(ModelFormatError, match="child index"):
+                deserialize_model(self.tampered(models[name], edit))
+
+    def test_child_index_in_the_next_tree(self):
+        _, _, models = trained_models()
+        table = models["forest"].table
+
+        def edit(payload):
+            payload["table"]["left"][0] = int(table.roots[1])
+
+        with pytest.raises(ModelFormatError, match="child index"):
+            deserialize_model(self.tampered(models["forest"], edit))
+
+    def test_out_of_range_feature(self):
+        _, _, models = trained_models()
+        for name, bad in (("forest", 3), ("gbt", 3), ("forest", -2)):
+            split = int(np.flatnonzero(models[name].table.feature >= 0)[0])
+
+            def edit(payload):
+                payload["table"]["feature"][split] = bad
+
+            with pytest.raises(ModelFormatError, match="feature out of range"):
+                deserialize_model(self.tampered(models[name], edit))
+
+    def test_table_shape_checks(self):
+        _, _, models = trained_models()
+        edits = {
+            "differ in length": lambda p: p["table"]["threshold"].pop(),
+            "values must be": lambda p: p["table"]["value"].pop(),
+            "trees with increasing roots": lambda p: p["table"]["roots"].pop(),
+            "must be a list of integers": lambda p: p["table"]["left"].__setitem__(0, 1.5),
+        }
+        for message, edit in edits.items():
+            with pytest.raises(ModelFormatError, match=message):
+                deserialize_model(self.tampered(models["forest"], edit))
 
     def test_unknown_kind(self):
-        from wlclass.classifiers.serialize import _canonical_json, _encode_sections
-
         raw = _encode_sections(
             {"meta": _canonical_json({"kind": "mystery", "provenance": {}}),
              "model": _canonical_json({})}

@@ -3,16 +3,39 @@ import pytest
 
 from wlclass.classifiers import (
     ForestModel,
-    TreeNode,
+    NodeTable,
     TreeParams,
+    deserialize_model,
     forest_votes,
     predict,
     serialize_model,
+    stack_tables,
     train_forest,
     train_tree,
     tree_predict,
 )
+from wlclass.classifiers.tree import LEAF
+from wlclass.cli import main, write_feature_set
 from wlclass.errors import EmptyInputError, ShapeMismatchError, UsageError
+
+
+def is_leaf(tree, node):
+    return tree.feature[node] == LEAF
+
+
+def tree_nodes(table, t):
+    """Node index range of tree t of a stacked table."""
+    bounds = list(table.roots) + [len(table.feature)]
+    return range(bounds[t], bounds[t + 1])
+
+
+def walk_leaf(table, root, x):
+    """Follow one row from a root to its leaf, one node at a time."""
+    node = root
+    while not is_leaf(table, node):
+        go_left = x[table.feature[node]] <= table.threshold[node]
+        node = table.left[node] if go_left else table.right[node]
+    return node
 
 
 def gini_scan_oracle(X, y, n_classes):
@@ -39,15 +62,15 @@ def gini_scan_oracle(X, y, n_classes):
 
 class TestTree:
     def test_single_class_is_leaf(self):
-        root = train_tree(np.random.default_rng(0).normal(size=(10, 3)), np.zeros(10))
-        assert root.is_leaf
-        assert root.histogram[0] == 10
+        tree = train_tree(np.random.default_rng(0).normal(size=(10, 3)), np.zeros(10))
+        assert is_leaf(tree, 0)
+        assert tree.value[0][0] == 10
 
     def test_one_dimensional_threshold(self):
-        root = train_tree(np.array([[1.0], [2.0], [3.0], [4.0]]), np.array([0, 0, 1, 1]))
-        assert root.feature_index == 0
-        assert root.threshold == 2.5
-        assert root.left.is_leaf and root.right.is_leaf
+        tree = train_tree(np.array([[1.0], [2.0], [3.0], [4.0]]), np.array([0, 0, 1, 1]))
+        assert tree.feature[0] == 0
+        assert tree.threshold[0] == 2.5
+        assert is_leaf(tree, tree.left[0]) and is_leaf(tree, tree.right[0])
 
     def test_root_split_matches_scan_oracle(self):
         rng = np.random.default_rng(1)
@@ -59,74 +82,83 @@ class TestTree:
             y = rng.integers(0, n_classes, size=n)
             if len(np.unique(y)) < 2:
                 continue
-            root = train_tree(X, y, n_classes=n_classes)
+            tree = train_tree(X, y, n_classes=n_classes)
             expected = gini_scan_oracle(X, y, n_classes)
             if expected is None:
-                assert root.is_leaf
+                assert is_leaf(tree, 0)
             else:
-                assert (root.feature_index, root.threshold) == (expected[1], expected[2])
+                assert (tree.feature[0], tree.threshold[0]) == (expected[1], expected[2])
 
     def test_xor_fits_at_depth_two(self):
         X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         y = np.array([0, 1, 1, 0])
-        root = train_tree(X, y, TreeParams(max_depth=2))
-        np.testing.assert_array_equal(tree_predict(root, X), y)
+        tree = train_tree(X, y, TreeParams(max_depth=2))
+        np.testing.assert_array_equal(tree_predict(tree, X), y)
 
     def test_memorizes_consistent_data(self):
         rng = np.random.default_rng(2)
         X = rng.normal(size=(60, 4))
         y = rng.integers(0, 5, size=60)
-        root = train_tree(X, y)
-        np.testing.assert_array_equal(tree_predict(root, X), y)
+        tree = train_tree(X, y)
+        np.testing.assert_array_equal(tree_predict(tree, X), y)
 
     def test_routing_consistency(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(40, 3))
         y = rng.integers(0, 3, size=40)
-        root = train_tree(X, y)
+        tree = train_tree(X, y)
 
         def walk(node, idx):
-            assert node.histogram.sum() == len(idx)
-            if node.is_leaf:
+            assert tree.value[node].sum() == len(idx)
+            if is_leaf(tree, node):
                 return
-            assert np.isfinite(node.threshold)
-            go_left = X[idx, node.feature_index] <= node.threshold
+            assert np.isfinite(tree.threshold[node])
+            go_left = X[idx, tree.feature[node]] <= tree.threshold[node]
             assert 0 < go_left.sum() < len(idx)
-            walk(node.left, idx[go_left])
-            walk(node.right, idx[~go_left])
+            walk(tree.left[node], idx[go_left])
+            walk(tree.right[node], idx[~go_left])
 
-        walk(root, np.arange(40))
+        walk(0, np.arange(40))
 
     def test_max_depth_limits_splits(self):
         rng = np.random.default_rng(4)
         X = rng.normal(size=(50, 3))
         y = rng.integers(0, 2, size=50)
-        root = train_tree(X, y, TreeParams(max_depth=1))
-        for child in (root.left, root.right):
-            assert child is None or child.is_leaf
+        tree = train_tree(X, y, TreeParams(max_depth=1))
+        for child in (tree.left[0], tree.right[0]):
+            assert child == LEAF or is_leaf(tree, child)
 
     def test_min_leaf_respected(self):
         rng = np.random.default_rng(5)
         X = rng.normal(size=(30, 2))
         y = rng.integers(0, 2, size=30)
-        root = train_tree(X, y, TreeParams(min_leaf=5))
+        tree = train_tree(X, y, TreeParams(min_leaf=5))
 
         def smallest(node):
-            if node.is_leaf:
-                return int(node.histogram.sum())
-            return min(smallest(node.left), smallest(node.right))
+            if is_leaf(tree, node):
+                return int(tree.value[node].sum())
+            return min(smallest(tree.left[node]), smallest(tree.right[node]))
 
-        assert smallest(root) >= 5
+        assert smallest(0) >= 5
 
     def test_empty_input(self):
         with pytest.raises(EmptyInputError):
             train_tree(np.zeros((0, 3)), np.zeros(0))
 
+    def test_adjacent_floats_split_apart(self):
+        # the midpoint of these two neighbours rounds up to the larger one
+        lo = 1.0 + 2.0**-52
+        X = np.array([[lo], [np.nextafter(lo, 2.0)]])
+        y = np.array([0, 1])
+        tree = train_tree(X, y, TreeParams(max_depth=3))
+        assert is_leaf(tree, tree.left[0]) and is_leaf(tree, tree.right[0])
+        np.testing.assert_array_equal(tree_predict(tree, X), y)
+
     def test_duplicate_rows_conflicting_labels_terminate(self):
         X = np.ones((6, 2))
         y = np.array([0, 1, 0, 1, 0, 1])
-        root = train_tree(X, y)
-        assert root.is_leaf  # nothing to split on
+        tree = train_tree(X, y)
+        assert is_leaf(tree, 0)  # nothing to split on
 
 
 class TestForest:
@@ -140,19 +172,13 @@ class TestForest:
     def test_single_tree_forest_matches_its_tree(self):
         X, y = self.blobs()
         forest = train_forest(X, y, n_trees=1, seed=0)
-        np.testing.assert_array_equal(predict(forest, X), tree_predict(forest.trees[0], X))
+        np.testing.assert_array_equal(predict(forest, X), tree_predict(forest.table, X))
         assert (predict(forest, X) == y).mean() >= 0.9
 
     def test_determinism_bytes(self):
         X, y = self.blobs(seed=7)
         a = serialize_model(train_forest(X, y, n_trees=12, seed=3))
         b = serialize_model(train_forest(X, y, n_trees=12, seed=3))
-        assert a == b
-
-    def test_thread_count_does_not_change_model(self):
-        X, y = self.blobs(seed=8)
-        a = serialize_model(train_forest(X, y, n_trees=8, seed=5, threads=1))
-        b = serialize_model(train_forest(X, y, n_trees=8, seed=5, threads=4))
         assert a == b
 
     def test_different_seeds_differ(self):
@@ -168,50 +194,42 @@ class TestForest:
         queries = rng.normal(3, 3, size=(25, 2))
         votes = forest_votes(forest, queries)
         manual = np.zeros_like(votes)
-        for tree in forest.trees:
-            labels = tree_predict(tree, queries)
-            for row, label in enumerate(labels):
-                manual[row, label] += 1
+        table = forest.table
+        for root in table.roots:
+            for row, x in enumerate(queries):
+                manual[row, np.argmax(table.value[walk_leaf(table, root, x)])] += 1
         np.testing.assert_array_equal(votes, manual)
         np.testing.assert_array_equal(predict(forest, queries), np.argmax(manual, axis=1))
 
     def test_tie_breaks_toward_lowest_class(self):
-        leaf_for = lambda c: TreeNode(histogram=np.eye(3, dtype=np.int64)[c] * 5)
+        def leaf_for(c):
+            return NodeTable(
+                feature=np.array([LEAF]), threshold=np.zeros(1), left=np.array([LEAF]),
+                right=np.array([LEAF]), value=np.eye(3, dtype=np.int64)[c:c + 1] * 5,
+                roots=np.zeros(1, dtype=np.int64),
+            )
+
         forest = ForestModel(
-            trees=[leaf_for(2), leaf_for(1)], n_trees=2, seed=0, feature_count=2, class_count=3
+            table=stack_tables([leaf_for(2), leaf_for(1)]), n_trees=2, seed=0,
+            feature_count=2, class_count=3,
         )
         assert predict(forest, np.zeros((1, 2)))[0] == 1
 
     def test_all_trees_reference_valid_features(self):
         X, y = self.blobs(seed=12)
         forest = train_forest(X, y, n_trees=6, seed=9)
-
-        def check(node):
-            if node.is_leaf:
-                return
-            assert 0 <= node.feature_index < forest.feature_count
-            check(node.left)
-            check(node.right)
-
-        for tree in forest.trees:
-            check(tree)
+        table = forest.table
+        for t in range(forest.n_trees):
+            for node in tree_nodes(table, t):
+                if not is_leaf(table, node):
+                    assert 0 <= table.feature[node] < forest.feature_count
 
     def test_feature_subsample_is_sqrt(self):
         rng = np.random.default_rng(13)
         X = rng.normal(size=(80, 16))
         y = (X[:, 0] > 0).astype(int)
         forest = train_forest(X, y, n_trees=30, seed=2)
-        used = set()
-
-        def collect(node):
-            if node.is_leaf:
-                return
-            used.add(node.feature_index)
-            collect(node.left)
-            collect(node.right)
-
-        for tree in forest.trees:
-            collect(tree)
+        used = set(forest.table.feature[forest.table.feature != LEAF].tolist())
         # sqrt(16) = 4 features per split, but across many trees most features appear
         assert len(used) > 4
 
@@ -233,7 +251,46 @@ class TestForest:
     def test_bootstrap_varies_between_trees(self):
         X, y = self.blobs(n_per=40, seed=16)
         forest = train_forest(X, y, n_trees=4, seed=7)
-        serialized = {serialize_model(
-            ForestModel([t], 1, 0, forest.feature_count, forest.class_count)
-        ) for t in forest.trees}
+        table = forest.table
+        serialized = set()
+        for t in range(forest.n_trees):
+            nodes = list(tree_nodes(table, t))
+            serialized.add((table.feature[nodes].tobytes(), table.threshold[nodes].tobytes(),
+                            table.value[nodes].tobytes()))
         assert len(serialized) > 1
+
+
+class TestDeepTrees:
+    """One feature with alternating labels: every split peels off a sliver, so
+    the trees are hundreds of levels deep."""
+
+    def chain(self, n=1000):
+        X = np.arange(n, dtype=np.float64)[:, None]
+        return X, np.arange(n) % 2
+
+    def test_tree_and_forest_fit_the_training_labels(self):
+        X, y = self.chain()
+        tree = train_tree(X, y)
+        np.testing.assert_array_equal(tree_predict(tree, X), y)
+        forest = train_forest(X, y, n_trees=5, seed=0)
+        # bagging leaves rows out of each tree, so each tree must fit its own sample
+        leaves = forest.table.apply(X)
+        for t in range(forest.n_trees):
+            sample = np.random.default_rng(np.random.SeedSequence([0, t])).integers(0, 1000, 1000)
+            np.testing.assert_array_equal(forest.node_labels[leaves[sample, t]], y[sample])
+        assert predict(forest, X).shape == y.shape
+
+    def test_forest_survives_model_file_round_trip(self):
+        X, y = self.chain()
+        forest = train_forest(X, y, n_trees=5, seed=0)
+        raw = serialize_model(forest)
+        loaded, _ = deserialize_model(raw)
+        np.testing.assert_array_equal(predict(loaded, X), predict(forest, X))
+        assert serialize_model(loaded) == raw
+
+    def test_cli_trains_a_forest(self, tmp_path):
+        X, y = self.chain()
+        feat = tmp_path / "feat.npz"
+        write_feature_set(feat, X, y, X[:10], y[:10], {"class_names": ["even", "odd"]})
+        assert main(["train", "--in", str(feat), "--model", "rf", "--n-trees", "3",
+                     "--out", str(tmp_path / "model.wlc1")]) == 0

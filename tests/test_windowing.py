@@ -19,7 +19,6 @@ def make_trial(job, n, label=0, label_name=None, device="0", seed=0):
         job_id=job,
         label=label,
         series=rng.normal(size=(n, 7)),
-        sensor_kind="gpu",
         label_name=label_name,
         device_id=device,
     )
@@ -122,7 +121,7 @@ class TestExtractWindow:
         series = np.zeros((n, 7))
         counts = np.zeros(span)
         for i in range(10000):
-            trial = RawTrial(f"job-{i}", 0, series, "gpu")
+            trial = RawTrial(f"job-{i}", 0, series)
             counts[extract_window(trial, policy).source_offset] += 1
         _, p = stats.chisquare(counts)
         assert p > 0.001
