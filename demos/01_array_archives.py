@@ -1,9 +1,14 @@
 """Round-trip the array container formats, then watch a corrupt file fail.
 
 The package reads and writes two containers: single arrays in the
-format-1.0 binary layout (magic, header dict, raw payload) and challenge
-archives, which are stored zips holding the six canonical members.
+format-1.0 binary layout (magic, header dict, raw payload) and stored zips
+of such arrays. Challenge archives (the six canonical members), feature
+sets and reduction bundles are all zips of this kind, written and read by
+one codec, write_bundle and read_bundle.
 """
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -36,15 +41,16 @@ dataset = ChallengeDataset(
     y_test=np.array([0, 1, 2]),
     model_test=names,
 )
-write_challenge_archive(dataset, "/tmp/demo_archive.npz")
-loaded = read_challenge_archive("/tmp/demo_archive.npz")
-print("archive train tensor:", loaded.x_train.shape, "classes:", loaded.model_train)
+with tempfile.TemporaryDirectory() as scratch:
+    scratch = Path(scratch)
+    write_challenge_archive(dataset, scratch / "archive.npz")
+    loaded = read_challenge_archive(scratch / "archive.npz")
+    print("archive train tensor:", loaded.x_train.shape, "classes:", loaded.model_train)
 
-# every malformed input surfaces as one typed error family, never a traceback
-with open("/tmp/demo_broken.npz", "wb") as fh:
-    fh.write(blob[:40])
-for bad in ("/tmp/demo_broken.npz", "/tmp/does_not_exist.npz"):
-    try:
-        read_challenge_archive(bad)
-    except WlclassError as exc:
-        print(f"{bad}: {type(exc).__name__}: {exc}")
+    # every malformed input surfaces as one typed error family, never a traceback
+    (scratch / "broken.npz").write_bytes(blob[:40])
+    for bad in ("broken.npz", "does_not_exist.npz"):
+        try:
+            read_challenge_archive(scratch / bad)
+        except WlclassError as exc:
+            print(f"{bad}: {type(exc).__name__}: {exc}")

@@ -39,7 +39,7 @@ residual = float(np.abs(z_train.mean(axis=(0, 1))).max())
 print(f"largest pooled train mean after standardizing: {residual:.2e}")
 
 cov = covariance_feature_matrix(dataset.x_train, std)
-print(f"covariance features: {cov.data.shape[1]} per window, first three names:")
+print(f"covariance features: {cov.shape[1]} per window, first three names:")
 for name in covariance_feature_names()[:3]:
     print("  ", name)
 

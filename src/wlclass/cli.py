@@ -18,7 +18,6 @@ import os
 import resource
 import sys
 import time
-import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,10 +27,11 @@ from . import __version__
 from .classifiers import load_model, predict, save_model
 from .dataset_io import (
     GPU_SENSORS,
+    canonical_json,
     ingest_raw_csv,
-    read_array,
+    read_bundle,
     read_challenge_archive,
-    write_array,
+    write_bundle,
     write_challenge_archive,
 )
 from .errors import (
@@ -39,7 +39,6 @@ from .errors import (
     DataError,
     MalformedArchiveError,
     MissingArchiveError,
-    MissingKeyError,
     NoConvergenceError,
     UsageError,
     WlclassError,
@@ -121,14 +120,10 @@ def _write_manifest(args, result: StageResult, wall_clock: float) -> None:
         fh.write("\n")
 
 
-def _json_line(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
-
-
 def _write_jsonl(path, records) -> None:
     with open(path, "w") as fh:
         for record in records:
-            fh.write(_json_line(record))
+            fh.write(canonical_json(record))
             fh.write("\n")
 
 
@@ -225,98 +220,97 @@ def _float_list(text: str) -> list:
 # ---------------------------------------------------------------------------
 # binary sidecar artifacts: feature sets and fitted reductions
 
-_FIXED_DATE = (1980, 1, 1, 0, 0, 0)
-
-
-def _zip_write(zf: zipfile.ZipFile, name: str, payload: bytes) -> None:
-    info = zipfile.ZipInfo(name, date_time=_FIXED_DATE)
-    info.compress_type = zipfile.ZIP_STORED
-    zf.writestr(info, payload)
+_STANDARDIZER_KEYS = ("means", "stds", "constant")
+_PCA_KEYS = ("pca_mean", "pca_components", "pca_variance")
 
 
 def write_feature_set(path, features_train, y_train, features_test, y_test, meta: dict) -> None:
     """Store the four arrays plus a JSON meta member, byte-deterministically."""
-    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as zf:
-        _zip_write(zf, "features_train.npy", write_array(np.asarray(features_train, dtype=np.float64)))
-        _zip_write(zf, "y_train.npy", write_array(np.asarray(y_train, dtype=np.int64)))
-        _zip_write(zf, "features_test.npy", write_array(np.asarray(features_test, dtype=np.float64)))
-        _zip_write(zf, "y_test.npy", write_array(np.asarray(y_test, dtype=np.int64)))
-        _zip_write(zf, "meta.json", _json_line(meta).encode("utf-8"))
+    write_bundle(path, {
+        "features_train": np.asarray(features_train, dtype=np.float64),
+        "y_train": np.asarray(y_train, dtype=np.int64),
+        "features_test": np.asarray(features_test, dtype=np.float64),
+        "y_test": np.asarray(y_test, dtype=np.int64),
+    }, meta)
 
 
 def read_feature_set(path):
-    try:
-        with zipfile.ZipFile(path, "r") as zf:
-            names = set(zf.namelist())
-            for member in ("features_train.npy", "y_train.npy", "features_test.npy",
-                           "y_test.npy", "meta.json"):
-                if member not in names:
-                    raise MissingKeyError(member.rsplit(".", 1)[0])
-            features_train = read_array(zf.read("features_train.npy"))
-            y_train = read_array(zf.read("y_train.npy"))
-            features_test = read_array(zf.read("features_test.npy"))
-            y_test = read_array(zf.read("y_test.npy"))
-            meta = json.loads(zf.read("meta.json").decode("utf-8"))
-    except WlclassError:
-        raise
-    except (OSError, zipfile.BadZipFile, ValueError) as exc:
-        raise MalformedArchiveError(f"cannot read feature set {path}: {exc}") from None
-    if not isinstance(meta, dict):
-        raise MalformedArchiveError(f"feature set {path} has a non-object meta member")
-    return features_train, y_train.astype(np.int64), features_test, y_test.astype(np.int64), meta
+    """(features_train, y_train, features_test, y_test, meta) of a feature set.
+
+    Raises:
+        MalformedArchiveError: besides unreadable members, a split that is not
+            a float matrix of the train split's width with one non-negative
+            integer label per row, an empty train split, or class names that
+            are not strings.
+    """
+    bundle = read_bundle(path, ("features_train", "y_train", "features_test", "y_test", "meta"))
+    width = bundle["features_train"].shape[1:]
+    for split in ("train", "test"):
+        features, y = bundle[f"features_{split}"], bundle[f"y_{split}"]
+        if (features.ndim != 2 or features.shape[1:] != width or features.dtype.kind != "f"
+                or y.shape != features.shape[:1] or y.dtype.kind != "i" or (y < 0).any()):
+            raise MalformedArchiveError(
+                f"feature set {path}: the {split} split needs a float matrix of the "
+                "train width and one non-negative integer label per row"
+            )
+    if not len(bundle["y_train"]):
+        raise MalformedArchiveError(f"feature set {path}: the train split is empty")
+    meta = bundle["meta"]
+    names = meta.get("class_names", [])
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise MalformedArchiveError(f"feature set {path}: class_names must be a list of strings")
+    return (bundle["features_train"], bundle["y_train"].astype(np.int64),
+            bundle["features_test"], bundle["y_test"].astype(np.int64), meta)
 
 
 def write_reduction_bundle(path, reduction: FittedReduction) -> None:
-    spec = reduction.spec
-    meta = {
+    spec, std, pca = reduction.spec, reduction.standardizer, reduction.pca
+    arrays = {"means": std.means, "stds": std.stds, "constant": std.constant.astype(np.int64)}
+    if pca is not None:
+        arrays.update(pca_mean=pca.mean, pca_components=pca.components,
+                      pca_variance=pca.explained_variance)
+    write_bundle(path, arrays, {
         "kind": spec.kind,
         "k": spec.k,
         "center_per_trial": spec.center_per_trial,
         "scale_unbiased": spec.scale_unbiased,
-        "rank_deficient": bool(reduction.pca.rank_deficient) if reduction.pca else False,
-    }
-    std = reduction.standardizer
-    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as zf:
-        _zip_write(zf, "means.npy", write_array(std.means))
-        _zip_write(zf, "stds.npy", write_array(std.stds))
-        _zip_write(zf, "constant.npy", write_array(std.constant.astype(np.int64)))
-        if reduction.pca is not None:
-            _zip_write(zf, "pca_mean.npy", write_array(reduction.pca.mean))
-            _zip_write(zf, "pca_components.npy", write_array(reduction.pca.components))
-            _zip_write(zf, "pca_variance.npy", write_array(reduction.pca.explained_variance))
-        _zip_write(zf, "meta.json", _json_line(meta).encode("utf-8"))
+        "rank_deficient": bool(pca.rank_deficient) if pca else False,
+    })
 
 
 def read_reduction_bundle(path) -> FittedReduction:
-    try:
-        with zipfile.ZipFile(path, "r") as zf:
-            names = set(zf.namelist())
-            meta = json.loads(zf.read("meta.json").decode("utf-8"))
-            std = Standardizer(
-                means=read_array(zf.read("means.npy")),
-                stds=read_array(zf.read("stds.npy")),
-                constant=read_array(zf.read("constant.npy")).astype(bool),
-            )
-            pca = None
-            if "pca_components.npy" in names:
-                components = read_array(zf.read("pca_components.npy"))
-                pca = PcaModel(
-                    mean=read_array(zf.read("pca_mean.npy")),
-                    components=components,
-                    explained_variance=read_array(zf.read("pca_variance.npy")),
-                    k=components.shape[0],
-                    rank_deficient=bool(meta.get("rank_deficient", False)),
-                )
-            spec = ReductionSpec(
-                kind=meta["kind"],
-                k=meta.get("k"),
-                center_per_trial=bool(meta.get("center_per_trial", False)),
-                scale_unbiased=bool(meta.get("scale_unbiased", False)),
-            )
-    except WlclassError:
-        raise
-    except (OSError, zipfile.BadZipFile, ValueError, KeyError, TypeError) as exc:
-        raise MalformedArchiveError(f"cannot read reduction bundle {path}: {exc}") from None
+    """Load a fitted reduction, checking that its members fit together.
+
+    Raises:
+        MalformedArchiveError: besides unreadable members, a bad kind or k,
+            PCA members on a cov bundle or missing from a PCA one, or a
+            member whose shape or dtype disagrees with the others: m-vectors
+            means and stds (float) and constant (integer), and for PCA a
+            d-vector pca_mean, k x d pca_components and k-vector pca_variance.
+    """
+    bundle = read_bundle(path, (*_STANDARDIZER_KEYS, "meta"), _PCA_KEYS)
+    meta = bundle.pop("meta")
+    kind, k = meta.get("kind"), meta.get("k")
+    if not (kind == "cov" and k is None or kind == "pca" and type(k) is int and k >= 1):
+        raise MalformedArchiveError(f"reduction bundle {path}: bad kind {kind!r} with k {k!r}")
+    expected = _STANDARDIZER_KEYS + (_PCA_KEYS if kind == "pca" else ())
+    if set(bundle) != set(expected):
+        raise MalformedArchiveError(f"reduction bundle {path}: {kind} with {sorted(bundle)}")
+    m, d = bundle["means"].size, bundle.get("pca_mean", bundle["means"]).size
+    shapes = {"means": (m,), "stds": (m,), "constant": (m,),
+              "pca_mean": (d,), "pca_components": (k, d), "pca_variance": (k,)}
+    for key in expected:
+        arr = bundle[key]
+        if arr.shape != shapes[key] or arr.dtype.kind != ("i" if key == "constant" else "f"):
+            raise MalformedArchiveError(f"reduction bundle {path}: {key} is {arr.dtype} "
+                                        f"{arr.shape}, expected shape {shapes[key]}")
+    std = Standardizer(bundle["means"], bundle["stds"], bundle["constant"].astype(bool))
+    pca = None
+    if kind == "pca":
+        pca = PcaModel(bundle["pca_mean"], bundle["pca_components"], bundle["pca_variance"], k,
+                       rank_deficient=bool(meta.get("rank_deficient", False)))
+    spec = ReductionSpec(kind, k, center_per_trial=bool(meta.get("center_per_trial", False)),
+                         scale_unbiased=bool(meta.get("scale_unbiased", False)))
     return FittedReduction(spec=spec, standardizer=std, pca=pca)
 
 
@@ -360,38 +354,36 @@ def cmd_synth(args) -> StageResult:
         _write_corpus_csv(args.out, trials)
         result.outputs.append(args.out)
     if args.emit_archive:
-        policy_seed = derive_seed(args.seed, "window-offset") if args.policy == "random" else None
-        split_seed = derive_seed(args.seed, "split")
-        result.seeds["split"] = split_seed
-        if policy_seed is not None:
-            result.seeds["window-offset"] = policy_seed
-        policy = WindowPolicy(args.policy, seed=policy_seed, length=args.length)
-        dataset = build_challenge_dataset(
-            trials, policy, split_ratio=args.split_ratio, split_seed=split_seed
-        )
-        write_challenge_archive(dataset, args.emit_archive)
+        _, seeds = _window_to_archive(trials, args, args.emit_archive)
+        result.seeds.update(seeds)
         result.outputs.append(args.emit_archive)
     print(f"synth: {len(trials)} trials, {len(spec.classes)} classes")
     return result
 
 
+def _window_to_archive(trials, args, out):
+    """Window trials by --policy/--length, split by --split-ratio, write the
+    archive to out; returns the dataset and the seeds derived from --seed."""
+    seeds = {"split": derive_seed(args.seed, "split")}
+    if args.policy == "random":
+        seeds["window-offset"] = derive_seed(args.seed, "window-offset")
+    policy = WindowPolicy(args.policy, seed=seeds.get("window-offset"), length=args.length)
+    dataset = build_challenge_dataset(
+        trials, policy, split_ratio=args.split_ratio, split_seed=seeds["split"]
+    )
+    write_challenge_archive(dataset, out)
+    return dataset, seeds
+
+
 def cmd_window(args) -> StageResult:
     trials = ingest_raw_csv(args.input, nonfinite=args.nonfinite)
-    policy_seed = derive_seed(args.seed, "window-offset") if args.policy == "random" else None
-    split_seed = derive_seed(args.seed, "split")
-    policy = WindowPolicy(args.policy, seed=policy_seed, length=args.length)
-    dataset = build_challenge_dataset(
-        trials, policy, split_ratio=args.split_ratio, split_seed=split_seed
-    )
-    write_challenge_archive(dataset, args.out)
+    dataset, seeds = _window_to_archive(trials, args, args.out)
     print(
         f"window: {dataset.x_train.shape[0]} train / {dataset.x_test.shape[0]} test "
         f"windows of {args.length} samples ({args.policy})"
     )
-    seeds = {"master": args.seed, "split": split_seed}
-    if policy_seed is not None:
-        seeds["window-offset"] = policy_seed
-    return StageResult(outputs=[args.out], inputs=[args.input], seeds=seeds)
+    return StageResult(outputs=[args.out], inputs=[args.input],
+                       seeds={"master": args.seed, **seeds})
 
 
 def cmd_featurize(args) -> StageResult:
@@ -526,7 +518,7 @@ def cmd_evaluate(args) -> StageResult:
     features, labels = _pick_split(args.split, features_train, y_train,
                                    features_test, y_test)
     names = meta.get("class_names") or [
-        f"class_{i}" for i in range(int(labels.max()) + 1)
+        f"class_{i}" for i in range(int(labels.max(initial=-1)) + 1)
     ]
     report = evaluate(
         predict(model, features),

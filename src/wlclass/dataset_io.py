@@ -6,7 +6,9 @@ header length, then an ASCII dict with keys ``descr``/``fortran_order``/``shape`
 followed by the raw payload. The parser here is written from first
 principles so that arbitrary byte input always produces a typed error,
 never a crash; the widely used reference serializers can read what we
-write and vice versa.
+write and vice versa. Feature sets and reduction bundles are the same
+kind of zip plus a JSON meta member; write_bundle and read_bundle are the
+one codec for all three.
 
 Raw telemetry arrives as delimited text, one row per timestamped sample,
 grouped by job (and device, for multi-GPU jobs).
@@ -14,6 +16,7 @@ grouped by job (and device, for multi-GPU jobs).
 
 import ast
 import csv
+import json
 import math
 import zipfile
 from dataclasses import dataclass
@@ -348,22 +351,49 @@ def _normalize_labels(y: np.ndarray, member: str) -> tuple[np.ndarray, str]:
     raise LabelOutOfRangeError(f"{member} labels span [{lo}, {hi}]")
 
 
-def _read_member(zf: zipfile.ZipFile, member_names: dict[str, str], key: str) -> np.ndarray:
-    info = zf.getinfo(member_names[key])
-    if info.file_size > 2 << 30:
-        raise MalformedArchiveError(f"member {key} declares an implausible size")
+_MAX_MEMBER = 2 << 30
+
+
+def canonical_json(obj) -> str:
+    """Sorted keys, no whitespace, no NaN: equal objects give equal text."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def write_bundle(path, arrays: dict, meta: dict | None = None) -> None:
+    """Write a zip bundle (path or binary file-like): one stored `<key>.npy`
+    member per array in the given order, then `meta.json` holding the
+    canonical JSON of meta when given. Every member carries the same fixed
+    timestamp, so equal content gives equal bytes. Members are serialized
+    one at a time, so at most one payload copy exists at once.
+    """
+    def put(zf, name, payload):
+        info = zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
+        info.compress_type = zipfile.ZIP_STORED
+        zf.writestr(info, payload)
+
     try:
-        payload = zf.read(info)
-    except Exception as exc:  # zip payloads are attacker-controlled in fuzzing
-        raise MalformedArchiveError(f"cannot read member {key}: {exc}") from None
-    return read_array(payload)
+        with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as zf:
+            for key, arr in arrays.items():
+                put(zf, f"{key}.npy", write_array(arr))
+            if meta is not None:
+                put(zf, "meta.json", canonical_json(meta).encode("utf-8"))
+    except OSError as exc:
+        raise ArchiveIoError(f"cannot write {path}: {exc}") from None
 
 
-def read_challenge_archive(path) -> ChallengeDataset:
-    """Load a challenge archive (path or binary file-like) into a validated dataset.
+def read_bundle(path, required, optional=()) -> dict:
+    """Read a zip bundle (path or binary file-like) into {key: value}.
 
-    Float payloads are promoted to float64; labels are normalized to 0-based
-    with the source convention recorded on the dataset.
+    Array members are looked up by key with or without the `.npy` suffix;
+    the key "meta" names the `meta.json` member, which must hold a JSON
+    object. The result has every required key and each optional key whose
+    member is present.
+
+    Raises:
+        MissingArchiveError: no file at path.
+        MissingKeyError: a required member is absent.
+        MalformedArchiveError: the container, a member or the meta member
+            cannot be read.
     """
     if isinstance(path, (str, Path)) and not Path(path).is_file():
         raise MissingArchiveError(f"no archive at {path}")
@@ -372,21 +402,38 @@ def read_challenge_archive(path) -> ChallengeDataset:
         # BadZipFile, OSError, ValueError, struct.error or NotImplementedError
         zf = zipfile.ZipFile(path, "r")
     except Exception as exc:
-        raise MalformedArchiveError(f"not a readable archive: {exc}") from None
+        raise MalformedArchiveError(f"{path} is not a readable archive: {exc}") from None
     with zf:
-        try:
-            member_names = {}
-            for name in zf.namelist():
-                member_names[name.removesuffix(".npy")] = name
-            for key in ARCHIVE_KEYS:
-                if key not in member_names:
-                    raise MissingKeyError(key)
-            arrays = {key: _read_member(zf, member_names, key) for key in ARCHIVE_KEYS}
-        except WlclassError:
-            raise
-        except Exception as exc:
-            raise MalformedArchiveError(f"archive is unreadable: {exc}") from None
+        names = {}
+        for name in zf.namelist():
+            names["meta" if name == "meta.json" else name.removesuffix(".npy")] = name
+        for key in required:
+            if key not in names:
+                raise MissingKeyError(key)
+        out = {}
+        for key in (*required, *(k for k in optional if k in names)):
+            try:
+                info = zf.getinfo(names[key])
+                if info.file_size > _MAX_MEMBER:
+                    raise MalformedArchiveError(f"member {key} declares an implausible size")
+                payload = zf.read(info)
+                out[key] = json.loads(payload.decode("utf-8")) if key == "meta" else read_array(payload)
+            except WlclassError:
+                raise
+            except Exception as exc:  # zip payloads are attacker-controlled in fuzzing
+                raise MalformedArchiveError(f"cannot read member {key} of {path}: {exc}") from None
+    if not isinstance(out.get("meta", {}), dict):
+        raise MalformedArchiveError(f"{path}: meta.json is not a JSON object")
+    return out
 
+
+def read_challenge_archive(path) -> ChallengeDataset:
+    """Load a challenge archive (path or binary file-like) into a validated dataset.
+
+    Float payloads are promoted to float64; labels are normalized to 0-based
+    with the source convention recorded on the dataset.
+    """
+    arrays = read_bundle(path, ARCHIVE_KEYS)
     xs = {}
     for key in ("X_train", "X_test"):
         x = arrays[key]
@@ -425,28 +472,16 @@ def _name_table_array(names: list[str]) -> np.ndarray:
 
 
 def write_challenge_archive(dataset: ChallengeDataset, path) -> None:
-    """Write a dataset as a stored (uncompressed) archive; read_challenge_archive inverts it.
-
-    Entries are written with fixed metadata so identical datasets produce
-    bit-identical files.
-    """
+    """Write a dataset as a stored (uncompressed) archive; read_challenge_archive inverts it."""
     dataset.validate()
-    members = {
+    write_bundle(path, {
         "X_train": np.asarray(dataset.x_train, dtype=np.float64),
         "y_train": np.asarray(dataset.y_train, dtype=np.int64),
         "model_train": _name_table_array(dataset.model_train),
         "X_test": np.asarray(dataset.x_test, dtype=np.float64),
         "y_test": np.asarray(dataset.y_test, dtype=np.int64),
         "model_test": _name_table_array(dataset.model_test),
-    }
-    try:
-        with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as zf:
-            for key, arr in members.items():
-                info = zipfile.ZipInfo(f"{key}.npy", date_time=(1980, 1, 1, 0, 0, 0))
-                info.compress_type = zipfile.ZIP_STORED
-                zf.writestr(info, write_array(arr))
-    except OSError as exc:
-        raise ArchiveIoError(f"cannot write archive {path}: {exc}") from None
+    })
 
 
 _META_COLUMNS = ("job_id", "timestamp", "device_id", "label")

@@ -4,8 +4,8 @@ A fitted Standardizer pools every (trial, time) pair per sensor on the
 training split. Reduction one turns each standardized trial M into the
 upper triangle of the Gram matrix M'M (28 values for 7 sensors); reduction
 two flattens each trial to a 3780-vector and projects it onto principal
-components. Both consume standardized data only, which the provenance
-field of the resulting feature matrix records.
+components. Both consume standardized data only and return plain
+trials x features float64 arrays.
 """
 
 from dataclasses import dataclass
@@ -28,16 +28,6 @@ class Standardizer:
     stds: np.ndarray
     constant: np.ndarray  # bool per sensor
 
-    @property
-    def provenance_id(self) -> str:
-        return "standardize(pooled,population)"
-
-
-@dataclass(frozen=True)
-class CovarianceFeatures:
-    values: np.ndarray  # m(m+1)/2 entries
-    index_map: tuple  # ((i, j) with i <= j, row-major)
-
 
 @dataclass(frozen=True)
 class PcaModel:
@@ -47,25 +37,16 @@ class PcaModel:
     k: int
     rank_deficient: bool = False
 
-    @property
-    def provenance_id(self) -> str:
-        return f"pca(k={self.k})"
+
+def _inverse_scale(std: Standardizer) -> np.ndarray:
+    """1 / std per sensor, 0 for constant sensors."""
+    return np.where(std.constant, 0.0, 1.0 / np.where(std.constant, 1.0, std.stds))
 
 
-@dataclass(frozen=True)
-class FeatureMatrix:
-    data: np.ndarray  # trials x d
-    feature_names: tuple
-    provenance: str
-
-    def __post_init__(self):
-        if self.data.ndim != 2 or self.data.shape[1] != len(self.feature_names):
-            raise ShapeMismatchError(
-                f"feature matrix {self.data.shape} does not match "
-                f"{len(self.feature_names)} feature names"
-            )
-        if not np.isfinite(self.data).all():
-            raise DegenerateInputError("feature matrix contains non-finite entries")
+def _check_finite(features: np.ndarray) -> np.ndarray:
+    if not np.isfinite(features).all():
+        raise DegenerateInputError("feature matrix contains non-finite entries")
+    return features
 
 
 def fit_standardizer(x_train: np.ndarray) -> Standardizer:
@@ -93,14 +74,26 @@ def apply_standardizer(std: Standardizer, tensor: np.ndarray) -> np.ndarray:
         raise ShapeMismatchError(
             f"trailing dimension must be {len(std.means)}, got {x.shape}"
         )
-    inv = np.where(std.constant, 0.0, 1.0 / np.where(std.constant, 1.0, std.stds))
-    return (x - std.means) * inv
+    return (x - std.means) * _inverse_scale(std)
+
+
+def _upper_gram(m: np.ndarray, center_per_trial: bool, scale_unbiased: bool, upper) -> np.ndarray:
+    if center_per_trial:
+        m = m - m.mean(axis=0)
+    gram = m.T @ m
+    if scale_unbiased:
+        n = m.shape[0]
+        if n < 2:
+            raise DegenerateInputError("unbiased scaling needs at least 2 samples")
+        gram = gram / (n - 1)
+    return gram[upper]
 
 
 def covariance_features(
     trial: np.ndarray, center_per_trial: bool = False, scale_unbiased: bool = False
-) -> CovarianceFeatures:
-    """Upper triangle of the sensor Gram matrix M'M, row-major.
+) -> np.ndarray:
+    """Upper triangle of the sensor Gram matrix M'M, row-major: entry
+    (i, j), i <= j, in the order of np.triu_indices.
 
     By default the product is taken exactly as written, without removing
     the trial's own channel means; center_per_trial switches to the
@@ -111,19 +104,7 @@ def covariance_features(
         raise ShapeMismatchError(f"trial must be samples x sensors, got {m.shape}")
     if not np.isfinite(m).all():
         raise DegenerateInputError("trial contains non-finite entries")
-    if center_per_trial:
-        m = m - m.mean(axis=0)
-    gram = m.T @ m
-    if scale_unbiased:
-        n = m.shape[0]
-        if n < 2:
-            raise DegenerateInputError("unbiased scaling needs at least 2 samples")
-        gram = gram / (n - 1)
-    iu, ju = np.triu_indices(m.shape[1])
-    return CovarianceFeatures(
-        values=gram[iu, ju],
-        index_map=tuple(zip(iu.tolist(), ju.tolist())),
-    )
+    return _upper_gram(m, center_per_trial, scale_unbiased, np.triu_indices(m.shape[1]))
 
 
 def covariance_feature_names(sensor_names=GPU_SENSORS) -> tuple:
@@ -136,48 +117,31 @@ def covariance_feature_matrix(
     standardizer: Standardizer,
     center_per_trial: bool = False,
     scale_unbiased: bool = False,
-    sensor_names=None,
-) -> FeatureMatrix:
+) -> np.ndarray:
     """Standardize a trial tensor and stack per-trial Gram features.
 
     Trials are standardized one at a time, so no standardized copy of the
-    whole tensor is ever held.
+    whole tensor is ever held. For the GPU sensors, column j is
+    covariance_feature_names()[j].
+
+    Raises:
+        DegenerateInputError: a feature is not finite.
     """
     x = np.asarray(tensor, dtype=np.float64)
     if x.ndim != 3 or x.shape[2] != len(standardizer.means):
         raise ShapeMismatchError(
             f"expected trials x samples x {len(standardizer.means)} sensors, got {x.shape}"
         )
-    if sensor_names is None:
-        m = len(standardizer.means)
-        sensor_names = GPU_SENSORS if m == len(GPU_SENSORS) else tuple(
-            f"s{i}" for i in range(m)
-        )
-    rows = [
-        covariance_features(
-            apply_standardizer(standardizer, trial), center_per_trial, scale_unbiased
-        ).values
-        for trial in x
-    ]
-    variant = "centered" if center_per_trial else "raw_gram"
-    if scale_unbiased:
-        variant += ",unbiased"
-    return FeatureMatrix(
-        data=np.vstack(rows) if rows else np.empty((0, len(covariance_feature_names(sensor_names)))),
-        feature_names=covariance_feature_names(sensor_names),
-        provenance=f"{standardizer.provenance_id}|cov({variant})",
-    )
-
-
-def flatten_trial(trial: np.ndarray) -> np.ndarray:
-    """Row-major flatten: element (s, j) lands at index n_sensors*s + j."""
-    m = np.asarray(trial)
-    if m.ndim != 2:
-        raise ShapeMismatchError(f"trial must be samples x sensors, got {m.shape}")
-    return np.ascontiguousarray(m).reshape(-1)
+    upper = np.triu_indices(x.shape[2])
+    means, inv = standardizer.means, _inverse_scale(standardizer)
+    out = np.empty((x.shape[0], len(upper[0])))
+    for row, trial in enumerate(x):
+        out[row] = _upper_gram((trial - means) * inv, center_per_trial, scale_unbiased, upper)
+    return _check_finite(out)
 
 
 def flatten_tensor(tensor: np.ndarray) -> np.ndarray:
+    """Row-major flatten per trial: element (s, j) lands at index n_sensors*s + j."""
     x = np.asarray(tensor)
     if x.ndim != 3:
         raise ShapeMismatchError(f"expected trials x samples x sensors, got {x.shape}")
@@ -230,28 +194,22 @@ def fit_pca(matrix: np.ndarray, k: int) -> PcaModel:
     )
 
 
-def project_pca(model: PcaModel, matrix: np.ndarray) -> FeatureMatrix:
-    """Project rows onto the fitted components: (X - mean) components'."""
+def project_pca(model: PcaModel, matrix: np.ndarray) -> np.ndarray:
+    """Project rows onto the fitted components: (X - mean) components'.
+
+    Raises:
+        DegenerateInputError: a projection is not finite.
+    """
     x = np.asarray(matrix, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.components.shape[1]:
         raise ShapeMismatchError(
             f"expected n x {model.components.shape[1]} input, got {x.shape}"
         )
-    return FeatureMatrix(
-        data=(x - model.mean) @ model.components.T,
-        feature_names=tuple(f"pc{i + 1}" for i in range(model.k)),
-        provenance=model.provenance_id,
-    )
+    return _check_finite((x - model.mean) @ model.components.T)
 
 
 def pca_feature_matrix(
     tensor: np.ndarray, standardizer: Standardizer, model: PcaModel
-) -> FeatureMatrix:
+) -> np.ndarray:
     """Standardize a trial tensor, flatten, and project onto components."""
-    flat = flatten_tensor(apply_standardizer(standardizer, tensor))
-    out = project_pca(model, flat)
-    return FeatureMatrix(
-        data=out.data,
-        feature_names=out.feature_names,
-        provenance=f"{standardizer.provenance_id}|{model.provenance_id}",
-    )
+    return project_pca(model, flatten_tensor(apply_standardizer(standardizer, tensor)))

@@ -105,8 +105,8 @@ class FittedReduction:
                 self.standardizer,
                 self.spec.center_per_trial,
                 self.spec.scale_unbiased,
-            ).data
-        return pca_feature_matrix(tensor, self.standardizer, self.pca).data
+            )
+        return pca_feature_matrix(tensor, self.standardizer, self.pca)
 
     def fingerprint(self) -> str:
         """Hash of every fitted statistic; distinguishes what data fit this object."""

@@ -12,8 +12,16 @@ from wlclass.cli import (
     read_feature_set,
     read_reduction_bundle,
     write_feature_set,
+    write_reduction_bundle,
 )
-from wlclass.dataset_io import read_challenge_archive, write_challenge_archive
+from wlclass.dataset_io import (
+    read_bundle,
+    read_challenge_archive,
+    write_bundle,
+    write_challenge_archive,
+)
+from wlclass.errors import MalformedArchiveError
+from wlclass.model_selection import ReductionSpec, fit_reduction
 from wlclass.synth import generate_corpus, make_corpus_spec
 from wlclass.windowing import WindowPolicy, build_challenge_dataset
 
@@ -332,3 +340,97 @@ class TestReproduceCli:
                      "--out", str(tmp_path / "t.jsonl")]) == 2
         assert main(["reproduce", "--manifest", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path / "t.jsonl")]) == 1
+
+
+class TestCorruptFeatureSets:
+    def test_evaluate_on_mutated_feature_sets_exits_2(self, tmp_path, capsys):
+        run_chain(tmp_path)
+        original = read_feature_set(tmp_path / "feat.npz")
+        base = (tmp_path / "feat.npz").read_bytes()
+        directory = int.from_bytes(base[-6:-2], "little")
+        mutant = tmp_path / "mutant.npz"
+        args = ["evaluate", "--model-path", str(tmp_path / "model.wlc1"),
+                "--in", str(mutant), "--out", str(tmp_path / "mutant.jsonl")]
+        rng = np.random.default_rng(29)
+        codes = []
+        # half the mutants anywhere, half confined to the central directory
+        for start in [0, directory] * 150:
+            raw = bytearray(base)
+            for _ in range(rng.integers(1, 4)):
+                raw[rng.integers(start, len(raw))] = rng.integers(0, 256)
+            mutant.write_bytes(bytes(raw))
+            code = main(args)
+            if code == 0:  # only bytes the reader never looks at changed
+                *arrays, meta = read_feature_set(mutant)
+                assert all(map(np.array_equal, arrays, original[:4])) and meta == original[4]
+            else:
+                assert code == 2
+            codes.append(code)
+        assert codes.count(2) >= 150
+        capsys.readouterr()
+
+
+    def test_empty_splits_are_data_errors(self, tmp_path, capsys):
+        feat = tmp_path / "feat.npz"
+        rows, labels = np.ones((3, 4)), np.array([0, 1, 0])
+        write_feature_set(feat, rows[:0], labels[:0], rows, labels, {"reduction": "cov"})
+        assert main(["train", "--in", str(feat), "--model", "rf",
+                     "--out", str(tmp_path / "m.wlc1")]) == 2
+        write_feature_set(feat, rows, labels, rows[:0], labels[:0], {"reduction": "cov"})
+        assert main(["train", "--in", str(feat), "--model", "rf", "--n-trees", "2",
+                     "--out", str(tmp_path / "m.wlc1")]) == 0
+        assert main(["evaluate", "--model-path", str(tmp_path / "m.wlc1"), "--in", str(feat),
+                     "--out", str(tmp_path / "r.jsonl")]) == 2
+        capsys.readouterr()
+
+
+class TestReductionBundleValidation:
+    """Every inconsistent bundle is a MalformedArchiveError, never a later crash."""
+
+    @pytest.fixture
+    def parts(self, tmp_path):
+        x = np.random.default_rng(4).normal(size=(12, 6, 7))
+        path = tmp_path / "red.npz"
+        write_reduction_bundle(path, fit_reduction(ReductionSpec("pca", k=3), x))
+        bundle = read_bundle(path, ("means", "stds", "constant", "pca_mean",
+                                    "pca_components", "pca_variance", "meta"))
+        meta = bundle.pop("meta")
+        assert read_reduction_bundle(path).transform(x).shape == (12, 3)
+        return bundle, meta
+
+    def rejects(self, tmp_path, arrays, meta):
+        path = tmp_path / "bad.npz"
+        write_bundle(path, arrays, meta)
+        with pytest.raises(MalformedArchiveError):
+            read_reduction_bundle(path)
+
+    def test_meta_not_an_object(self, tmp_path, parts):
+        arrays, _ = parts
+        for meta in ([1, 2], "pca", 3):
+            self.rejects(tmp_path, arrays, meta)
+
+    def test_pca_mean_length_differs_from_component_width(self, tmp_path, parts):
+        arrays, meta = parts
+        self.rejects(tmp_path, {**arrays, "pca_mean": arrays["pca_mean"][:-1]}, meta)
+
+    def test_pca_components_not_two_dimensional(self, tmp_path, parts):
+        arrays, meta = parts
+        components = arrays["pca_components"]
+        for bad in (components.ravel(), components[None], components[0, 0]):
+            self.rejects(tmp_path, {**arrays, "pca_components": bad}, meta)
+
+    @pytest.mark.parametrize("key", ["means", "stds", "constant", "pca_variance"])
+    def test_vector_lengths_disagree(self, tmp_path, parts, key):
+        arrays, meta = parts
+        self.rejects(tmp_path, {**arrays, key: arrays[key][:-1]}, meta)
+        self.rejects(tmp_path, {**arrays, key: np.append(arrays[key], arrays[key][:1])}, meta)
+
+    def test_bad_kind_or_k(self, tmp_path, parts):
+        arrays, meta = parts
+        for changes in ({"kind": "svd"}, {"kind": None}, {"k": 0}, {"k": "3"}, {"k": 3.0},
+                        {"k": True}, {"k": None}, {"k": 2}, {"kind": "cov"},
+                        {"kind": "cov", "k": None}):
+            self.rejects(tmp_path, arrays, {**meta, **changes})
+        cov_arrays = {key: arrays[key] for key in ("means", "stds", "constant")}
+        self.rejects(tmp_path, cov_arrays, meta)  # kind pca without its members
+        self.rejects(tmp_path, cov_arrays, {**meta, "k": 3.5, "kind": "cov"})

@@ -1,10 +1,15 @@
 import hashlib
 import io
-import zipfile
 
 import numpy as np
 import pytest
 
+from wlclass.cli import (
+    read_feature_set,
+    read_reduction_bundle,
+    write_feature_set,
+    write_reduction_bundle,
+)
 from wlclass.dataset_io import (
     ChallengeDataset,
     GPU_SENSORS,
@@ -32,6 +37,7 @@ from wlclass.errors import (
     UnsupportedVersionError,
     WlclassError,
 )
+from wlclass.model_selection import ReductionSpec, fit_reduction
 
 
 def reference_bytes(arr, version=None):
@@ -206,6 +212,33 @@ def small_dataset(one_based=False, names_per_trial=False, n_classes=3):
     return x_train, y_train, model_train, x_test, y_test, model_test
 
 
+def _write_archive(target):
+    x_train, y_train, names, x_test, y_test, _ = small_dataset()
+    write_challenge_archive(ChallengeDataset(x_train, y_train, names, x_test, y_test, names),
+                            target)
+
+
+def _write_cov_feature_set(target):
+    x_train, y_train, names, x_test, y_test, _ = small_dataset()
+    reduction = fit_reduction(ReductionSpec("cov"), x_train)
+    write_feature_set(target, reduction.transform(x_train), y_train,
+                      reduction.transform(x_test), y_test,
+                      {"reduction": "cov", "class_names": names})
+
+
+def _write_pca_reduction_bundle(target):
+    x_train, *_ = small_dataset()
+    write_reduction_bundle(target, fit_reduction(ReductionSpec("pca", k=4), x_train))
+
+
+#: Every zip artifact the package writes: (writer to a file-like, reader).
+ZIP_ARTIFACTS = {
+    "archive": (_write_archive, read_challenge_archive),
+    "cov-feature-set": (_write_cov_feature_set, read_feature_set),
+    "pca-reduction-bundle": (_write_pca_reduction_bundle, read_reduction_bundle),
+}
+
+
 class TestChallengeArchive:
     def test_round_trip_preserves_everything(self, tmp_path):
         x_train, y_train, names, x_test, y_test, _ = small_dataset()
@@ -335,19 +368,22 @@ class TestChallengeArchive:
         buf.seek(0)
         assert read_challenge_archive(buf).equal(ds)
 
-    def test_corrupt_member_fuzz(self, tmp_path):
-        x_train, y_train, names, x_test, y_test, _ = small_dataset()
-        ds = ChallengeDataset(x_train, y_train, names, x_test, y_test, names)
+    @pytest.mark.parametrize("artifact", sorted(ZIP_ARTIFACTS))
+    def test_corrupt_member_fuzz(self, artifact):
+        write, read = ZIP_ARTIFACTS[artifact]
         buf = io.BytesIO()
-        write_challenge_archive(ds, buf)
+        write(buf)
         base = buf.getvalue()
+        read(io.BytesIO(base))
+        # 120 mutants anywhere, then 120 confined to the central directory
+        directory = int.from_bytes(base[-6:-2], "little")
         rng = np.random.default_rng(13)
-        for _ in range(120):
+        for start in [0] * 120 + [directory] * 120:
             raw = bytearray(base)
             for _ in range(rng.integers(1, 6)):
-                raw[rng.integers(0, len(raw))] = rng.integers(0, 256)
+                raw[rng.integers(start, len(raw))] = rng.integers(0, 256)
             try:
-                read_challenge_archive(io.BytesIO(bytes(raw)))
+                read(io.BytesIO(bytes(raw)))
             except WlclassError:
                 pass
 

@@ -10,7 +10,6 @@ from wlclass.features import (
     fit_pca,
     fit_standardizer,
     flatten_tensor,
-    flatten_trial,
     pca_feature_matrix,
     project_pca,
 )
@@ -83,13 +82,13 @@ class TestStandardizer:
 class TestCovarianceFeatures:
     def test_zero_trial(self):
         feats = covariance_features(np.zeros((540, 7)))
-        assert feats.values.shape == (28,)
-        np.testing.assert_array_equal(feats.values, 0.0)
+        assert feats.shape == (28,)
+        np.testing.assert_array_equal(feats, 0.0)
 
     def test_three_by_two_oracle(self):
         feats = covariance_features(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
-        np.testing.assert_array_equal(feats.values, [35.0, 44.0, 56.0])
-        assert feats.index_map == ((0, 0), (0, 1), (1, 1))
+        np.testing.assert_array_equal(feats, [35.0, 44.0, 56.0])
+        assert list(zip(*np.triu_indices(2))) == [(0, 0), (0, 1), (1, 1)]
 
     def test_matches_direct_matrix_multiplication(self):
         rng = np.random.default_rng(5)
@@ -101,18 +100,17 @@ class TestCovarianceFeatures:
             pos = 0
             for i in range(m):
                 for j in range(i, m):
-                    assert feats.index_map[pos] == (i, j)
-                    np.testing.assert_allclose(feats.values[pos], gram[i, j], rtol=1e-12)
+                    np.testing.assert_allclose(feats[pos], gram[i, j], rtol=1e-12)
                     pos += 1
-            assert pos == m * (m + 1) // 2 == len(feats.values)
+            assert pos == m * (m + 1) // 2 == len(feats)
 
     def test_row_permutation_invariance(self):
         rng = np.random.default_rng(6)
         trial = rng.normal(size=(50, 7))
         shuffled = trial[rng.permutation(50)]
         np.testing.assert_allclose(
-            covariance_features(trial).values,
-            covariance_features(shuffled).values,
+            covariance_features(trial),
+            covariance_features(shuffled),
             rtol=1e-10,
         )
 
@@ -124,9 +122,9 @@ class TestCovarianceFeatures:
         scaled[:, j] *= c
         base = covariance_features(trial)
         out = covariance_features(scaled)
-        for pos, (a, b) in enumerate(base.index_map):
+        for pos, (a, b) in enumerate(zip(*np.triu_indices(7))):
             factor = c**2 if (a == j and b == j) else c if j in (a, b) else 1.0
-            np.testing.assert_allclose(out.values[pos], base.values[pos] * factor, rtol=1e-10)
+            np.testing.assert_allclose(out[pos], base[pos] * factor, rtol=1e-10)
 
     def test_center_per_trial_matches_textbook_covariance(self):
         rng = np.random.default_rng(8)
@@ -134,7 +132,7 @@ class TestCovarianceFeatures:
         feats = covariance_features(trial, center_per_trial=True, scale_unbiased=True)
         ref = np.cov(trial, rowvar=False)
         iu, ju = np.triu_indices(7)
-        np.testing.assert_allclose(feats.values, ref[iu, ju], rtol=1e-10)
+        np.testing.assert_allclose(feats, ref[iu, ju], rtol=1e-10)
 
     def test_nonfinite_rejected(self):
         trial = np.zeros((5, 7))
@@ -145,17 +143,17 @@ class TestCovarianceFeatures:
     def test_feature_count_follows_sensor_count(self):
         for m in (1, 2, 5, 7):
             feats = covariance_features(np.ones((4, m)))
-            assert len(feats.values) == m * (m + 1) // 2
+            assert len(feats) == m * (m + 1) // 2
 
     def test_stacked_matrix_shape_and_names(self):
         rng = np.random.default_rng(9)
         tensor = rng.normal(size=(12, 30, 7))
         std = fit_standardizer(tensor)
         fm = covariance_feature_matrix(tensor, std)
-        assert fm.data.shape == (12, 28)
-        assert fm.feature_names == covariance_feature_names()
-        assert fm.feature_names[0] == "cov(utilization_gpu_pct,utilization_gpu_pct)"
-        assert "standardize" in fm.provenance and "cov" in fm.provenance
+        assert type(fm) is np.ndarray and fm.dtype == np.float64
+        assert fm.shape == (12, 28) == (12, len(covariance_feature_names()))
+        assert covariance_feature_names()[0] == "cov(utilization_gpu_pct,utilization_gpu_pct)"
+        assert covariance_feature_matrix(tensor[:0], std).shape == (0, 28)
 
     def test_stacked_matrix_is_bit_identical_to_whole_tensor_standardization(self):
         rng = np.random.default_rng(10)
@@ -163,9 +161,9 @@ class TestCovarianceFeatures:
         tensor[:, :, 4] = 1.5  # a constant sensor
         std = fit_standardizer(tensor)
         z = apply_standardizer(std, tensor)
-        for center, unbiased in ((False, False), (True, False), (False, True)):
-            expected = np.vstack([covariance_features(t, center, unbiased).values for t in z])
-            got = covariance_feature_matrix(tensor, std, center, unbiased).data
+        for center, unbiased in ((False, False), (True, False), (False, True), (True, True)):
+            expected = np.vstack([covariance_features(t, center, unbiased) for t in z])
+            got = covariance_feature_matrix(tensor, std, center, unbiased)
             assert np.array_equal(got, expected)
         with pytest.raises(ShapeMismatchError):
             covariance_feature_matrix(np.zeros((0, 40, 6)), std)
@@ -174,19 +172,19 @@ class TestCovarianceFeatures:
 class TestFlatten:
     def test_sample_sensor_index_arithmetic(self):
         trial = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(flatten_trial(trial), [1, 2, 3, 4])
+        np.testing.assert_array_equal(flatten_tensor(trial[None]), [[1, 2, 3, 4]])
 
     def test_single_row_unchanged(self):
         row = np.arange(7.0).reshape(1, 7)
-        np.testing.assert_array_equal(flatten_trial(row), np.arange(7.0))
+        np.testing.assert_array_equal(flatten_tensor(row[None])[0], np.arange(7.0))
 
     def test_challenge_dimensions(self):
-        assert flatten_trial(np.zeros((540, 7))).shape == (3780,)
+        assert flatten_tensor(np.zeros((2, 540, 7))).shape == (2, 3780)
 
     def test_element_position(self):
         rng = np.random.default_rng(10)
         trial = rng.normal(size=(9, 7))
-        flat = flatten_trial(trial)
+        flat = flatten_tensor(trial[None])[0]
         for _ in range(20):
             s, j = int(rng.integers(9)), int(rng.integers(7))
             assert flat[7 * s + j] == trial[s, j]
@@ -209,14 +207,14 @@ class TestPca:
         total_var = np.trace(np.cov(x, rowvar=False))
         np.testing.assert_allclose(model.explained_variance[0], total_var, rtol=1e-10)
         proj = project_pca(model, x)
-        recon = proj.data @ model.components + model.mean
+        recon = proj @ model.components + model.mean
         np.testing.assert_allclose(recon, x, atol=1e-10)
 
     def test_full_rank_retention(self):
         x = np.random.default_rng(12).normal(size=(50, 10))
         model = fit_pca(x, k=10)
         proj = project_pca(model, x)
-        recon = proj.data @ model.components + model.mean
+        recon = proj @ model.components + model.mean
         assert np.abs(recon - x).max() <= 1e-8
         assert not model.rank_deficient
 
@@ -260,13 +258,13 @@ class TestPca:
         x = np.random.default_rng(18).normal(size=(25, 6))
         model = fit_pca(x, k=3)
         out = project_pca(model, model.mean.reshape(1, -1))
-        np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
+        np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
     def test_single_row_projection_oracle(self):
         x = np.random.default_rng(19).normal(size=(30, 5))
         model = fit_pca(x, k=4)
         row = x[7:8]
-        out = project_pca(model, row).data[0]
+        out = project_pca(model, row)[0]
         for i in range(4):
             np.testing.assert_allclose(
                 out[i], np.dot(row[0] - model.mean, model.components[i]), rtol=1e-10
@@ -299,13 +297,30 @@ class TestPipelineComposition:
         flat = flatten_tensor(apply_standardizer(std, train))
         model = fit_pca(flat, k=6)
         fm = pca_feature_matrix(train, std, model)
-        assert fm.data.shape == (20, 6)
-        np.testing.assert_allclose(fm.data, project_pca(model, flat).data, rtol=1e-12)
-        assert fm.provenance == "standardize(pooled,population)|pca(k=6)"
-        assert fm.feature_names == ("pc1", "pc2", "pc3", "pc4", "pc5", "pc6")
+        assert type(fm) is np.ndarray and fm.shape == (20, 6)
+        np.testing.assert_allclose(fm, project_pca(model, flat), rtol=1e-12)
 
     def test_feature_matrices_are_finite(self):
         rng = np.random.default_rng(22)
         tensor = rng.normal(size=(6, 12, 7))
         std = fit_standardizer(tensor)
-        assert np.isfinite(covariance_feature_matrix(tensor, std).data).all()
+        assert np.isfinite(covariance_feature_matrix(tensor, std)).all()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_windows_rejected(self):
+        rng = np.random.default_rng(23)
+        tensor = rng.normal(size=(6, 12, 7))
+        tensor[:, :, 3] = 2.0  # constant, so its scale is 0
+        std = fit_standardizer(tensor)
+        model = fit_pca(flatten_tensor(apply_standardizer(std, tensor)), k=3)
+        for sensor, value in ((0, np.inf), (3, np.inf), (5, np.nan)):
+            bad = tensor.copy()
+            bad[4, 7, sensor] = value
+            for center, unbiased in ((False, False), (True, True)):
+                with pytest.raises(DegenerateInputError):
+                    covariance_feature_matrix(bad, std, center, unbiased)
+            with pytest.raises(DegenerateInputError):
+                pca_feature_matrix(bad, std, model)
+        huge = np.full((1, 12, 7), 1e200)
+        with pytest.raises(DegenerateInputError):
+            covariance_feature_matrix(huge, std)  # finite input, overflowing Gram

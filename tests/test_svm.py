@@ -273,7 +273,7 @@ def test_every_machine_converges_at_realistic_scale():
     policy = WindowPolicy("middle", length=540)
     x = np.stack([extract_window(t, policy).data for t in trials])
     y = np.array([t.label for t in trials])
-    X = covariance_feature_matrix(x, fit_standardizer(x)).data
+    X = covariance_feature_matrix(x, fit_standardizer(x))
     tol = 1e-3
     ensemble = train_svm_multiclass(X, y, C=1.0, tol=tol)
     assert X.shape == (1049, 28) and len(ensemble.machines) == 26

@@ -230,8 +230,8 @@ def pipeline_accuracy(noise, seed=11):
         trials, WindowPolicy("middle", length=120), split_ratio=0.8, split_seed=0
     )
     std = fit_standardizer(dataset.x_train)
-    features_train = covariance_feature_matrix(dataset.x_train, std).data
-    features_test = covariance_feature_matrix(dataset.x_test, std).data
+    features_train = covariance_feature_matrix(dataset.x_train, std)
+    features_test = covariance_feature_matrix(dataset.x_test, std)
     model = train_forest(features_train, dataset.y_train, n_trees=40, seed=0)
     return float((predict(model, features_test) == dataset.y_test).mean())
 
