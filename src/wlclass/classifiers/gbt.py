@@ -38,9 +38,7 @@ class GbtParams:
             raise UsageError(f"max_depth must be >= 0, got {self.max_depth}")
         if self.learning_rate <= 0:
             raise UsageError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.alpha < 0 or self.reg_lambda < 0 or (
-            self.gamma < 0 and not math.isinf(self.gamma)
-        ):
+        if self.alpha < 0 or self.reg_lambda < 0 or self.gamma < 0:
             raise UsageError("regularization constants must be non-negative")
 
 

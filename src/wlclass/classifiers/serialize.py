@@ -1,38 +1,59 @@
-"""Versioned self-describing model files.
+"""Versioned self-describing model files, written by the one bundle codec.
 
-Layout: magic "WLC1", u16 format version, u16 section count, then per
-section [u16 name length][name utf-8][u64 payload length][payload].
-Payloads are canonical JSON (sorted keys, no whitespace); floats survive
-the round trip exactly because JSON emits shortest-repr decimals. The
-"meta" section names the model kind and carries caller-supplied
-provenance so an evaluation can state what a model was trained on.
+A model file is one `dataset_io.write_bundle` zip: a stored `.npy`
+member per array, then `meta.json` holding `format` (3), `kind`
+(forest, gbt or svm), caller-supplied `provenance` and the model's
+scalar fields. Members are int64 or float64, so floats survive exactly
+and equal models give equal bytes.
 
-Tree models (format 2) store their stacked node table (tree.NodeTable)
-as flat JSON arrays: feature, threshold, left, right, roots, value
-(row-major, class_count per node for forests, 3 for boosted trees) and,
-for boosted trees, gain. Loading checks that every walk over the table
-ends at a leaf without indexing out of range.
+Tree models store their stacked node table (tree.NodeTable) as members
+feature, threshold, left, right, roots and value (one row per node: the
+class histogram for forests, (weight, g_sum, h_sum) for boosted trees);
+boosted models add each split's gain, split_counts, split_gains and
+train_loss. An SVM ensemble stores the support rows of all its machines,
+machine after machine, as support_indices, support_alphas,
+support_labels and support_vectors, with support_counts rows per machine
+and one bias, converged flag (0/1), update count, KKT gap and
+training-row count (n_train, equal across machines) per machine.
+
+Loading accepts exactly one bundle, with nothing before its first member
+or after its end record, and checks every member before it builds a
+model: every walk over a node table ends at a leaf without indexing out
+of range, and every SVM machine has strictly increasing support indices
+in [0, n_train), alphas in (0, C], labels of -1 or +1, finite vectors of
+one width that agree wherever machines share a support index, and a
+finite bias. Every failure is a ModelFormatError.
 """
 
-import json
+import dataclasses
+import io
+import math
+import struct
 from pathlib import Path
 
 import numpy as np
 
-from ..errors import ModelFormatError
+from ..dataset_io import read_bundle, write_bundle
+from ..errors import ArchiveIoError, DataError, ModelFormatError, UsageError
 from .forest import ForestModel
 from .gbt import GbtModel, GbtParams
 from .svm import KernelSpec, SvmBinary, SvmEnsemble
 from .tree import LEAF, NodeTable
 
-MAGIC = b"WLC1"
-FORMAT_VERSION = 2
-_TABLE_ARRAYS = ("feature", "threshold", "left", "right", "value", "roots", "gain")
-
-
-def _table_to_obj(table: NodeTable):
-    arrays = {name: getattr(table, name) for name in _TABLE_ARRAYS}
-    return {name: a.ravel().tolist() for name, a in arrays.items() if a is not None}
+FORMAT_VERSION = 3
+_FOREST_FIELDS = ("n_trees", "seed", "feature_count", "class_count", "max_depth", "min_leaf")
+#: Per-machine SVM members and their element kinds.
+_MACHINE = {"bias": "f", "converged": "i", "updates": "i", "kkt_gap": "f", "n_train": "i"}
+_TABLE = ("feature", "threshold", "left", "right", "value", "roots")
+_MEMBERS = {
+    "forest": _TABLE,
+    "gbt": _TABLE + ("gain", "split_counts", "split_gains", "train_loss"),
+    "svm": ("support_indices", "support_alphas", "support_labels", "support_vectors",
+            "support_counts", *_MACHINE),
+}
+#: Zip end-of-central-directory record: signature, two disk numbers, two
+#: entry counts, directory size, directory offset, comment length.
+_END = struct.Struct("<4s4H2LH")
 
 
 def _count(obj, key) -> int:
@@ -42,27 +63,34 @@ def _count(obj, key) -> int:
     return value
 
 
-def _table_from_obj(obj, n_trees, feature_count, width, boosted) -> NodeTable:
+def _number(value, what):
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ModelFormatError(f"{what} must be a finite number, got {value!r}")
+    return value
+
+
+def _array(bundle, name, kind, ndim=1) -> np.ndarray:
+    """Member name as a fresh int64 (kind "i") or float64 ("f") array of ndim axes."""
+    arr = bundle[name]
+    if arr.ndim != ndim or arr.dtype.kind != kind:
+        kind_name = "integer" if kind == "i" else "float"
+        raise ModelFormatError(f"member {name!r} must be a {ndim}-D {kind_name} array")
+    return arr.astype(np.int64 if kind == "i" else np.float64)
+
+
+def _table(bundle, n_trees, feature_count, width, boosted) -> NodeTable:
     """Rebuild a node table, refusing any table whose walk could fail to end or
     index out of range. Boosted trees carry float values and split gains,
     CART trees integer histograms."""
-
-    def ints(name):
-        arr = np.asarray(obj[name])
-        if arr.ndim != 1 or arr.dtype.kind not in "iu":
-            raise ModelFormatError(f"node table {name!r} must be a list of integers")
-        return arr.astype(np.int64)
-
-    def floats(name):
-        return np.asarray(obj[name], dtype=np.float64)
-
-    feature, left, right, roots = (ints(name) for name in ("feature", "left", "right", "roots"))
-    threshold = floats("threshold")
-    value, gain = (floats("value"), floats("gain")) if boosted else (ints("value"), None)
+    feature, left, right, roots = (_array(bundle, name, "i")
+                                   for name in ("feature", "left", "right", "roots"))
+    threshold = _array(bundle, "threshold", "f")
+    value = _array(bundle, "value", "f" if boosted else "i", 2)
+    gain = _array(bundle, "gain", "f") if boosted else None
     n = len(feature)
     if any(a.shape != (n,) for a in (threshold, left, right) + ((gain,) if boosted else ())):
         raise ModelFormatError("node table arrays differ in length")
-    if value.shape != (n * width,):
+    if value.shape != (n, width):
         raise ModelFormatError(f"node table values must be {width} per node")
     if len(roots) != n_trees or roots[0] != 0 or (np.diff(roots) <= 0).any() or roots[-1] >= n:
         raise ModelFormatError(f"node table must hold {n_trees} trees with increasing roots")
@@ -77,238 +105,204 @@ def _table_from_obj(obj, n_trees, feature_count, width, boosted) -> NodeTable:
             raise ModelFormatError("leaves must have no children and splits two")
         if ((child[split] <= np.flatnonzero(split)) | (child[split] >= tree_end)).any():
             raise ModelFormatError("child index must follow its parent inside its own tree")
-    return NodeTable(feature, threshold, left, right, value.reshape(n, width), roots, gain)
+    return NodeTable(feature, threshold, left, right, value, roots, gain)
 
 
-def _forest_to_obj(model: ForestModel):
-    return {
-        "table": _table_to_obj(model.table),
-        "n_trees": model.n_trees,
-        "seed": model.seed,
-        "feature_count": model.feature_count,
-        "class_count": model.class_count,
-        "max_depth": model.max_depth,
-        "min_leaf": model.min_leaf,
+def _table_arrays(table: NodeTable) -> dict:
+    return {name: getattr(table, name) for name in _TABLE + ("gain",)
+            if getattr(table, name) is not None}
+
+
+def _forest_parts(model: ForestModel):
+    return _table_arrays(model.table), {name: getattr(model, name) for name in _FOREST_FIELDS}
+
+
+def _forest_from(meta, bundle) -> ForestModel:
+    n_trees, feature_count, class_count = (
+        _count(meta, name) for name in ("n_trees", "feature_count", "class_count"))
+    return ForestModel(table=_table(bundle, n_trees, feature_count, class_count, False),
+                       **{name: meta[name] for name in _FOREST_FIELDS})
+
+
+def _svm_parts(model: SvmEnsemble):
+    machines = model.machines
+    arrays = {
+        "support_indices": np.concatenate([m.support_indices for m in machines]),
+        "support_alphas": np.concatenate([m.alphas[m.support_indices] for m in machines]),
+        "support_labels": np.concatenate([m.support_labels for m in machines]),
+        "support_vectors": np.concatenate([m.support_vectors for m in machines]),
+        "support_counts": [len(m.support_indices) for m in machines],
+        **{name: np.array([getattr(m, name) for m in machines],
+                          np.float64 if kind == "f" else np.int64)
+           for name, kind in _MACHINE.items()},
     }
+    kernel = {"name": model.kernel.name, "gamma": model.kernel.gamma}
+    return arrays, {"class_count": model.class_count, "kernel": kernel, "C": model.C}
 
 
-def _forest_from_obj(obj) -> ForestModel:
-    n_trees, feature_count = _count(obj, "n_trees"), _count(obj, "feature_count")
-    class_count = _count(obj, "class_count")
-    return ForestModel(
-        table=_table_from_obj(obj["table"], n_trees, feature_count, class_count, False),
-        n_trees=n_trees,
-        seed=obj["seed"],
-        feature_count=feature_count,
-        class_count=class_count,
-        max_depth=obj["max_depth"],
-        min_leaf=obj["min_leaf"],
-    )
-
-
-def _kernel_to_obj(kernel: KernelSpec):
-    return {"name": kernel.name, "gamma": kernel.gamma}
-
-
-def _svm_to_obj(model: SvmEnsemble):
+def _svm_from(meta, bundle) -> SvmEnsemble:
+    gamma, C = meta["kernel"]["gamma"], _number(meta["C"], "C")
+    kernel = KernelSpec(meta["kernel"]["name"], gamma if gamma is None else _number(gamma, "gamma"))
+    if C <= 0:
+        raise ModelFormatError(f"C must be positive, got {C!r}")
+    class_count = _count(meta, "class_count")
+    counts = _array(bundle, "support_counts", "i")
+    if class_count < 2 or counts.shape != (class_count,):
+        raise ModelFormatError(f"an SVM needs one machine per class, at least 2; "
+                               f"got {len(counts)} machines for {class_count} classes")
+    per_machine = [_array(bundle, name, kind) for name, kind in _MACHINE.items()]
+    if any(a.shape != counts.shape for a in per_machine):
+        raise ModelFormatError("per-machine members must hold one entry per machine")
+    bias, converged, updates, kkt_gap, n_train = per_machine
+    indices, alphas, labels = (_array(bundle, f"support_{name}", kind) for name, kind in
+                               (("indices", "i"), ("alphas", "f"), ("labels", "f")))
+    vectors = _array(bundle, "support_vectors", "f", 2)
+    if (counts < 0).any() or any(len(a) != counts.sum()
+                                 for a in (indices, alphas, labels, vectors)):
+        raise ModelFormatError("support rows do not add up to the per-machine counts")
+    if not np.isfinite(bias).all():
+        raise ModelFormatError("machine bias is not finite")
+    if not (np.isin(converged, (0, 1)).all() and (updates >= 0).all()
+            and (n_train >= 1).all() and (n_train == n_train[0]).all()):
+        raise ModelFormatError("need converged 0 or 1, updates >= 0 and one n_train >= 1")
+    if not ((alphas > 0) & (alphas <= C)).all():
+        raise ModelFormatError("support alphas must lie in (0, C]")
+    if not (np.abs(labels) == 1).all():
+        raise ModelFormatError("support labels must be -1 or +1")
+    if not np.isfinite(vectors).all():
+        raise ModelFormatError("support vectors are not finite")
+    _, first, row = np.unique(indices, return_index=True, return_inverse=True)
+    if (vectors != vectors[first][row]).any():  # one training index names one row
+        raise ModelFormatError("machines hold different vectors for one support index")
     machines = []
-    for m in model.machines:
-        machines.append(
-            {
-                "support_alphas": m.alphas[m.support_indices].tolist(),
-                "bias": m.bias,
-                "support_indices": m.support_indices.tolist(),
-                "support_vectors": m.support_vectors.tolist(),
-                "support_labels": m.support_labels.tolist(),
-                "converged": m.converged,
-                "n_train": m.n_train,
-                "updates": m.updates,
-                "kkt_gap": m.kkt_gap,
-            }
-        )
-    return {
-        "machines": machines,
-        "class_count": model.class_count,
-        "kernel": _kernel_to_obj(model.kernel),
-        "C": model.C,
-    }
+    for c, end in enumerate(np.cumsum(counts)):
+        rows = slice(end - counts[c], end)
+        support = indices[rows]
+        if (np.diff(support) <= 0).any() or (support < 0).any() or (support >= n_train[c]).any():
+            raise ModelFormatError("support indices must increase strictly within [0, n_train)")
+        alpha = np.zeros(n_train[c])
+        alpha[support] = alphas[rows]
+        machines.append(SvmBinary(
+            alphas=alpha,
+            bias=float(bias[c]),
+            support_indices=support,
+            support_vectors=vectors[rows],
+            support_labels=labels[rows],
+            kernel=kernel,
+            C=C,
+            converged=bool(converged[c]),
+            n_train=int(n_train[c]),
+            updates=int(updates[c]),
+            kkt_gap=float(kkt_gap[c]),
+        ))
+    return SvmEnsemble(machines=machines, class_count=class_count, kernel=kernel, C=C)
 
 
-def _svm_from_obj(obj) -> SvmEnsemble:
-    kernel = KernelSpec(obj["kernel"]["name"], obj["kernel"]["gamma"])
-    machines = []
-    for m in obj["machines"]:
-        support = np.asarray(m["support_indices"], dtype=np.int64)
-        alphas = np.zeros(m["n_train"])
-        alphas[support] = np.asarray(m["support_alphas"])
-        machines.append(
-            SvmBinary(
-                alphas=alphas,
-                bias=m["bias"],
-                support_indices=support,
-                support_vectors=np.asarray(m["support_vectors"], dtype=np.float64).reshape(
-                    len(support), -1
-                ),
-                support_labels=np.asarray(m["support_labels"], dtype=np.float64),
-                kernel=kernel,
-                C=obj["C"],
-                converged=m["converged"],
-                n_train=m["n_train"],
-                updates=m.get("updates"),
-                kkt_gap=m.get("kkt_gap"),
-            )
-        )
-    return SvmEnsemble(
-        machines=machines, class_count=obj["class_count"], kernel=kernel, C=obj["C"]
-    )
+def _gbt_parts(model: GbtModel):
+    params = dataclasses.asdict(model.params)
+    params["gamma"] = "inf" if math.isinf(params["gamma"]) else params["gamma"]  # JSON has no inf
+    arrays = {**_table_arrays(model.table), "split_counts": model.split_counts,
+              "split_gains": model.split_gains, "train_loss": model.train_loss}
+    return arrays, {"params": params, "feature_count": model.feature_count,
+                    "class_count": model.class_count}
 
 
-def _gbt_to_obj(model: GbtModel):
-    p = model.params
-    return {
-        "table": _table_to_obj(model.table),
-        "params": {
-            "rounds": p.rounds,
-            "learning_rate": p.learning_rate,
-            "max_depth": p.max_depth,
-            "gamma": p.gamma if not np.isinf(p.gamma) else "inf",
-            "alpha": p.alpha,
-            "lambda": p.reg_lambda,
-            "base_score": p.base_score,
-        },
-        "feature_count": model.feature_count,
-        "class_count": model.class_count,
-        "split_counts": model.split_counts.tolist(),
-        "split_gains": model.split_gains.tolist(),
-        "train_loss": model.train_loss,
-    }
-
-
-def _gbt_from_obj(obj) -> GbtModel:
-    p = obj["params"]
-    params = GbtParams(
-        rounds=p["rounds"],
-        learning_rate=p["learning_rate"],
-        max_depth=p["max_depth"],
-        gamma=float("inf") if p["gamma"] == "inf" else p["gamma"],
-        alpha=p["alpha"],
-        reg_lambda=p["lambda"],
-        base_score=p["base_score"],
-    )
-    feature_count, class_count = _count(obj, "feature_count"), _count(obj, "class_count")
+def _gbt_from(meta, bundle) -> GbtModel:
+    p = meta["params"]
+    _count(p, "rounds")
+    for name in ("learning_rate", "base_score"):
+        _number(p[name], name)
+    params = GbtParams(**{**p, "gamma": float("inf") if p["gamma"] == "inf" else p["gamma"]})
+    feature_count, class_count = _count(meta, "feature_count"), _count(meta, "class_count")
+    split_counts, split_gains, train_loss = (_array(bundle, name, kind) for name, kind in (
+        ("split_counts", "i"), ("split_gains", "f"), ("train_loss", "f")))
+    if len(train_loss) != params.rounds or any(
+            a.shape != (feature_count,) for a in (split_counts, split_gains)):
+        raise ModelFormatError("split counts and gains need one entry per feature, "
+                               "train_loss one per round")
     return GbtModel(
-        table=_table_from_obj(obj["table"], params.rounds * class_count, feature_count, 3, True),
+        table=_table(bundle, params.rounds * class_count, feature_count, 3, True),
         params=params,
         feature_count=feature_count,
         class_count=class_count,
-        split_counts=np.asarray(obj["split_counts"], dtype=np.int64),
-        split_gains=np.asarray(obj["split_gains"], dtype=np.float64),
-        train_loss=obj["train_loss"],
+        split_counts=split_counts,
+        split_gains=split_gains,
+        train_loss=train_loss.tolist(),
     )
 
 
+#: kind -> (model type, model -> (arrays, meta fields), (meta, arrays) -> model)
 _KINDS = {
-    ForestModel: ("forest", _forest_to_obj),
-    SvmEnsemble: ("svm", _svm_to_obj),
-    GbtModel: ("gbt", _gbt_to_obj),
+    "forest": (ForestModel, _forest_parts, _forest_from),
+    "svm": (SvmEnsemble, _svm_parts, _svm_from),
+    "gbt": (GbtModel, _gbt_parts, _gbt_from),
 }
-
-_LOADERS = {
-    "forest": _forest_from_obj,
-    "svm": _svm_from_obj,
-    "gbt": _gbt_from_obj,
-}
-
-
-def _encode_sections(sections: dict) -> bytes:
-    out = bytearray()
-    out += MAGIC
-    out += FORMAT_VERSION.to_bytes(2, "little")
-    out += len(sections).to_bytes(2, "little")
-    for name, payload in sections.items():
-        encoded = name.encode("utf-8")
-        out += len(encoded).to_bytes(2, "little")
-        out += encoded
-        out += len(payload).to_bytes(8, "little")
-        out += payload
-    return bytes(out)
-
-
-def _decode_sections(data: bytes) -> dict:
-    if data[:4] != MAGIC:
-        raise ModelFormatError(f"bad model magic {data[:4]!r}")
-    if len(data) < 8:
-        raise ModelFormatError("model file is truncated")
-    version = int.from_bytes(data[4:6], "little")
-    if version != FORMAT_VERSION:
-        raise ModelFormatError(f"unsupported model format version {version}")
-    count = int.from_bytes(data[6:8], "little")
-    sections = {}
-    pos = 8
-    for _ in range(count):
-        if pos + 2 > len(data):
-            raise ModelFormatError("model file is truncated")
-        name_len = int.from_bytes(data[pos : pos + 2], "little")
-        pos += 2
-        if pos + name_len + 8 > len(data):
-            raise ModelFormatError("model file is truncated")
-        try:
-            name = data[pos : pos + name_len].decode("utf-8")
-        except UnicodeDecodeError:
-            raise ModelFormatError("section name is not UTF-8") from None
-        pos += name_len
-        payload_len = int.from_bytes(data[pos : pos + 8], "little")
-        pos += 8
-        if pos + payload_len > len(data):
-            raise ModelFormatError("section payload is truncated")
-        sections[name] = data[pos : pos + payload_len]
-        pos += payload_len
-    if pos != len(data):
-        raise ModelFormatError(f"{len(data) - pos} trailing bytes after last section")
-    return sections
-
-
-def _canonical_json(obj) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False).encode()
-
-
-def serialize_model(model, provenance: dict | None = None) -> bytes:
-    for kind_type, (kind, encoder) in _KINDS.items():
-        if isinstance(model, kind_type):
-            meta = {"kind": kind, "provenance": provenance or {}}
-            return _encode_sections(
-                {"meta": _canonical_json(meta), "model": _canonical_json(encoder(model))}
-            )
-    raise ModelFormatError(f"cannot serialize {type(model).__name__}")
-
-
-def deserialize_model(data: bytes):
-    """Returns (model, provenance dict)."""
-    sections = _decode_sections(bytes(data))
-    for required in ("meta", "model"):
-        if required not in sections:
-            raise ModelFormatError(f"model file lacks the {required} section")
-    try:
-        meta = json.loads(sections["meta"])
-        obj = json.loads(sections["model"])
-    except ValueError as exc:  # covers JSON syntax and non-UTF-8 payloads
-        raise ModelFormatError(f"model payload is not valid JSON: {exc}") from None
-    if not isinstance(meta, dict):
-        raise ModelFormatError("meta section must hold a JSON object")
-    kind = meta.get("kind")
-    if kind not in _LOADERS:
-        raise ModelFormatError(f"unknown model kind {kind!r}")
-    try:
-        model = _LOADERS[kind](obj)
-    except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
-        raise ModelFormatError(f"malformed {kind} model payload: {exc}") from None
-    return model, meta.get("provenance", {})
 
 
 def save_model(model, path, provenance: dict | None = None) -> None:
-    Path(path).write_bytes(serialize_model(model, provenance))
+    """Write model as one bundle to path, or to a binary file-like."""
+    for kind, (kind_type, parts, _) in _KINDS.items():
+        if isinstance(model, kind_type):
+            arrays, meta = parts(model)
+            arrays = {name: np.asarray(a, np.float64 if np.asarray(a).dtype.kind == "f"
+                                       else np.int64) for name, a in arrays.items()}
+            meta = {"format": FORMAT_VERSION, "kind": kind, "provenance": provenance or {},
+                    **meta}
+            return write_bundle(path, arrays, meta)
+    raise ModelFormatError(f"cannot serialize {type(model).__name__}")
+
+
+def serialize_model(model, provenance: dict | None = None) -> bytes:
+    buffer = io.BytesIO()
+    save_model(model, buffer, provenance)
+    return buffer.getvalue()
+
+
+def _check_extent(data: bytes) -> None:
+    """Refuse bytes before the first member or after the end record, which a
+    zip reader would skip: a model file is one bundle and nothing else."""
+    if data[:4] == b"PK\x03\x04" and len(data) >= _END.size:
+        signature, *_, size, offset, comment = _END.unpack_from(data, len(data) - _END.size)
+        if signature == b"PK\x05\x06" and not comment and offset + size + _END.size == len(data):
+            return
+    raise ModelFormatError(
+        f"not exactly one model bundle (it starts {data[:4]!r}); files of model format 2 "
+        "and older, in the WLC1 section container, are no longer read: retrain to rewrite them"
+    )
+
+
+def deserialize_model(data: bytes):
+    """Returns (model, provenance dict).
+
+    Raises:
+        ModelFormatError: data is not exactly one model bundle of format 3
+            whose members pass the checks of its kind.
+    """
+    data = bytes(data)
+    _check_extent(data)
+    try:
+        bundle = read_bundle(io.BytesIO(data), ("meta",), sorted(set().union(*_MEMBERS.values())))
+    except DataError as exc:
+        raise ModelFormatError(f"unreadable model bundle: {exc}") from None
+    meta = bundle.pop("meta")
+    if meta.get("format") != FORMAT_VERSION:
+        raise ModelFormatError(f"unsupported model format {meta.get('format')!r}")
+    kind = meta.get("kind")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ModelFormatError(f"unknown model kind {kind!r}")
+    if set(bundle) != set(_MEMBERS[kind]):
+        raise ModelFormatError(f"a {kind} model needs members {sorted(_MEMBERS[kind])}, "
+                               f"got {sorted(bundle)}")
+    try:
+        model = _KINDS[kind][2](meta, bundle)
+    except (KeyError, TypeError, ValueError, AttributeError, UsageError) as exc:
+        raise ModelFormatError(f"malformed {kind} model: {exc}") from None
+    return model, meta.get("provenance", {})
 
 
 def load_model(path):
-    data = Path(path).read_bytes()
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise ArchiveIoError(f"cannot read model {path}: {exc}") from None
     return deserialize_model(data)

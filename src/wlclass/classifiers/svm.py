@@ -71,8 +71,7 @@ def kernel_matrix(spec: KernelSpec, A, B) -> np.ndarray:
 class SvmBinary:
     """One trained binary machine; f(x) = sum_i alpha_i y_i K(x_i, x) + bias.
 
-    updates and kkt_gap are the solver's pair updates and final m - M;
-    they are None for machines read from files that predate them.
+    updates and kkt_gap are the solver's pair updates and final m - M.
     """
 
     alphas: np.ndarray
@@ -84,8 +83,8 @@ class SvmBinary:
     C: float
     converged: bool
     n_train: int
-    updates: int | None = None
-    kkt_gap: float | None = None
+    updates: int
+    kkt_gap: float
 
     def decision_function(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)

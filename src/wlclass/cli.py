@@ -18,6 +18,7 @@ import os
 import resource
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from .dataset_io import (
     write_challenge_archive,
 )
 from .errors import (
+    ArchiveIoError,
     ConvergenceError,
     DataError,
     MalformedArchiveError,
@@ -94,6 +96,16 @@ class StageResult:
     seeds: dict = field(default_factory=dict)
 
 
+@contextmanager
+def _text_out(path, newline=None):
+    """A text file open for writing; an OS failure becomes ArchiveIoError."""
+    try:
+        with open(path, "w", newline=newline) as fh:
+            yield fh
+    except OSError as exc:
+        raise ArchiveIoError(f"cannot write {path}: {exc}") from None
+
+
 def _write_manifest(args, result: StageResult, wall_clock: float) -> None:
     if not result.outputs:
         return
@@ -115,13 +127,13 @@ def _write_manifest(args, result: StageResult, wall_clock: float) -> None:
     }
     primary = Path(result.outputs[0])
     target = primary.with_name(primary.name + ".manifest.json")
-    with open(target, "w") as fh:
+    with _text_out(target) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def _write_jsonl(path, records) -> None:
-    with open(path, "w") as fh:
+    with _text_out(path) as fh:
         for record in records:
             fh.write(canonical_json(record))
             fh.write("\n")
@@ -331,7 +343,7 @@ def _synth_spec(args):
 
 
 def _write_corpus_csv(path, trials) -> None:
-    with open(path, "w", newline="") as fh:
+    with _text_out(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["job_id", "timestamp", "device_id", "label", *GPU_SENSORS])
         for trial in trials:
@@ -481,7 +493,7 @@ def cmd_predict(args) -> StageResult:
     features, _ = _pick_split(args.split, features_train, y_train, features_test, y_test)
     labels = predict(model, features)
     names = meta.get("class_names", [])
-    with open(args.out, "w", newline="") as fh:
+    with _text_out(args.out, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "label", "class_name"])
         for i, label in enumerate(labels):

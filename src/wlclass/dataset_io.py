@@ -6,9 +6,9 @@ header length, then an ASCII dict with keys ``descr``/``fortran_order``/``shape`
 followed by the raw payload. The parser here is written from first
 principles so that arbitrary byte input always produces a typed error,
 never a crash; the widely used reference serializers can read what we
-write and vice versa. Feature sets and reduction bundles are the same
-kind of zip plus a JSON meta member; write_bundle and read_bundle are the
-one codec for all three.
+write and vice versa. Feature sets, reduction bundles and model files
+are the same kind of zip plus a JSON meta member; write_bundle and
+read_bundle are the one codec for all four.
 
 Raw telemetry arrives as delimited text, one row per timestamped sample,
 grouped by job (and device, for multi-GPU jobs).

@@ -23,6 +23,7 @@ from .classifiers import (
     train_gbt,
     train_svm_multiclass,
 )
+from .dataset_io import read_challenge_archive
 from .errors import (
     BadKError,
     MissingArchiveError,
@@ -297,11 +298,10 @@ def _evaluate_cell_fold(x, y, cell, fold_pair, family, seed, n_classes):
     features_train = reduction.transform(x[train_idx])
     features_val = reduction.transform(x[val_idx])
     model = train_family(family, features_train, y[train_idx], cell.params, seed, n_classes)
-    accuracy = float((predict(model, features_val) == y[val_idx]).mean())
-    return accuracy, reduction.fingerprint()
+    return float((predict(model, features_val) == y[val_idx]).mean())
 
 
-def grid_search(x, y, spec: GridSpec, collect_fingerprints: bool = False):
+def grid_search(x, y, spec: GridSpec):
     """Cross-validate every grid cell, pick the best, refit on the full split.
 
     x is the raw trials x samples x sensors tensor; all feature fitting
@@ -317,18 +317,17 @@ def grid_search(x, y, spec: GridSpec, collect_fingerprints: bool = False):
     folds = kfold_indices(len(y), k, y, spec.seed)
     n_classes = int(y.max()) + 1
 
-    outcomes = []
+    accuracies = []
     for cell in cells:
         for fold_index in range(k):
             try:
-                outcomes.append(_evaluate_cell_fold(
+                accuracies.append(_evaluate_cell_fold(
                     x, y, cell, folds[fold_index], spec.model_family, spec.seed, n_classes
                 ))
             except WlclassError as exc:
                 raise _annotate(exc, f"cell {cell.index} ({cell.describe()}) fold {fold_index}")
 
-    fold_accuracy = np.array([o[0] for o in outcomes]).reshape(len(cells), k)
-    fingerprints = [o[1] for o in outcomes]
+    fold_accuracy = np.array(accuracies).reshape(len(cells), k)
     mean_accuracy = fold_accuracy.mean(axis=1)
     std_accuracy = fold_accuracy.std(axis=1)
     best_cell = int(np.argmax(mean_accuracy))
@@ -337,7 +336,7 @@ def grid_search(x, y, spec: GridSpec, collect_fingerprints: bool = False):
     reduction = fit_reduction(best.reduction, x)
     features = reduction.transform(x)
     model = train_family(spec.model_family, features, y, best.params, spec.seed, n_classes)
-    result = CvResult(
+    return CvResult(
         cells=cells,
         mean_accuracy=mean_accuracy,
         std_accuracy=std_accuracy,
@@ -345,9 +344,6 @@ def grid_search(x, y, spec: GridSpec, collect_fingerprints: bool = False):
         best_cell=best_cell,
         pipeline=GridPipeline(reduction=reduction, model=model, family=spec.model_family),
     )
-    if collect_fingerprints:
-        return result, fingerprints
-    return result
 
 
 @dataclass
@@ -468,7 +464,7 @@ def reproduce_table(
     folds: int | None = None,
     grids: dict | None = None,
     pca_ks=PCA_GRID_KS,
-    loader=None,
+    loader=read_challenge_archive,
     require_all: bool = True,
 ):
     """Grid-search and score every (variant, dataset) pair of the accuracy table.
@@ -482,9 +478,6 @@ def reproduce_table(
         MissingArchiveError: a required dataset name is absent (always,
             when no recognized name is present at all).
     """
-    from .dataset_io import read_challenge_archive
-
-    loader = loader or read_challenge_archive
     grids = grids or BASELINE_GRIDS
     columns = [name for name in DATASET_COLUMNS if name in archives]
     if require_all:
@@ -497,15 +490,14 @@ def reproduce_table(
         )
 
     variants = [v for v, (fam, _) in TABLE_VARIANTS.items() if fam in families]
-    rows = []
+    accuracies = {variant: {} for variant in variants}
     provenance = {}
-    for variant in variants:
-        family, reduction_kind = TABLE_VARIANTS[variant]
-        accuracies = {}
-        for column in columns:
-            dataset = loader(archives[column])
-            n, length, sensors = dataset.x_train.shape
-            max_k = length * sensors
+    for column in columns:
+        dataset = loader(archives[column])  # once per archive, shared by every variant
+        _, length, sensors = dataset.x_train.shape
+        max_k = length * sensors
+        for variant in variants:
+            family, reduction_kind = TABLE_VARIANTS[variant]
             spec = GridSpec(
                 model_family=family,
                 hyperparameter_grid=grids[family],
@@ -521,18 +513,19 @@ def reproduce_table(
                 dataset.model_train,
                 dataset_id=column,
             )
-            accuracies[column] = report.accuracy
+            accuracies[variant][column] = report.accuracy
             provenance.setdefault(column, {})[variant] = {
                 "best_cell": result.cells[result.best_cell].describe(),
                 "cv_mean": result.best_mean,
             }
-        reference = REFERENCE_ACCURACY.get(variant)
-        deltas = {}
-        if reference:
-            for column, ref in zip(DATASET_COLUMNS, reference):
-                if ref is not None and column in accuracies:
-                    deltas[column] = accuracies[column] - ref
-        rows.append({"variant": variant, "accuracies": accuracies, "reference_delta": deltas})
+    rows = []
+    for variant in variants:
+        reference = REFERENCE_ACCURACY.get(variant) or ()
+        deltas = {column: accuracies[variant][column] - ref
+                  for column, ref in zip(DATASET_COLUMNS, reference)
+                  if ref is not None and column in accuracies[variant]}
+        rows.append({"variant": variant, "accuracies": accuracies[variant],
+                     "reference_delta": deltas})
     return {"columns": columns, "rows": rows, "provenance": provenance}
 
 

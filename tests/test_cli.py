@@ -111,6 +111,35 @@ class TestExitCodes:
         assert main(args + ["--allow-nonconverged"]) == 0
 
 
+class TestFileErrors:
+    """A path the OS refuses is a data error (exit 2), never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def chain(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("chain")
+        run_chain(d)
+        return d
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--in", "{d}/feat.npz", "--model", "rf", "--n-trees", "2",
+         "--out", "{d}/no/such/m.wlc1"],
+        ["evaluate", "--model-path", "{d}/model.wlc1", "--in", "{d}/feat.npz",
+         "--out", "{d}/no/such/r.jsonl"],
+        ["predict", "--model-path", "{d}/model.wlc1", "--in", "{d}/feat.npz",
+         "--out", "{d}/no/such/p.csv"],
+        ["gridsearch", "--in", "{d}/arc.npz", "--family", "rf", "--n-trees", "2",
+         "--folds", "2", "--out", "{d}/no/such/cv.jsonl"],
+        ["synth", "--classes", "4", "--jobs-per-class", "3", "--length-min", "20",
+         "--length-max", "20", "--out", "{d}/no/such/c.csv"],
+        ["evaluate", "--model-path", "{d}/absent.wlc1", "--in", "{d}/feat.npz",
+         "--out", "{d}/r.jsonl"],
+    ], ids=["train-out", "evaluate-out", "predict-out", "gridsearch-out", "synth-out",
+            "missing-model"])
+    def test_exits_2(self, chain, argv, capsys):
+        assert main([arg.format(d=chain) for arg in argv]) == 2
+        assert "data error: cannot" in capsys.readouterr().err
+
+
 class TestConfigFile:
     def feature_set(self, tmp_path, seed=3):
         d = tmp_path

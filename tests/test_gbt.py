@@ -126,6 +126,8 @@ class TestGbtTraining:
             GbtParams(learning_rate=0.0)
         with pytest.raises(UsageError):
             GbtParams(alpha=-1.0)
+        with pytest.raises(UsageError):  # model files store only +inf
+            GbtParams(gamma=float("-inf"))
 
     def test_predict_shape_check(self):
         X, y = self.data(seed=9)

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import wlclass.model_selection
 from wlclass.classifiers import serialize_model
 from wlclass.errors import (
     BadKError,
@@ -188,7 +189,7 @@ class TestGridSearch:
         assert np.array_equal(result.fold_accuracy[0], result.fold_accuracy[1])
         assert result.best_cell == 0
 
-    def test_fold_reductions_fit_on_fold_train_only(self, easy_problem):
+    def test_fold_reductions_fit_on_fold_train_only(self, easy_problem, monkeypatch):
         x, y = easy_problem
         spec = GridSpec(
             model_family="rf",
@@ -197,7 +198,16 @@ class TestGridSearch:
             folds=3,
             seed=4,
         )
-        result, fingerprints = grid_search(x, y, spec, collect_fingerprints=True)
+        fingerprints = []
+
+        def recording_fit(spec, x_train):
+            reduction = fit_reduction(spec, x_train)
+            fingerprints.append(reduction.fingerprint())
+            return reduction
+
+        monkeypatch.setattr(wlclass.model_selection, "fit_reduction", recording_fit)
+        result = grid_search(x, y, spec)
+        assert len(fingerprints) == 3 + 1  # one fit per fold, then the refit
         full_fit = fit_reduction(ReductionSpec("cov"), x).fingerprint()
         folds = kfold_indices(len(y), 3, y, seed=4)
         for fold_index, (train_idx, _) in enumerate(folds):
@@ -380,6 +390,27 @@ class TestReproduceTable:
             for value in row["accuracies"].values():
                 assert 0.0 <= value <= 100.0
         assert set(table["provenance"]) == set(DATASET_COLUMNS)
+
+    def test_reads_each_archive_once(self):
+        datasets = tiny_suite(seed=9)
+        archives = {name: name for name in DATASET_COLUMNS[:2]}
+        options = dict(folds=2, grids={"rf": {"n_trees": [2]}, "svm": {"C": [1.0]}},
+                       pca_ks=(4,), require_all=False)
+        calls = []
+
+        def loader(name):
+            calls.append(name)
+            return datasets[name]
+
+        table = reproduce_table(archives, families=("svm", "rf"), loader=loader, **options)
+        assert calls == list(DATASET_COLUMNS[:2])
+        assert [row["variant"] for row in table["rows"]] == ["svm-pca", "svm-cov",
+                                                            "rf-pca", "rf-cov"]
+        for family in ("svm", "rf"):
+            alone = reproduce_table(archives, families=(family,), loader=datasets.get, **options)
+            assert alone["rows"] == [r for r in table["rows"] if r["variant"].startswith(family)]
+            for column, cells in alone["provenance"].items():
+                assert cells.items() <= table["provenance"][column].items()
 
     def test_missing_archive_is_an_error(self):
         archives = {name: name for name in DATASET_COLUMNS[:-1]}

@@ -1,4 +1,4 @@
-import json
+import io
 
 import numpy as np
 import pytest
@@ -15,7 +15,8 @@ from wlclass.classifiers import (
     train_gbt,
     train_svm_multiclass,
 )
-from wlclass.classifiers.serialize import _canonical_json, _decode_sections, _encode_sections
+from wlclass.classifiers.serialize import _MEMBERS
+from wlclass.dataset_io import read_bundle, write_bundle
 from wlclass.errors import ModelFormatError, WlclassError
 
 
@@ -35,6 +36,24 @@ def trained_models():
     }
 
 
+def unbundle(raw):
+    """(arrays, meta) of a model file."""
+    bundle = read_bundle(io.BytesIO(raw), ("meta",), sorted(set().union(*_MEMBERS.values())))
+    meta = bundle.pop("meta")
+    return {name: arr.copy() for name, arr in bundle.items()}, meta
+
+
+def rebundle(arrays, meta):
+    buffer = io.BytesIO()
+    write_bundle(buffer, arrays, meta)
+    return buffer.getvalue()
+
+
+def wlc1_file(version):
+    """A section file of the retired WLC1 container: magic, version, no sections."""
+    return b"WLC1" + version.to_bytes(2, "little") + (0).to_bytes(2, "little")
+
+
 class TestRoundTrip:
     def test_predictions_survive_round_trip(self, tmp_path):
         X, y, models = trained_models()
@@ -46,48 +65,55 @@ class TestRoundTrip:
             np.testing.assert_array_equal(predict(model, queries), predict(loaded, queries))
             assert provenance == {"dataset": "unit", "features": "raw"}
 
-    def test_bytes_stable_across_save_load_save(self):
+    def test_bytes_stable_across_save_load_save(self, tmp_path):
         _, _, models = trained_models()
-        for model in models.values():
-            raw = serialize_model(model)
+        for name, model in models.items():
+            raw = serialize_model(model, provenance={"seed": 3})
             loaded, _ = deserialize_model(raw)
-            assert serialize_model(loaded) == raw
+            assert serialize_model(loaded, provenance={"seed": 3}) == raw
+            save_model(loaded, tmp_path / name, provenance={"seed": 3})
+            assert (tmp_path / name).read_bytes() == raw
 
     def test_exact_float_round_trip(self):
         X, y, models = trained_models()
         gbt = models["gbt"]
-        loaded, _ = deserialize_model(serialize_model(gbt))
+        loaded, provenance = deserialize_model(serialize_model(gbt, {"family": "gbt"}))
         np.testing.assert_array_equal(loaded.split_gains, gbt.split_gains)
+        np.testing.assert_array_equal(loaded.split_counts, gbt.split_counts)
         np.testing.assert_array_equal(loaded.rounds, gbt.rounds)
-        for name in ("feature", "threshold", "left", "right", "value", "roots", "gain"):
-            np.testing.assert_array_equal(getattr(loaded.table, name), getattr(gbt.table, name))
+        assert loaded.train_loss == gbt.train_loss and loaded.params == gbt.params
+        assert provenance == {"family": "gbt"}
+        for model in (gbt, models["forest"]):
+            loaded, _ = deserialize_model(serialize_model(model))
+            for name in ("feature", "threshold", "left", "right", "value", "roots", "gain"):
+                a, b = getattr(loaded.table, name), getattr(model.table, name)
+                assert (a is None) == (b is None)
+                if a is not None:
+                    np.testing.assert_array_equal(a, b)
+                    assert a.dtype == b.dtype
 
     def test_svm_alphas_reconstructed(self):
         X, y, models = trained_models()
         svm = models["svm"]
         loaded, _ = deserialize_model(serialize_model(svm))
-        for a, b in zip(svm.machines, loaded.machines):
+        assert loaded.kernel == svm.kernel and loaded.C == svm.C
+        assert loaded.class_count == svm.class_count
+        for a, b in zip(svm.machines, loaded.machines, strict=True):
             np.testing.assert_array_equal(a.alphas, b.alphas)
+            np.testing.assert_array_equal(a.support_indices, b.support_indices)
             np.testing.assert_array_equal(a.support_vectors, b.support_vectors)
-            assert a.bias == b.bias and a.converged == b.converged
+            np.testing.assert_array_equal(a.support_labels, b.support_labels)
+            assert a.bias == b.bias and a.converged == b.converged and a.n_train == b.n_train
             assert a.updates == b.updates and a.kkt_gap == b.kkt_gap
 
-    def test_svm_file_without_solver_diagnostics_loads(self):
-        _, _, models = trained_models()
-        sections = _decode_sections(serialize_model(models["svm"]))
-        payload = json.loads(sections["model"])
-        for machine in payload["machines"]:
-            del machine["updates"], machine["kkt_gap"]
-        sections["model"] = _canonical_json(payload)
-        loaded, _ = deserialize_model(_encode_sections(sections))
-        assert all(m.updates is None and m.kkt_gap is None for m in loaded.machines)
-        assert loaded.converged
-
     def test_magic_starts_file(self, tmp_path):
+        """A model file is a bundle: its first member's header opens it."""
         _, _, models = trained_models()
         path = tmp_path / "model.wlc"
         save_model(models["forest"], path)
-        assert path.read_bytes()[:4] == b"WLC1"
+        assert path.read_bytes()[:4] == b"PK\x03\x04"
+        bundle = read_bundle(path, ("meta", *_MEMBERS["forest"]))
+        assert bundle["meta"]["format"] == 3 and bundle["meta"]["kind"] == "forest"
 
 
 class TestMalformedModelFiles:
@@ -105,34 +131,68 @@ class TestMalformedModelFiles:
     def test_trailing_garbage(self):
         _, _, models = trained_models()
         raw = serialize_model(models["forest"])
-        with pytest.raises(ModelFormatError):
-            deserialize_model(raw + b"extra")
+        for extra in (b"extra", b"\x00" * 22, raw):
+            with pytest.raises(ModelFormatError, match="not exactly one model bundle"):
+                deserialize_model(raw + extra)
+
+    def test_leading_garbage(self):
+        _, _, models = trained_models()
+        raw = serialize_model(models["svm"])
+        for extra in (b"junk", raw[:30], raw):
+            with pytest.raises(ModelFormatError):
+                deserialize_model(extra + raw)
 
     def test_unsupported_version(self):
         _, _, models = trained_models()
-        raw = bytearray(serialize_model(models["forest"]))
-        raw[4:6] = (99).to_bytes(2, "little")
-        with pytest.raises(ModelFormatError):
-            deserialize_model(bytes(raw))
+        arrays, meta = unbundle(serialize_model(models["forest"]))
+        for version in (99, 2, None, "3"):
+            with pytest.raises(ModelFormatError, match="unsupported model format"):
+                deserialize_model(rebundle(arrays, {**meta, "format": version}))
+        del meta["format"]
+        with pytest.raises(ModelFormatError, match="unsupported model format"):
+            deserialize_model(rebundle(arrays, meta))
+
+    def test_version_1_forest_file(self):
+        with pytest.raises(ModelFormatError, match="WLC1"):
+            deserialize_model(wlc1_file(1))
+
+    def test_version_2_wlc1_file(self):
+        with pytest.raises(ModelFormatError, match="WLC1 section container"):
+            deserialize_model(wlc1_file(2) + b"\x04\x00meta" + (2).to_bytes(8, "little") + b"{}")
 
     def test_mutation_fuzz_total(self):
-        """Random bytes anywhere, then random digits inside the payload: digit
-        edits keep most files parseable, so the node table checks and predict
-        see them too."""
+        """Random bytes anywhere in a forest file, then random edits of single
+        array entries, re-bundled, for every model kind: edited files mostly
+        still parse, so the member checks and predict see them too."""
         X, _, models = trained_models()
         base = serialize_model(models["forest"])
-        digits = [i for i in range(8, len(base)) if chr(base[i]).isdigit()]
         rng = np.random.default_rng(42)
-        predicted = 0
-        for trial in range(400):
+        mutants = []
+        for _ in range(200):
             raw = bytearray(base)
             for _ in range(rng.integers(1, 4)):
-                if trial < 200:
-                    raw[rng.integers(0, len(raw))] = rng.integers(0, 256)
-                else:
-                    raw[rng.choice(digits)] = ord("0") + rng.integers(0, 10)
+                raw[rng.integers(0, len(raw))] = rng.integers(0, 256)
+            mutants.append(bytes(raw))
+        for model in models.values():
+            arrays, meta = unbundle(serialize_model(model))
+            names = sorted(arrays)
+            for _ in range(100):
+                edited = {name: arr.copy() for name, arr in arrays.items()}
+                for _ in range(rng.integers(1, 3)):
+                    arr = edited[names[rng.integers(len(names))]]
+                    if arr.size == 0:
+                        continue
+                    at = tuple(rng.integers(0, n) for n in arr.shape)
+                    if arr.dtype.kind == "i":
+                        arr[at] = rng.integers(-2, max(int(arr.max()), 1) + 3)
+                    else:
+                        arr[at] = rng.choice([0.0, -1.0, 1.0, 2 * arr[at], rng.normal(),
+                                              np.nan, np.inf])
+                mutants.append(rebundle(edited, meta))
+        predicted = 0
+        for raw in mutants:
             try:
-                model, _ = deserialize_model(bytes(raw))
+                model, _ = deserialize_model(raw)
             except ModelFormatError:
                 continue
             try:
@@ -144,20 +204,11 @@ class TestMalformedModelFiles:
             predicted += 1
         assert predicted > 0
 
-    def test_version_1_forest_file(self):
-        _, _, models = trained_models()
-        raw = bytearray(serialize_model(models["forest"]))
-        raw[4:6] = (1).to_bytes(2, "little")
-        with pytest.raises(ModelFormatError, match="version 1"):
-            deserialize_model(bytes(raw))
-
     def tampered(self, model, edit):
-        """The model's file after edit(payload) changed its decoded model payload."""
-        sections = _decode_sections(serialize_model(model))
-        payload = json.loads(sections["model"])
-        edit(payload)
-        sections["model"] = _canonical_json(payload)
-        return _encode_sections(sections)
+        """The model's file after edit(arrays, meta) changed its members."""
+        arrays, meta = unbundle(serialize_model(model))
+        edit(arrays, meta)
+        return rebundle(arrays, meta)
 
     def test_child_index_pointing_backwards(self):
         _, _, models = trained_models()
@@ -165,8 +216,8 @@ class TestMalformedModelFiles:
             table = models[name].table
             split = int(np.flatnonzero(table.feature >= 0)[-1])
 
-            def edit(payload):
-                payload["table"]["right"][split] = split - 1
+            def edit(arrays, meta):
+                arrays["right"][split] = split - 1
 
             with pytest.raises(ModelFormatError, match="child index"):
                 deserialize_model(self.tampered(models[name], edit))
@@ -175,8 +226,8 @@ class TestMalformedModelFiles:
         _, _, models = trained_models()
         table = models["forest"].table
 
-        def edit(payload):
-            payload["table"]["left"][0] = int(table.roots[1])
+        def edit(arrays, meta):
+            arrays["left"][0] = int(table.roots[1])
 
         with pytest.raises(ModelFormatError, match="child index"):
             deserialize_model(self.tampered(models["forest"], edit))
@@ -186,8 +237,8 @@ class TestMalformedModelFiles:
         for name, bad in (("forest", 3), ("gbt", 3), ("forest", -2)):
             split = int(np.flatnonzero(models[name].table.feature >= 0)[0])
 
-            def edit(payload):
-                payload["table"]["feature"][split] = bad
+            def edit(arrays, meta):
+                arrays["feature"][split] = bad
 
             with pytest.raises(ModelFormatError, match="feature out of range"):
                 deserialize_model(self.tampered(models[name], edit))
@@ -195,19 +246,132 @@ class TestMalformedModelFiles:
     def test_table_shape_checks(self):
         _, _, models = trained_models()
         edits = {
-            "differ in length": lambda p: p["table"]["threshold"].pop(),
-            "values must be": lambda p: p["table"]["value"].pop(),
-            "trees with increasing roots": lambda p: p["table"]["roots"].pop(),
-            "must be a list of integers": lambda p: p["table"]["left"].__setitem__(0, 1.5),
+            "differ in length": lambda a: a.update(threshold=a["threshold"][:-1]),
+            "values must be": lambda a: a.update(value=a["value"][:, :-1]),
+            "trees with increasing roots": lambda a: a.update(roots=a["roots"][:-1]),
+            "must be a 1-D integer array": lambda a: a.update(left=a["left"] + 0.5),
+            "must be a 2-D integer array": lambda a: a.update(value=a["value"].ravel()),
         }
         for message, edit in edits.items():
             with pytest.raises(ModelFormatError, match=message):
-                deserialize_model(self.tampered(models["forest"], edit))
+                deserialize_model(self.tampered(models["forest"], lambda a, m: edit(a)))
+
+    def test_gbt_importance_and_loss_lengths(self):
+        _, _, models = trained_models()
+        for name in ("split_counts", "split_gains", "train_loss"):
+            with pytest.raises(ModelFormatError, match="one entry per"):
+                deserialize_model(self.tampered(
+                    models["gbt"], lambda a, m: a.update({name: a[name][:-1]})))
 
     def test_unknown_kind(self):
-        raw = _encode_sections(
-            {"meta": _canonical_json({"kind": "mystery", "provenance": {}}),
-             "model": _canonical_json({})}
-        )
+        _, _, models = trained_models()
+        for kind in ("mystery", None, ["forest"]):
+            with pytest.raises(ModelFormatError, match="unknown model kind"):
+                deserialize_model(self.tampered(
+                    models["forest"], lambda a, m: m.update(kind=kind)))
+        with pytest.raises(ModelFormatError, match="needs members"):
+            deserialize_model(self.tampered(models["forest"], lambda a, m: m.update(kind="gbt")))
+        with pytest.raises(ModelFormatError, match="needs members"):
+            deserialize_model(self.tampered(models["forest"], lambda a, m: a.pop("roots")))
+
+
+def set_entry(name, index, value):
+    def edit(arrays, meta):
+        arrays[name][index] = value
+    return edit
+
+
+def replace(name, make):
+    def edit(arrays, meta):
+        arrays[name] = make(arrays[name])
+    return edit
+
+
+def set_meta(path, value):
+    def edit(arrays, meta):
+        *outer, last = path
+        target = meta
+        for key in outer:
+            target = target[key]
+        target[last] = value
+    return edit
+
+
+def shared_row_moved(arrays, meta):
+    """Move machine 1's copy of a support row that machine 0 also holds."""
+    count = int(arrays["support_counts"][0])
+    indices = arrays["support_indices"]
+    shared = np.flatnonzero(np.isin(indices[count:], indices[:count]))
+    arrays["support_vectors"][count + shared[0]] += 1.0
+
+
+def one_machine(arrays, meta):
+    """Keep only the first machine, for one class."""
+    count = int(arrays["support_counts"][0])
+    for name, arr in arrays.items():
+        arrays[name] = arr[:count] if name.startswith("support_") else arr[:1]
+    arrays["support_counts"] = arrays["support_counts"][:1]
+    meta["class_count"] = 1
+
+
+class TestSvmValidation:
+    """Every inconsistent SVM file is a ModelFormatError at load, never a
+    later crash or a silently wrong model."""
+
+    CASES = {
+        "labels one short": replace("support_labels", lambda a: a[:-1]),
+        "vectors not a matrix": replace("support_vectors", lambda a: a.ravel()),
+        "vectors of a third axis": replace("support_vectors", lambda a: a[:, :, None]),
+        "non-finite vector": set_entry("support_vectors", (0, 0), np.nan),
+        "bias not a number": replace("bias", lambda a: np.array([b"x"] * len(a))),
+        "infinite bias": set_entry("bias", 0, np.inf),
+        "no machines": lambda a, m: a.update({name: a[name][:0] for name in (
+            "support_counts", "bias", "converged", "updates", "kkt_gap", "n_train")}),
+        "one class": set_meta(("class_count",), 1),
+        "one machine for one class": one_machine,
+        "more classes than machines": set_meta(("class_count",), 4),
+        "negative support index": set_entry("support_indices", 0, -1),
+        "support index past n_train": replace("support_indices", lambda a: a + 45),
+        "support indices not increasing": set_entry("support_indices", 1, 0),
+        "counts do not add up": set_entry("support_counts", 0, 0),
+        "negative count": replace("support_counts", lambda a: a * np.array([-1, 1, 2])),
+        "zero alpha": set_entry("support_alphas", 0, 0.0),
+        "alpha above C": set_entry("support_alphas", 0, 1.5),
+        "label of 2": set_entry("support_labels", 0, 2.0),
+        "converged of 2": set_entry("converged", 0, 2),
+        "negative n_train": set_entry("n_train", 0, -1),
+        "n_train differing between machines": set_entry("n_train", 1, 46),
+        "machines disagree on a shared row": shared_row_moved,
+        "per-machine member one short": replace("kkt_gap", lambda a: a[:-1]),
+        "gamma null on rbf": set_meta(("kernel", "gamma"), None),
+        "gamma text": set_meta(("kernel", "gamma"), "x"),
+        "gamma negative": set_meta(("kernel", "gamma"), -0.5),
+        "unknown kernel": set_meta(("kernel", "name"), "poly"),
+        "kernel not an object": set_meta(("kernel",), "rbf"),
+        "non-positive C": set_meta(("C",), 0.0),
+        "C text": set_meta(("C",), "1"),
+        "class_count missing": lambda a, m: m.pop("class_count"),
+    }
+
+    @pytest.fixture(scope="class")
+    def parts(self):
+        X, y = sample_problem()
+        svm = train_svm_multiclass(X, y, C=1.0, kernel=KernelSpec("rbf", 0.5))
+        assert all(len(m.support_indices) >= 2 for m in svm.machines)
+        return unbundle(serialize_model(svm))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rejected_at_load(self, parts, case):
+        arrays, meta = parts
+        arrays = {name: arr.copy() for name, arr in arrays.items()}
+        meta = {**meta, "kernel": dict(meta["kernel"])}
+        self.CASES[case](arrays, meta)
         with pytest.raises(ModelFormatError):
-            deserialize_model(raw)
+            deserialize_model(rebundle(arrays, meta))
+
+    def test_linear_kernel_with_gamma(self):
+        _, _, models = trained_models()
+        arrays, meta = unbundle(serialize_model(models["svm"]))
+        meta["kernel"]["gamma"] = 0.5
+        with pytest.raises(ModelFormatError):
+            deserialize_model(rebundle(arrays, meta))
