@@ -128,7 +128,7 @@ def _svm_parts(model: SvmEnsemble):
     machines = model.machines
     arrays = {
         "support_indices": np.concatenate([m.support_indices for m in machines]),
-        "support_alphas": np.concatenate([m.alphas[m.support_indices] for m in machines]),
+        "support_alphas": np.concatenate([m.alphas for m in machines]),
         "support_labels": np.concatenate([m.support_labels for m in machines]),
         "support_vectors": np.concatenate([m.support_vectors for m in machines]),
         "support_counts": [len(m.support_indices) for m in machines],
@@ -180,10 +180,8 @@ def _svm_from(meta, bundle) -> SvmEnsemble:
         support = indices[rows]
         if (np.diff(support) <= 0).any() or (support < 0).any() or (support >= n_train[c]).any():
             raise ModelFormatError("support indices must increase strictly within [0, n_train)")
-        alpha = np.zeros(n_train[c])
-        alpha[support] = alphas[rows]
         machines.append(SvmBinary(
-            alphas=alpha,
+            alphas=alphas[rows],
             bias=float(bias[c]),
             support_indices=support,
             support_vectors=vectors[rows],

@@ -71,7 +71,10 @@ def kernel_matrix(spec: KernelSpec, A, B) -> np.ndarray:
 class SvmBinary:
     """One trained binary machine; f(x) = sum_i alpha_i y_i K(x_i, x) + bias.
 
-    updates and kkt_gap are the solver's pair updates and final m - M.
+    Only support rows are kept: alphas[j] is the multiplier of training
+    row support_indices[j]; every other row's is 0. n_train is the
+    training-row count, the bound on support_indices. updates and
+    kkt_gap are the solver's pair updates and final m - M.
     """
 
     alphas: np.ndarray
@@ -95,7 +98,7 @@ class SvmBinary:
         if len(self.support_vectors) == 0:
             return np.full(X.shape[0], self.bias)
         K = kernel_matrix(self.kernel, X, self.support_vectors)
-        coef = self.alphas[self.support_indices] * self.support_labels
+        coef = self.alphas * self.support_labels
         return K @ coef + self.bias
 
     def predict(self, X) -> np.ndarray:
@@ -137,7 +140,7 @@ def _solve_dual(K, X, y, C, kernel, tol, max_iter) -> SvmBinary:
     bias = float(v[free].mean()) if free.any() else float((m + M) / 2.0)
     support = np.nonzero(alpha > 0.0)[0]
     return SvmBinary(
-        alphas=alpha,
+        alphas=alpha[support],
         bias=bias,
         support_indices=support,
         support_vectors=X[support],
@@ -181,10 +184,14 @@ def train_svm_binary(
 
 
 def dual_objective(machine: SvmBinary, X, y) -> float:
-    """Value of the dual at the machine's multipliers (for verification)."""
-    K = kernel_matrix(machine.kernel, X, X)
-    coef = machine.alphas * np.asarray(y, dtype=np.float64)
-    return float(machine.alphas.sum() - 0.5 * coef @ K @ coef)
+    """Value of the dual at the machine's multipliers (for verification).
+
+    Only support rows carry a nonzero multiplier, so only they enter.
+    """
+    rows = machine.support_indices
+    X = np.asarray(X, dtype=np.float64)[rows]
+    coef = machine.alphas * np.asarray(y, dtype=np.float64)[rows]
+    return float(machine.alphas.sum() - 0.5 * coef @ kernel_matrix(machine.kernel, X, X) @ coef)
 
 
 @dataclass
@@ -212,7 +219,7 @@ class SvmEnsemble:
         coef = np.zeros((len(rows), len(self.machines)))
         for c, m in enumerate(self.machines):
             at = np.searchsorted(rows, m.support_indices)
-            coef[at, c] = m.alphas[m.support_indices] * m.support_labels
+            coef[at, c] = m.alphas * m.support_labels
         return vectors, coef
 
     def decision_matrix(self, X) -> np.ndarray:

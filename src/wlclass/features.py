@@ -37,6 +37,11 @@ class PcaModel:
     k: int
     rank_deficient: bool = False
 
+    def truncated(self, k: int) -> "PcaModel":
+        """The first k components, as fit_pca(x, k) gives them for this model's x."""
+        variance = self.explained_variance[:k]
+        return PcaModel(self.mean, self.components[:k], variance, k, bool(variance[-1] == 0.0))
+
 
 def _inverse_scale(std: Standardizer) -> np.ndarray:
     """1 / std per sensor, 0 for constant sensors."""
@@ -148,14 +153,46 @@ def flatten_tensor(tensor: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x).reshape(x.shape[0], -1)
 
 
-def fit_pca(matrix: np.ndarray, k: int) -> PcaModel:
-    """Top-k principal directions of a centered matrix via thin SVD.
+#: Components are orthonormalized this many rows at a time, so the first k
+#: rows come out the same whatever k is asked for.
+_PCA_BLOCK = 16
 
-    explained_variance holds the corresponding sample-covariance
-    eigenvalues s^2 / (n - 1). Fewer than k numerically nonzero singular
-    values leaves trailing zero variances and sets rank_deficient instead
-    of failing. Component signs are fixed so each row's
-    largest-magnitude entry is positive.
+
+def _orthonormal_rows(centered: np.ndarray, vectors: np.ndarray, k: int, rank: int) -> np.ndarray:
+    """The first k rows spanning vectors' @ centered, orthonormalized in blocks.
+
+    Each block of _PCA_BLOCK rows is projected off the rows before it and
+    re-orthonormalized by QR. A block that reaches past rank (zero
+    variance, where a row of vectors' @ centered may vanish) is completed
+    by one QR together with every earlier row instead, which stays
+    orthonormal however degenerate the block is.
+    """
+    rows = np.empty((0, centered.shape[1]))
+    for start in range(0, k, _PCA_BLOCK):
+        block = vectors[:, start:start + _PCA_BLOCK].T @ centered
+        if start + len(block) <= rank:
+            block -= (block @ rows.T) @ rows
+            basis = np.linalg.qr(block.T)[0]
+        else:
+            basis = np.linalg.qr(np.hstack([rows.T, block.T]))[0][:, start:]
+        rows = np.vstack([rows, basis.T])
+    return rows[:k]
+
+
+def fit_pca(matrix: np.ndarray, k: int) -> PcaModel:
+    """Top-k principal directions of a centered n x d matrix C from its Gram matrix.
+
+    eigh factors the smaller Gram side: C'C (d x d) when n >= d, whose
+    eigenvectors are the components, or CC' (n x n) when n < d, whose
+    eigenvectors u give the components as C'u, orthonormalized block by
+    block. explained_variance holds the sample-covariance eigenvalues
+    s^2 / (n - 1); eigenvalues at or below max(n, d) * eps times the
+    largest are zeroed. Fewer than k nonzero ones leave trailing zero
+    variances and set rank_deficient instead of failing; the components
+    stay orthonormal in that tail. Component signs are fixed so each
+    row's largest-magnitude entry is positive. The result for k is
+    exactly the first k components and variances of the result for any
+    larger k (PcaModel.truncated).
 
     Raises:
         UsageError: k < 1.
@@ -173,24 +210,28 @@ def fit_pca(matrix: np.ndarray, k: int) -> PcaModel:
         raise DegenerateInputError(f"k={k} exceeds feature count {d}")
     mean = x.mean(axis=0)
     centered = x - mean
-    _, s, vt = np.linalg.svd(centered, full_matrices=False)
-    tol = max(n, d) * np.finfo(np.float64).eps * (s[0] if len(s) else 0.0)
-    rank = int((s > tol).sum())
-    s_k = s[:k].copy()
-    s_k[s_k <= tol] = 0.0
-    components = vt[:k].copy()
+    wide = n < d
+    eigenvalues, vectors = np.linalg.eigh(centered @ centered.T if wide else centered.T @ centered)
+    eigenvalues, vectors = eigenvalues[::-1], vectors[:, ::-1]
+    tol = max(n, d) * np.finfo(np.float64).eps * max(eigenvalues[0], 0.0)
+    rank = int((eigenvalues > tol).sum())
+    if wide:
+        components = _orthonormal_rows(centered, vectors, k, rank)
+    else:
+        components = vectors[:, :k].T.copy()
     # deterministic orientation: largest-magnitude entry of each row positive
     pivot = np.argmax(np.abs(components), axis=1)
     signs = np.sign(components[np.arange(k), pivot])
     signs[signs == 0] = 1.0
     components *= signs[:, None]
-    variance = (s_k**2) / (n - 1) if n > 1 else np.zeros(k)
+    top = np.where(np.arange(k) < rank, eigenvalues[:k], 0.0)
+    variance = top / (n - 1) if n > 1 else np.zeros(k)
     return PcaModel(
         mean=mean,
         components=components,
         explained_variance=variance,
         k=k,
-        rank_deficient=rank < k,
+        rank_deficient=bool(variance[-1] == 0.0),
     )
 
 

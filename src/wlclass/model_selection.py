@@ -3,12 +3,17 @@
 The grid search consumes raw window tensors, never precomputed features:
 the standardizer (and PCA, when selected) is refit inside every fold on
 that fold's training rows only, so no statistic of a validation row ever
-reaches the model that is scored on it. Cells and folds run one after
-another, in (cell, fold) order.
+reaches the model that is scored on it. The search runs in (reduction
+family, fold, cell) order, where a family is the reductions that differ
+only in k: each fold fits one standardizer and one PCA per family, at
+its largest k, and every cell of the family reads its reduction from
+that fit.
 """
 
 import hashlib
 import itertools
+import logging
+import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -41,6 +46,8 @@ from .features import (
     flatten_tensor,
     pca_feature_matrix,
 )
+
+log = logging.getLogger(__name__)
 
 MODEL_FAMILIES = ("rf", "svm", "gbt")
 
@@ -292,13 +299,33 @@ def _annotate(exc: WlclassError, context: str):
     return exc
 
 
-def _evaluate_cell_fold(x, y, cell, fold_pair, family, seed, n_classes):
+def _score_family_fold(x, y, family, fold_pair, fold_index, spec, n_classes) -> list:
+    """Validation accuracy of every cell of one reduction family on one fold.
+
+    One fit_reduction at the family's largest k serves every cell: a
+    smaller k takes its first k components, which is what a fit at that k
+    gives. Each distinct reduction transforms the fold once.
+    """
     train_idx, val_idx = fold_pair
-    reduction = fit_reduction(cell.reduction, x[train_idx])
-    features_train = reduction.transform(x[train_idx])
-    features_val = reduction.transform(x[val_idx])
-    model = train_family(family, features_train, y[train_idx], cell.params, seed, n_classes)
-    return float((predict(model, features_val) == y[val_idx]).mean())
+    x_train = x[train_idx]
+    features = {}  # reduction -> (train, validation) features
+    cell = max(family, key=lambda c: c.reduction.k or 0)
+    accuracies = []
+    try:
+        fitted = fit_reduction(cell.reduction, x_train)
+        for cell in family:
+            if cell.reduction not in features:
+                pca = fitted.pca and fitted.pca.truncated(cell.reduction.k)
+                reduction = FittedReduction(cell.reduction, fitted.standardizer, pca)
+                features[cell.reduction] = (reduction.transform(x_train),
+                                            reduction.transform(x[val_idx]))
+            f_train, f_val = features[cell.reduction]
+            model = train_family(spec.model_family, f_train, y[train_idx], cell.params,
+                                 spec.seed, n_classes)
+            accuracies.append((predict(model, f_val) == y[val_idx]).mean())
+    except WlclassError as exc:
+        raise _annotate(exc, f"cell {cell.index} ({cell.describe()}) fold {fold_index}")
+    return accuracies
 
 
 def grid_search(x, y, spec: GridSpec):
@@ -317,17 +344,21 @@ def grid_search(x, y, spec: GridSpec):
     folds = kfold_indices(len(y), k, y, spec.seed)
     n_classes = int(y.max()) + 1
 
-    accuracies = []
+    families = {}  # reductions that differ only in k
     for cell in cells:
-        for fold_index in range(k):
-            try:
-                accuracies.append(_evaluate_cell_fold(
-                    x, y, cell, folds[fold_index], spec.model_family, spec.seed, n_classes
-                ))
-            except WlclassError as exc:
-                raise _annotate(exc, f"cell {cell.index} ({cell.describe()}) fold {fold_index}")
+        r = cell.reduction
+        families.setdefault((r.kind, r.center_per_trial, r.scale_unbiased), []).append(cell)
+    fold_accuracy = np.empty((len(cells), k))
+    for family in families.values():
+        rows = [c.index for c in family]
+        names = ",".join(dict.fromkeys(c.reduction.describe() for c in family))
+        for fold_index, fold_pair in enumerate(folds):
+            start = time.perf_counter()
+            fold_accuracy[rows, fold_index] = _score_family_fold(
+                x, y, family, fold_pair, fold_index, spec, n_classes)
+            log.info("%s fold %d/%d: %.2f s, best cell accuracy %.4f", names, fold_index + 1,
+                     k, time.perf_counter() - start, fold_accuracy[rows, fold_index].max())
 
-    fold_accuracy = np.array(accuracies).reshape(len(cells), k)
     mean_accuracy = fold_accuracy.mean(axis=1)
     std_accuracy = fold_accuracy.std(axis=1)
     best_cell = int(np.argmax(mean_accuracy))

@@ -182,7 +182,7 @@ def test_smo_dual_reaches_brute_force_qp_optimum():
         assert machine.converged
         assert (machine.alphas >= -1e-10).all()
         assert (machine.alphas <= C + 1e-10).all()
-        assert abs(float(machine.alphas @ y)) <= 1e-10
+        assert abs(float(machine.alphas @ y[machine.support_indices])) <= 1e-10
         achieved = dual_objective(machine, x, y)
         optimum = qp_oracle(kernel_matrix(kernel, x, x), y.astype(np.float64), C)
         assert achieved >= optimum - 1e-4, f"trial {trial}: {achieved} vs {optimum}"

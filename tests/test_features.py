@@ -278,6 +278,48 @@ class TestPca:
         pivots = np.argmax(np.abs(a.components), axis=1)
         assert (a.components[np.arange(4), pivots] > 0).all()
 
+    @pytest.mark.parametrize("rank", [29, 3])
+    def test_wide_matrix_matches_svd_oracle(self, rank):
+        """n < d goes through the n x n Gram matrix; a rank-3 matrix leaves a
+        zero tail that must still be orthonormal."""
+        rng = np.random.default_rng(24)
+        x = rng.normal(size=(30, rank)) @ rng.normal(size=(rank, 400)) if rank < 29 \
+            else rng.normal(size=(30, 400)) * rng.uniform(0.5, 2.0, size=400)
+        k = 12
+        model = fit_pca(x, k)
+        centered = x - x.mean(axis=0)
+        _, s, vt = np.linalg.svd(centered, full_matrices=False)
+        kept = min(k, rank)
+        np.testing.assert_allclose(model.explained_variance[:kept], s[:kept] ** 2 / 29, atol=1e-8)
+        np.testing.assert_array_equal(model.explained_variance[kept:], 0.0)
+        assert model.rank_deficient == (rank < k)
+        top = model.components[:kept]
+        np.testing.assert_allclose(top.T @ top, vt[:kept].T @ vt[:kept], atol=1e-8)
+        np.testing.assert_allclose(model.components @ model.components.T, np.eye(k), atol=1e-8)
+
+    def test_constant_wide_matrix_keeps_orthonormal_rows(self):
+        """Every C'u vanishes; the zero-variance rows still span k orthonormal
+        directions, across several orthonormalization blocks."""
+        model = fit_pca(np.full((30, 400), 2.5), k=30)
+        assert model.rank_deficient
+        np.testing.assert_array_equal(model.explained_variance, 0.0)
+        np.testing.assert_allclose(model.components @ model.components.T, np.eye(30), atol=1e-12)
+
+    @pytest.mark.parametrize("shape,rank", [((30, 400), None), ((30, 400), 3), ((50, 20), None)])
+    def test_smaller_k_is_exact_truncation(self, shape, rank):
+        rng = np.random.default_rng(25)
+        n, d = shape
+        x = rng.normal(size=shape) if rank is None \
+            else rng.normal(size=(n, rank)) @ rng.normal(size=(rank, d))
+        k_max = min(n, d)
+        widest = fit_pca(x, k_max)
+        for k in (1, 3, 16, 17, k_max - 1):
+            model, truncated = fit_pca(x, k), widest.truncated(k)
+            for field in ("mean", "components", "explained_variance"):
+                np.testing.assert_array_equal(getattr(model, field), getattr(truncated, field))
+            assert model.k == truncated.k == k
+            assert model.rank_deficient == truncated.rank_deficient == (rank is not None and k > rank)
+
     def test_preconditions(self):
         x = np.zeros((5, 4))
         with pytest.raises(UsageError):

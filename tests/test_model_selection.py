@@ -1,10 +1,11 @@
+import logging
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import wlclass.model_selection
-from wlclass.classifiers import serialize_model
+from wlclass.classifiers import predict, serialize_model
 from wlclass.errors import (
     BadKError,
     DegenerateInputError,
@@ -25,6 +26,7 @@ from wlclass.model_selection import (
     grid_search,
     kfold_indices,
     reproduce_table,
+    train_family,
 )
 
 
@@ -271,6 +273,74 @@ class TestGridSearch:
             grid_search(x, y, spec)
         assert "cell 0" in str(excinfo.value)
         assert "pca-30" in str(excinfo.value)
+
+    def test_infeasible_k_names_the_widest_cell(self, easy_problem):
+        x, y = easy_problem
+        spec = GridSpec(
+            model_family="rf",
+            hyperparameter_grid={"n_trees": [2]},
+            reduction_grid=(ReductionSpec("pca", k=4), ReductionSpec("pca", k=30)),
+            folds=2,
+            seed=0,
+        )
+        with pytest.raises(DegenerateInputError, match=r"cell 1 \(pca-30"):
+            grid_search(x, y, spec)
+
+    @pytest.mark.parametrize("family,grid", [("rf", {"n_trees": [2, 7]}),
+                                             ("svm", {"C": [0.1, 10.0]})])
+    def test_fold_accuracy_matches_per_cell_reference(self, family, grid, monkeypatch):
+        """Cells sharing a reduction family share one fit per fold; every
+        cell must still see the features and score the accuracy that its
+        own fit_reduction on the fold's training rows gives."""
+        x, y = make_windows(10, 3, length=8, sensors=4, seed=2, noise=2.5)
+        spec = GridSpec(
+            model_family=family,
+            hyperparameter_grid=grid,
+            reduction_grid=(ReductionSpec("cov"), ReductionSpec("cov", center_per_trial=True),
+                            ReductionSpec("pca", k=4), ReductionSpec("pca", k=8)),
+            folds=3,
+            seed=1,
+        )
+        seen = set()
+
+        def recording_train(family, features, *args):
+            seen.add(features.tobytes())
+            return train_family(family, features, *args)
+
+        monkeypatch.setattr(wlclass.model_selection, "train_family", recording_train)
+        result = grid_search(x, y, spec)
+
+        expected = np.empty((len(result.cells), 3))
+        for cell in result.cells:
+            for fold, (train, val) in enumerate(kfold_indices(len(y), 3, y, seed=1)):
+                reduction = fit_reduction(cell.reduction, x[train])
+                features = reduction.transform(x[train])
+                assert features.tobytes() in seen, (cell.describe(), fold)
+                model = train_family(family, features, y[train], cell.params, 1, 3)
+                expected[cell.index, fold] = (predict(model, reduction.transform(x[val]))
+                                              == y[val]).mean()
+        assert len(np.unique(expected)) > 1  # the cells do differ
+        np.testing.assert_array_equal(result.fold_accuracy, expected)
+        best = result.cells[result.best_cell].reduction
+        assert result.pipeline.reduction.fingerprint() == fit_reduction(best, x).fingerprint()
+
+    def test_progress_logs_each_reduction_family_and_fold(self, easy_problem, caplog):
+        x, y = easy_problem
+        spec = GridSpec(
+            model_family="rf",
+            hyperparameter_grid={"n_trees": [2, 3]},
+            reduction_grid=(ReductionSpec("cov"), ReductionSpec("pca", k=4),
+                            ReductionSpec("pca", k=6)),
+            folds=2,
+            seed=0,
+        )
+        with caplog.at_level(logging.INFO, logger="wlclass.model_selection"):
+            result = grid_search(x, y, spec)
+        lines = [r.getMessage() for r in caplog.records if r.name == "wlclass.model_selection"]
+        assert [line.split(":")[0] for line in lines] == [
+            "cov fold 1/2", "cov fold 2/2", "pca-4,pca-6 fold 1/2", "pca-4,pca-6 fold 2/2"]
+        assert all(" s, best cell accuracy " in line for line in lines)
+        assert lines[3].endswith(f"{result.fold_accuracy[2:, 1].max():.4f}")
 
     def test_rejects_non_tensor_input(self):
         spec = GridSpec(

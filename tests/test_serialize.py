@@ -369,6 +369,18 @@ class TestSvmValidation:
         with pytest.raises(ModelFormatError):
             deserialize_model(rebundle(arrays, meta))
 
+    def test_huge_n_train_allocates_nothing(self, parts):
+        """n_train only bounds the support indices: a file claiming 2**40
+        training rows loads, with no array of that size, and predicts as before."""
+        arrays, meta = parts
+        original = deserialize_model(rebundle(arrays, meta))[0]
+        arrays = {name: arr.copy() for name, arr in arrays.items()}
+        arrays["n_train"][:] = 2**40
+        loaded = deserialize_model(rebundle(arrays, meta))[0]
+        assert all(m.n_train == 2**40 for m in loaded.machines)
+        X, _ = sample_problem(seed=3)
+        np.testing.assert_array_equal(predict(loaded, X), predict(original, X))
+
     def test_linear_kernel_with_gamma(self):
         _, _, models = trained_models()
         arrays, meta = unbundle(serialize_model(models["svm"]))
