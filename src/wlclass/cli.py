@@ -45,13 +45,11 @@ from .errors import (
     UsageError,
     WlclassError,
 )
-from .features import PcaModel, Standardizer
 from .model_selection import (
     BASELINE_GRIDS,
     DATASET_COLUMNS,
     PCA_GRID_KS,
     REFERENCE_ACCURACY,
-    FittedReduction,
     GridSpec,
     ReductionSpec,
     evaluate,
@@ -60,8 +58,10 @@ from .model_selection import (
     format_report,
     format_table,
     grid_search,
+    read_reduction_bundle,
     reproduce_table,
     train_family,
+    write_reduction_bundle,
 )
 from .synth import default_4_class_spec, default_26_class_spec, generate_corpus
 from .windowing import WindowPolicy, build_challenge_dataset
@@ -159,60 +159,40 @@ def _resolve_threads(value) -> int:
 # ---------------------------------------------------------------------------
 # config files: key = value lines mirroring the flags; flags win
 
-def _parse_config_text(text: str, path) -> dict:
-    entries = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected key = value, got {line!r}")
-        key, _, value = line.partition("=")
-        entries[key.strip()] = value.strip()
-    return entries
-
-
-def _flag_given(argv, option_strings) -> bool:
-    return any(
-        token == opt or token.startswith(opt + "=")
-        for token in argv
-        for opt in option_strings
-    )
-
-
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
                "0": False, "false": False, "no": False, "off": False}
 
 
-def _apply_config(subparser, args, argv) -> None:
-    if not args.config:
-        return
+def _config_tokens(subparser, path) -> list:
+    """The flag tokens a config file stands for, to be parsed with the command line.
+
+    Each key names a flag by its destination, with - or _ (n-trees,
+    input); a store-true key takes 1/true/yes/on or 0/false/no/off. A bad
+    file, line or key is a usage error of the subcommand.
+    """
     try:
-        text = Path(args.config).read_text()
+        text = Path(path).read_text()
     except OSError as exc:
-        raise UsageError(f"cannot read config {args.config}: {exc}") from None
-    entries = _parse_config_text(text, args.config)
-    actions = {a.dest: a for a in subparser._actions if a.option_strings}
-    for raw_key, raw_value in entries.items():
-        dest = raw_key.replace("-", "_")
-        action = actions.get(dest)
-        if action is None or dest in ("help", "config"):
-            raise UsageError(f"unknown config key {raw_key!r} for {args.command}")
-        if _flag_given(argv, action.option_strings):
-            continue  # the command line wins
-        if action.nargs == 0 and isinstance(action.const, bool):
-            word = raw_value.lower()
-            if word not in _BOOL_WORDS:
-                raise UsageError(f"config key {raw_key!r} needs a boolean, got {raw_value!r}")
-            value = _BOOL_WORDS[word]
-        elif callable(action.type):
-            try:
-                value = action.type(raw_value)
-            except (TypeError, ValueError) as exc:
-                raise UsageError(f"config key {raw_key!r}: {exc}") from None
-        else:
-            value = raw_value
-        setattr(args, dest, value)
+        subparser.error(f"cannot read config {path}: {exc}")
+    actions = {a.dest: a for a in subparser._actions
+               if a.option_strings and a.dest not in ("help", "config")}
+    tokens = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, value = (part.strip() for part in line.partition("="))
+        action = actions.get(key.replace("-", "_"))
+        if not eq or action is None:
+            subparser.error(f"{path}:{lineno}: expected key = value with a known key, got {line!r}")
+        flag = action.option_strings[-1]
+        if action.nargs != 0:
+            tokens.append(f"{flag}={value}")
+        elif value.lower() not in _BOOL_WORDS:
+            subparser.error(f"{path}:{lineno}: {key} needs a boolean, got {value!r}")
+        elif _BOOL_WORDS[value.lower()]:
+            tokens.append(flag)
+    return tokens
 
 
 def _int_list(text: str) -> list:
@@ -230,11 +210,7 @@ def _float_list(text: str) -> list:
 
 
 # ---------------------------------------------------------------------------
-# binary sidecar artifacts: feature sets and fitted reductions
-
-_STANDARDIZER_KEYS = ("means", "stds", "constant")
-_PCA_KEYS = ("pca_mean", "pca_components", "pca_variance")
-
+# binary sidecar artifacts: feature sets (fitted reductions: model_selection)
 
 def write_feature_set(path, features_train, y_train, features_test, y_test, meta: dict) -> None:
     """Store the four arrays plus a JSON meta member, byte-deterministically."""
@@ -273,57 +249,6 @@ def read_feature_set(path):
         raise MalformedArchiveError(f"feature set {path}: class_names must be a list of strings")
     return (bundle["features_train"], bundle["y_train"].astype(np.int64),
             bundle["features_test"], bundle["y_test"].astype(np.int64), meta)
-
-
-def write_reduction_bundle(path, reduction: FittedReduction) -> None:
-    spec, std, pca = reduction.spec, reduction.standardizer, reduction.pca
-    arrays = {"means": std.means, "stds": std.stds, "constant": std.constant.astype(np.int64)}
-    if pca is not None:
-        arrays.update(pca_mean=pca.mean, pca_components=pca.components,
-                      pca_variance=pca.explained_variance)
-    write_bundle(path, arrays, {
-        "kind": spec.kind,
-        "k": spec.k,
-        "center_per_trial": spec.center_per_trial,
-        "scale_unbiased": spec.scale_unbiased,
-        "rank_deficient": bool(pca.rank_deficient) if pca else False,
-    })
-
-
-def read_reduction_bundle(path) -> FittedReduction:
-    """Load a fitted reduction, checking that its members fit together.
-
-    Raises:
-        MalformedArchiveError: besides unreadable members, a bad kind or k,
-            PCA members on a cov bundle or missing from a PCA one, or a
-            member whose shape or dtype disagrees with the others: m-vectors
-            means and stds (float) and constant (integer), and for PCA a
-            d-vector pca_mean, k x d pca_components and k-vector pca_variance.
-    """
-    bundle = read_bundle(path, (*_STANDARDIZER_KEYS, "meta"), _PCA_KEYS)
-    meta = bundle.pop("meta")
-    kind, k = meta.get("kind"), meta.get("k")
-    if not (kind == "cov" and k is None or kind == "pca" and type(k) is int and k >= 1):
-        raise MalformedArchiveError(f"reduction bundle {path}: bad kind {kind!r} with k {k!r}")
-    expected = _STANDARDIZER_KEYS + (_PCA_KEYS if kind == "pca" else ())
-    if set(bundle) != set(expected):
-        raise MalformedArchiveError(f"reduction bundle {path}: {kind} with {sorted(bundle)}")
-    m, d = bundle["means"].size, bundle.get("pca_mean", bundle["means"]).size
-    shapes = {"means": (m,), "stds": (m,), "constant": (m,),
-              "pca_mean": (d,), "pca_components": (k, d), "pca_variance": (k,)}
-    for key in expected:
-        arr = bundle[key]
-        if arr.shape != shapes[key] or arr.dtype.kind != ("i" if key == "constant" else "f"):
-            raise MalformedArchiveError(f"reduction bundle {path}: {key} is {arr.dtype} "
-                                        f"{arr.shape}, expected shape {shapes[key]}")
-    std = Standardizer(bundle["means"], bundle["stds"], bundle["constant"].astype(bool))
-    pca = None
-    if kind == "pca":
-        pca = PcaModel(bundle["pca_mean"], bundle["pca_components"], bundle["pca_variance"], k,
-                       rank_deficient=bool(meta.get("rank_deficient", False)))
-    spec = ReductionSpec(kind, k, center_per_trial=bool(meta.get("center_per_trial", False)),
-                         scale_unbiased=bool(meta.get("scale_unbiased", False)))
-    return FittedReduction(spec=spec, standardizer=std, pca=pca)
 
 
 # ---------------------------------------------------------------------------
@@ -888,6 +813,10 @@ def main(argv=None) -> int:
     parser, registry = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:  # the file's flags go first, so the command line's win
+            at = argv.index(args.command) + 1
+            argv[at:at] = _config_tokens(registry[args.command], args.config)
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
 
@@ -897,7 +826,6 @@ def main(argv=None) -> int:
 
     start = time.monotonic()
     try:
-        _apply_config(registry[args.command], args, argv)
         result = args.func(args)
         _write_manifest(args, result, time.monotonic() - start)
     except UsageError as exc:

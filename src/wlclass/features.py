@@ -34,13 +34,15 @@ class PcaModel:
     mean: np.ndarray
     components: np.ndarray  # k x d, orthonormal rows
     explained_variance: np.ndarray  # length k, non-increasing
-    k: int
-    rank_deficient: bool = False
 
-    def truncated(self, k: int) -> "PcaModel":
-        """The first k components, as fit_pca(x, k) gives them for this model's x."""
-        variance = self.explained_variance[:k]
-        return PcaModel(self.mean, self.components[:k], variance, k, bool(variance[-1] == 0.0))
+    @property
+    def k(self) -> int:
+        return len(self.components)
+
+    @property
+    def rank_deficient(self) -> bool:
+        """Fewer than k nonzero variances: the trailing components span no data."""
+        return bool(self.explained_variance[-1] == 0.0)
 
 
 def _inverse_scale(std: Standardizer) -> np.ndarray:
@@ -192,7 +194,7 @@ def fit_pca(matrix: np.ndarray, k: int) -> PcaModel:
     stay orthonormal in that tail. Component signs are fixed so each
     row's largest-magnitude entry is positive. The result for k is
     exactly the first k components and variances of the result for any
-    larger k (PcaModel.truncated).
+    larger k, so one fit at the largest k serves every smaller k.
 
     Raises:
         UsageError: k < 1.
@@ -226,13 +228,7 @@ def fit_pca(matrix: np.ndarray, k: int) -> PcaModel:
     components *= signs[:, None]
     top = np.where(np.arange(k) < rank, eigenvalues[:k], 0.0)
     variance = top / (n - 1) if n > 1 else np.zeros(k)
-    return PcaModel(
-        mean=mean,
-        components=components,
-        explained_variance=variance,
-        k=k,
-        rank_deficient=bool(variance[-1] == 0.0),
-    )
+    return PcaModel(mean=mean, components=components, explained_variance=variance)
 
 
 def project_pca(model: PcaModel, matrix: np.ndarray) -> np.ndarray:

@@ -5,9 +5,14 @@ the standardizer (and PCA, when selected) is refit inside every fold on
 that fold's training rows only, so no statistic of a validation row ever
 reaches the model that is scored on it. The search runs in (reduction
 family, fold, cell) order, where a family is the reductions that differ
-only in k: each fold fits one standardizer and one PCA per family, at
-its largest k, and every cell of the family reads its reduction from
-that fit.
+only in k. Each fold makes one fit_reduction per family, at its largest
+k, and one transform of each split; a cell at k trains and scores on the
+first k feature columns. fit_pca's first k components are exactly those
+of a fit at k, and the projection onto them agrees with the first k
+columns up to BLAS rounding.
+
+A FittedReduction is stored as a reduction bundle (write_reduction_bundle
+and read_reduction_bundle), one of the dataset_io zip bundles.
 """
 
 import hashlib
@@ -28,9 +33,10 @@ from .classifiers import (
     train_gbt,
     train_svm_multiclass,
 )
-from .dataset_io import read_challenge_archive
+from .dataset_io import read_bundle, read_challenge_archive, write_bundle
 from .errors import (
     BadKError,
+    MalformedArchiveError,
     MissingArchiveError,
     ShapeMismatchError,
     UsageError,
@@ -136,6 +142,63 @@ def fit_reduction(spec: ReductionSpec, x_train) -> FittedReduction:
     return FittedReduction(spec=spec, standardizer=standardizer, pca=pca)
 
 
+_STANDARDIZER_KEYS = ("means", "stds", "constant")
+_PCA_KEYS = ("pca_mean", "pca_components", "pca_variance")
+
+
+def write_reduction_bundle(path, reduction: FittedReduction) -> None:
+    spec, std, pca = reduction.spec, reduction.standardizer, reduction.pca
+    arrays = {"means": std.means, "stds": std.stds, "constant": std.constant.astype(np.int64)}
+    if pca is not None:
+        arrays.update(pca_mean=pca.mean, pca_components=pca.components,
+                      pca_variance=pca.explained_variance)
+    write_bundle(path, arrays, {
+        "kind": spec.kind,
+        "k": spec.k,
+        "center_per_trial": spec.center_per_trial,
+        "scale_unbiased": spec.scale_unbiased,
+        "rank_deficient": pca.rank_deficient if pca else False,
+    })
+
+
+def read_reduction_bundle(path) -> FittedReduction:
+    """Load a fitted reduction, checking that its members fit together.
+
+    The meta member's rank_deficient is informative only: the loaded
+    PcaModel derives it from pca_variance.
+
+    Raises:
+        MalformedArchiveError: besides unreadable members, a bad kind or k,
+            PCA members on a cov bundle or missing from a PCA one, or a
+            member whose shape or dtype disagrees with the others: m-vectors
+            means and stds (float) and constant (integer), and for PCA a
+            d-vector pca_mean, k x d pca_components and k-vector pca_variance.
+    """
+    bundle = read_bundle(path, (*_STANDARDIZER_KEYS, "meta"), _PCA_KEYS)
+    meta = bundle.pop("meta")
+    kind, k = meta.get("kind"), meta.get("k")
+    if not (kind == "cov" and k is None or kind == "pca" and type(k) is int and k >= 1):
+        raise MalformedArchiveError(f"reduction bundle {path}: bad kind {kind!r} with k {k!r}")
+    expected = _STANDARDIZER_KEYS + (_PCA_KEYS if kind == "pca" else ())
+    if set(bundle) != set(expected):
+        raise MalformedArchiveError(f"reduction bundle {path}: {kind} with {sorted(bundle)}")
+    m, d = bundle["means"].size, bundle.get("pca_mean", bundle["means"]).size
+    shapes = {"means": (m,), "stds": (m,), "constant": (m,),
+              "pca_mean": (d,), "pca_components": (k, d), "pca_variance": (k,)}
+    for key in expected:
+        arr = bundle[key]
+        if arr.shape != shapes[key] or arr.dtype.kind != ("i" if key == "constant" else "f"):
+            raise MalformedArchiveError(f"reduction bundle {path}: {key} is {arr.dtype} "
+                                        f"{arr.shape}, expected shape {shapes[key]}")
+    std = Standardizer(bundle["means"], bundle["stds"], bundle["constant"].astype(bool))
+    pca = None
+    if kind == "pca":
+        pca = PcaModel(bundle["pca_mean"], bundle["pca_components"], bundle["pca_variance"])
+    spec = ReductionSpec(kind, k, center_per_trial=bool(meta.get("center_per_trial", False)),
+                         scale_unbiased=bool(meta.get("scale_unbiased", False)))
+    return FittedReduction(spec=spec, standardizer=std, pca=pca)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     model_family: str
@@ -147,6 +210,7 @@ class GridSpec:
     def __post_init__(self):
         if self.model_family not in MODEL_FAMILIES:
             raise UsageError(f"model family must be one of {MODEL_FAMILIES}")
+        _check_params(self.model_family, self.hyperparameter_grid)
         if not self.reduction_grid:
             raise UsageError("reduction grid must be non-empty")
         for name, values in self.hyperparameter_grid.items():
@@ -259,8 +323,26 @@ def _svm_kernel(params: dict, features) -> KernelSpec:
     return KernelSpec("rbf", gamma if gamma is not None else default_gamma(features))
 
 
+#: The parameter names train_family reads for each model family.
+FAMILY_PARAMS = {
+    "rf": ("n_trees", "max_depth", "min_leaf"),
+    "svm": ("C", "kernel", "gamma", "tol", "max_iter"),
+    "gbt": ("rounds", "learning_rate", "max_depth", "gamma", "alpha", "lambda"),
+}
+
+
+def _check_params(family: str, names) -> None:
+    unknown = sorted(set(names) - set(FAMILY_PARAMS[family]))
+    if unknown:
+        raise UsageError(f"{family} has no parameter {', '.join(map(repr, unknown))}; "
+                         f"it reads {', '.join(FAMILY_PARAMS[family])}")
+
+
 def train_family(family: str, features, y, params: dict, seed: int, n_classes: int):
     """Train one model of the given family with one grid cell's parameters."""
+    if family not in FAMILY_PARAMS:
+        raise UsageError(f"unknown model family {family!r}")
+    _check_params(family, params)
     if family == "rf":
         return train_forest(
             features,
@@ -281,17 +363,15 @@ def train_family(family: str, features, y, params: dict, seed: int, n_classes: i
             max_iter=params.get("max_iter", 2000),
             n_classes=n_classes,
         )
-    if family == "gbt":
-        gbt_params = GbtParams(
-            rounds=params.get("rounds", 40),
-            learning_rate=params.get("learning_rate", 0.3),
-            max_depth=params.get("max_depth", 6),
-            gamma=params.get("gamma", 0.0),
-            alpha=params.get("alpha", 0.0),
-            reg_lambda=params.get("lambda", 1.0),
-        )
-        return train_gbt(features, y, gbt_params, n_classes=n_classes)
-    raise UsageError(f"unknown model family {family!r}")
+    gbt_params = GbtParams(
+        rounds=params.get("rounds", 40),
+        learning_rate=params.get("learning_rate", 0.3),
+        max_depth=params.get("max_depth", 6),
+        gamma=params.get("gamma", 0.0),
+        alpha=params.get("alpha", 0.0),
+        reg_lambda=params.get("lambda", 1.0),
+    )
+    return train_gbt(features, y, gbt_params, n_classes=n_classes)
 
 
 def _annotate(exc: WlclassError, context: str):
@@ -302,27 +382,23 @@ def _annotate(exc: WlclassError, context: str):
 def _score_family_fold(x, y, family, fold_pair, fold_index, spec, n_classes) -> list:
     """Validation accuracy of every cell of one reduction family on one fold.
 
-    One fit_reduction at the family's largest k serves every cell: a
-    smaller k takes its first k components, which is what a fit at that k
-    gives. Each distinct reduction transforms the fold once.
+    One fit_reduction at the family's largest k and one transform of each
+    split serve every cell: a cell at k reads the first k feature columns,
+    a cov cell all of them.
     """
     train_idx, val_idx = fold_pair
     x_train = x[train_idx]
-    features = {}  # reduction -> (train, validation) features
     cell = max(family, key=lambda c: c.reduction.k or 0)
     accuracies = []
     try:
         fitted = fit_reduction(cell.reduction, x_train)
+        f_train, f_val = fitted.transform(x_train), fitted.transform(x[val_idx])
         for cell in family:
-            if cell.reduction not in features:
-                pca = fitted.pca and fitted.pca.truncated(cell.reduction.k)
-                reduction = FittedReduction(cell.reduction, fitted.standardizer, pca)
-                features[cell.reduction] = (reduction.transform(x_train),
-                                            reduction.transform(x[val_idx]))
-            f_train, f_val = features[cell.reduction]
-            model = train_family(spec.model_family, f_train, y[train_idx], cell.params,
-                                 spec.seed, n_classes)
-            accuracies.append((predict(model, f_val) == y[val_idx]).mean())
+            columns = slice(cell.reduction.k)
+            model = train_family(spec.model_family, np.ascontiguousarray(f_train[:, columns]),
+                                 y[train_idx], cell.params, spec.seed, n_classes)
+            predictions = predict(model, np.ascontiguousarray(f_val[:, columns]))
+            accuracies.append((predictions == y[val_idx]).mean())
     except WlclassError as exc:
         raise _annotate(exc, f"cell {cell.index} ({cell.describe()}) fold {fold_index}")
     return accuracies
@@ -386,17 +462,6 @@ class EvalReport:
     class_names: tuple
     dataset_id: str = ""
     model_provenance: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "confusion_matrix": self.confusion_matrix.tolist(),
-            "precision": self.precision.tolist(),
-            "recall": self.recall.tolist(),
-            "class_names": list(self.class_names),
-            "dataset_id": self.dataset_id,
-            "model_provenance": self.model_provenance,
-        }
 
 
 def evaluate(predictions, y_test, class_names, dataset_id="", model_provenance=None) -> EvalReport:
@@ -506,9 +571,12 @@ def reproduce_table(
     off, absent datasets shrink the table to the columns provided.
 
     Raises:
+        UsageError: no family, or one outside MODEL_FAMILIES.
         MissingArchiveError: a required dataset name is absent (always,
             when no recognized name is present at all).
     """
+    if not families or not set(families) <= set(MODEL_FAMILIES):
+        raise UsageError(f"families must be among {', '.join(MODEL_FAMILIES)}, got {families}")
     grids = grids or BASELINE_GRIDS
     columns = [name for name in DATASET_COLUMNS if name in archives]
     if require_all:

@@ -198,6 +198,37 @@ class TestConfigFile:
         *_, meta = read_feature_set(d / "feat.npz")
         assert meta["reduction"] == "cov,centered"
 
+    def test_config_reduction_outside_choices_is_usage(self, tmp_path):
+        d = tmp_path
+        self.feature_set(d)
+        cfg = d / "feat.cfg"
+        cfg.write_text("reduction = pca2\n")
+        assert main(["featurize", "--in", str(d / "arc.npz"), "--config", str(cfg),
+                     "--out", str(d / "pca.npz")]) == 1
+        assert not (d / "pca.npz").exists()
+
+    def test_config_split_outside_choices_is_usage(self, tmp_path):
+        d = tmp_path
+        feat, model = self.feature_set(d), d / "m.wlc1"
+        assert main(["train", "--in", str(feat), "--model", "rf", "--n-trees", "2",
+                     "--out", str(model)]) == 0
+        cfg = d / "predict.cfg"
+        cfg.write_text("split = val\n")
+        assert main(["predict", "--model-path", str(model), "--in", str(feat),
+                     "--config", str(cfg), "--out", str(d / "pred.csv")]) == 1
+        assert not (d / "pred.csv").exists()
+
+    def test_abbreviated_flag_beats_config(self, tmp_path):
+        feat = self.feature_set(tmp_path)
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("n-trees = 3\n")
+        out = tmp_path / "m.wlc1"
+        assert main(["train", "--in", str(feat), "--model", "rf",
+                     "--config", str(cfg), "--n-tr", "9", "--out", str(out)]) == 0
+        model, provenance = load_model(out)
+        assert provenance["params"]["n_trees"] == 9
+        assert model.n_trees == 9
+
 
 class TestPipelineArtifacts:
     def test_report_recounts_from_confusion(self, tmp_path):
@@ -359,6 +390,15 @@ class TestReproduceCli:
         assert main(["reproduce", "--manifest", str(manifest), "--strict",
                      "--out", str(tmp_path / "t.jsonl")]) == 2
 
+    def test_unknown_family_is_usage(self, tmp_path):
+        self.make_archive(tmp_path / "m1.npz", seed=1)
+        manifest = tmp_path / "archives.json"
+        manifest.write_text(json.dumps({"60-middle-1": str(tmp_path / "m1.npz")}))
+        out = tmp_path / "t.jsonl"
+        assert main(["reproduce", "--manifest", str(manifest), "--families", "xgb",
+                     "--out", str(out)]) == 1
+        assert not out.exists()
+
     def test_bad_manifest_is_data_error(self, tmp_path):
         manifest = tmp_path / "archives.json"
         manifest.write_text("[1, 2, 3]")
@@ -432,6 +472,16 @@ class TestReductionBundleValidation:
         write_bundle(path, arrays, meta)
         with pytest.raises(MalformedArchiveError):
             read_reduction_bundle(path)
+
+    def test_rank_deficient_is_derived_not_read(self, tmp_path, parts):
+        arrays, meta = parts
+        path = tmp_path / "tampered.npz"
+        write_bundle(path, arrays, {**meta, "rank_deficient": True})
+        assert not read_reduction_bundle(path).pca.rank_deficient
+        variance = arrays["pca_variance"].copy()
+        variance[-1] = 0.0
+        write_bundle(path, {**arrays, "pca_variance": variance}, meta)
+        assert read_reduction_bundle(path).pca.rank_deficient
 
     def test_meta_not_an_object(self, tmp_path, parts):
         arrays, _ = parts

@@ -16,6 +16,7 @@ from wlclass.errors import (
 from wlclass.model_selection import (
     DATASET_COLUMNS,
     REFERENCE_ACCURACY,
+    FittedReduction,
     GridSpec,
     ReductionSpec,
     evaluate,
@@ -112,7 +113,7 @@ class TestGridSpec:
     def test_cell_enumeration_order(self):
         spec = GridSpec(
             model_family="rf",
-            hyperparameter_grid={"a": [1, 2], "b": [7]},
+            hyperparameter_grid={"n_trees": [1, 2], "min_leaf": [7]},
             reduction_grid=(ReductionSpec("cov"), ReductionSpec("pca", k=4)),
             folds=2,
         )
@@ -120,10 +121,10 @@ class TestGridSpec:
         assert [c.index for c in cells] == [0, 1, 2, 3]
         assert [c.reduction.kind for c in cells] == ["cov", "cov", "pca", "pca"]
         assert [c.params for c in cells] == [
-            {"a": 1, "b": 7},
-            {"a": 2, "b": 7},
-            {"a": 1, "b": 7},
-            {"a": 2, "b": 7},
+            {"n_trees": 1, "min_leaf": 7},
+            {"n_trees": 2, "min_leaf": 7},
+            {"n_trees": 1, "min_leaf": 7},
+            {"n_trees": 2, "min_leaf": 7},
         ]
 
     def test_default_fold_counts_per_family(self):
@@ -143,6 +144,19 @@ class TestGridSpec:
             GridSpec("rf", {"n_trees": []}, reductions)
         with pytest.raises(BadKError):
             GridSpec("rf", {"n_trees": [5]}, reductions, folds=1)
+
+    def test_unknown_parameter_names_are_usage_errors(self, monkeypatch):
+        monkeypatch.setattr(wlclass.model_selection, "fit_reduction", None)  # nothing is fit
+        reductions = (ReductionSpec("cov"),)
+        with pytest.raises(UsageError, match="n_treez"):
+            GridSpec("rf", {"n_treez": [2]}, reductions, folds=2)
+        with pytest.raises(UsageError, match="lambda"):
+            GridSpec("svm", {"C": [1.0], "lambda": [1.0]}, reductions, folds=2)
+        x, y = make_windows(4, 2, length=6, sensors=3, seed=0)
+        with pytest.raises(UsageError, match="n_treez"):
+            train_family("rf", x[:, 0], y, {"n_treez": 2}, 0, 2)
+        with pytest.raises(UsageError, match="xgb"):
+            train_family("xgb", x[:, 0], y, {}, 0, 2)
 
     def test_reduction_spec_validation(self):
         with pytest.raises(UsageError):
@@ -324,6 +338,38 @@ class TestGridSearch:
         best = result.cells[result.best_cell].reduction
         assert result.pipeline.reduction.fingerprint() == fit_reduction(best, x).fingerprint()
 
+    @pytest.mark.parametrize("ks", [(4,), (2, 4), (2, 3, 4, 6)])
+    def test_one_fit_and_one_transform_per_split_per_family_fold(self, easy_problem, ks,
+                                                                 monkeypatch):
+        x, y = easy_problem
+        spec = GridSpec(
+            model_family="rf",
+            hyperparameter_grid={"n_trees": [2, 3]},
+            reduction_grid=(ReductionSpec("cov"), *(ReductionSpec("pca", k=k) for k in ks)),
+            folds=3,
+            seed=0,
+        )
+        fits, transforms = [], []
+        transform = FittedReduction.transform
+
+        def recording_fit(spec, x_train):
+            fits.append((spec.describe(), len(x_train)))
+            return fit_reduction(spec, x_train)
+
+        def recording_transform(self, tensor):
+            transforms.append((self.spec.describe(), len(tensor)))
+            return transform(self, tensor)
+
+        monkeypatch.setattr(wlclass.model_selection, "fit_reduction", recording_fit)
+        monkeypatch.setattr(FittedReduction, "transform", recording_transform)
+        grid_search(x, y, spec)
+        widest = f"pca-{max(ks)}"
+        folds = kfold_indices(len(y), 3, y, seed=0)
+        expected_fits = [(name, len(train)) for name in ("cov", widest) for train, _ in folds]
+        assert fits[:-1] == expected_fits  # the last fit is the refit on the whole split
+        assert transforms[:-1] == [(name, len(rows)) for name in ("cov", widest)
+                                   for fold in folds for rows in fold]
+
     def test_progress_logs_each_reduction_family_and_fold(self, easy_problem, caplog):
         x, y = easy_problem
         spec = GridSpec(
@@ -395,13 +441,6 @@ class TestEvaluate:
             evaluate([2], [0], class_names=("a", "b"))
         with pytest.raises(ShapeMismatchError):
             evaluate([-1], [0], class_names=("a", "b"))
-
-    def test_report_round_trips_to_dict(self):
-        report = evaluate([0, 1], [0, 1], class_names=("a", "b"), dataset_id="tiny")
-        payload = report.to_dict()
-        assert payload["accuracy"] == 100.0
-        assert payload["dataset_id"] == "tiny"
-        assert payload["confusion_matrix"] == [[1, 0], [0, 1]]
 
     def test_format_report_mentions_every_class(self):
         report = evaluate([0, 1, 1], [0, 1, 0], class_names=("alpha", "beta"))
@@ -481,6 +520,15 @@ class TestReproduceTable:
             assert alone["rows"] == [r for r in table["rows"] if r["variant"].startswith(family)]
             for column, cells in alone["provenance"].items():
                 assert cells.items() <= table["provenance"][column].items()
+
+    def test_unknown_family_refused_before_any_archive_loads(self):
+        calls = []
+        archives = {name: name for name in DATASET_COLUMNS}
+        with pytest.raises(UsageError, match="xgb"):
+            reproduce_table(archives, families=("rf", "xgb"), loader=calls.append)
+        with pytest.raises(UsageError):
+            reproduce_table(archives, families=(), loader=calls.append)
+        assert calls == []
 
     def test_missing_archive_is_an_error(self):
         archives = {name: name for name in DATASET_COLUMNS[:-1]}

@@ -31,3 +31,27 @@ def test_names_the_benchmark_calls_directly():
     # the serving harness loads reductions, and the load guard sizes the pool
     assert callable(wlclass.cli.read_reduction_bundle)
     assert callable(wlclass.cli._resolve_threads)
+
+
+def test_traced_commands_fire_the_feature_and_selection_spans(tmp_path):
+    """The spans fire only where the package calls the hooked names, so a
+    refactor that moves a call out from under its hook shows up here."""
+    archive = tmp_path / "arc.npz"
+    assert wlclass.cli.main(["synth", "--classes", "4", "--jobs-per-class", "5",
+                             "--length-min", "40", "--length-max", "45", "--length", "30",
+                             "--emit-archive", str(archive)]) == 0
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        assert wlclass.cli.main(["featurize", "--in", str(archive), "--reduction", "pca",
+                                 "--k", "3", "--out", str(tmp_path / "pca.npz")]) == 0
+        assert wlclass.cli.main(["gridsearch", "--in", str(archive), "--family", "rf",
+                                 "--n-trees", "2", "--folds", "2",
+                                 "--reductions", "cov,pca-2,pca-3",
+                                 "--out", str(tmp_path / "cells.jsonl")]) == 0
+    finally:
+        tracer.uninstall()
+    fired = {span.name for span in tracer.spans}
+    assert {"features.standardize", "features.cov", "features.pca_fit",
+            "features.pca_project", "model_selection.fit_reduction",
+            "model_selection.train_family"} <= fired
