@@ -43,5 +43,5 @@ print(f"covariance features: {cov.shape[1]} per window, first three names:")
 for name in covariance_feature_names()[:3]:
     print("  ", name)
 
-pca = fit_reduction(ReductionSpec("pca", k=16), dataset.x_train)
+pca, _ = fit_reduction(ReductionSpec("pca", k=16), dataset.x_train)
 print("pca reduction:", pca.spec.describe(), "->", pca.transform(dataset.x_test).shape)

@@ -22,8 +22,7 @@ dataset = build_challenge_dataset(
     split_ratio=0.8,
     split_seed=0,
 )
-reduction = fit_reduction(ReductionSpec("cov"), dataset.x_train)
-train = reduction.transform(dataset.x_train)
+reduction, train = fit_reduction(ReductionSpec("cov"), dataset.x_train)
 test = reduction.transform(dataset.x_test)
 print(f"features: {train.shape[0]} train / {test.shape[0]} test rows, "
       f"{train.shape[1]} columns")

@@ -13,6 +13,7 @@ and the model keeps them stacked in one node table.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +33,10 @@ class GbtParams:
     base_score: float = 0.0
 
     def __post_init__(self):
-        if self.rounds < 1:
-            raise UsageError(f"rounds must be >= 1, got {self.rounds}")
-        if self.max_depth < 0:
-            raise UsageError(f"max_depth must be >= 0, got {self.max_depth}")
+        if not isinstance(self.rounds, numbers.Integral) or self.rounds < 1:
+            raise UsageError(f"rounds must be an integer >= 1, got {self.rounds!r}")
+        if not isinstance(self.max_depth, numbers.Integral) or self.max_depth < 0:
+            raise UsageError(f"max_depth must be an integer >= 0, got {self.max_depth!r}")
         if self.learning_rate <= 0:
             raise UsageError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.alpha < 0 or self.reg_lambda < 0 or self.gamma < 0:

@@ -48,6 +48,8 @@ from .errors import (
 from .model_selection import (
     BASELINE_GRIDS,
     DATASET_COLUMNS,
+    FAMILY_PARAMS,
+    MODEL_FAMILIES,
     PCA_GRID_KS,
     REFERENCE_ACCURACY,
     GridSpec,
@@ -195,18 +197,54 @@ def _config_tokens(subparser, path) -> list:
     return tokens
 
 
-def _int_list(text: str) -> list:
+def _values(text: str, kind=int) -> list:
+    """The values of a comma list flag (--n-trees 50,100), each made by kind."""
     try:
-        return [int(tok) for tok in str(text).split(",") if tok.strip()]
+        return [kind(tok) for tok in str(text).split(",") if tok.strip()]
     except ValueError:
-        raise UsageError(f"expected comma-separated integers, got {text!r}") from None
+        raise UsageError(f"expected comma-separated {kind.__name__}s, got {text!r}") from None
 
 
-def _float_list(text: str) -> list:
-    try:
-        return [float(tok) for tok in str(text).split(",") if tok.strip()]
-    except ValueError:
-        raise UsageError(f"expected comma-separated numbers, got {text!r}") from None
+def _joined(values, spec="") -> str:
+    """A comma list flag's default text; spec "g" drops a float's trailing .0."""
+    return ",".join(format(v, spec) for v in values)
+
+
+# ---------------------------------------------------------------------------
+# family parameter flags: model_selection.FAMILY_PARAMS holds the parameters
+# and their defaults; a flag named like its parameter sets it (--n-trees)
+
+#: (family, parameter) -> the dest of the flag that sets it, where the two
+#: names differ.
+PARAM_FLAGS = {
+    ("svm", "C"): "c",
+    ("svm", "gamma"): "rbf_gamma",
+    ("gbt", "gamma"): "min_split_loss",
+    ("gbt", "alpha"): "gbt_alpha",
+    ("gbt", "lambda"): "gbt_lambda",
+}
+
+#: reproduce sets every family's grid at once, so it names two flags by family.
+REPRODUCE_PARAM_FLAGS = {**PARAM_FLAGS, ("rf", "n_trees"): "rf_trees", ("svm", "C"): "svm_c"}
+
+
+def _family_args(args, family: str, flags=PARAM_FLAGS, grid=False) -> dict:
+    """The family's parameters that args set, in FAMILY_PARAMS order.
+
+    A parameter whose flag the subcommand lacks, or left at None, is
+    skipped. With grid, each value becomes a list: the text of a numeric
+    parameter's flag is a comma list, any other value one value.
+    """
+    params = {}
+    for name, default in FAMILY_PARAMS[family].items():
+        value = getattr(args, flags.get((family, name), name), None)
+        if value is None:
+            continue
+        if grid:
+            numeric = isinstance(value, str) and not isinstance(default, str)
+            value = _values(value, type(default)) if numeric else [value]
+        params[name] = value
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +369,7 @@ def cmd_featurize(args) -> StageResult:
         spec = ReductionSpec(
             "cov", center_per_trial=args.center_per_trial, scale_unbiased=args.unbiased
         )
-    reduction = fit_reduction(spec, dataset.x_train)
-    features_train = reduction.transform(dataset.x_train)
+    reduction, features_train = fit_reduction(spec, dataset.x_train)
     features_test = reduction.transform(dataset.x_test)
     meta = {
         "reduction": spec.describe(),
@@ -354,26 +391,6 @@ def cmd_featurize(args) -> StageResult:
     return StageResult(outputs=outputs, inputs=[args.input])
 
 
-def _train_params(args) -> dict:
-    if args.model == "rf":
-        params = {"n_trees": args.n_trees, "min_leaf": args.min_leaf}
-        if args.max_depth is not None:
-            params["max_depth"] = args.max_depth
-        return params
-    if args.model == "svm":
-        params = {"C": args.c, "kernel": args.kernel, "tol": args.tol,
-                  "max_iter": args.max_iter}
-        if args.rbf_gamma is not None:
-            params["gamma"] = args.rbf_gamma
-        return params
-    params = {"rounds": args.rounds, "learning_rate": args.learning_rate,
-              "gamma": args.min_split_loss, "alpha": args.gbt_alpha,
-              "lambda": args.gbt_lambda}
-    if args.max_depth is not None:
-        params["max_depth"] = args.max_depth
-    return params
-
-
 def _check_converged(model, allow: bool) -> None:
     if getattr(model, "converged", True):
         return
@@ -389,12 +406,12 @@ def _check_converged(model, allow: bool) -> None:
 def cmd_train(args) -> StageResult:
     features_train, y_train, _, _, meta = read_feature_set(args.input)
     n_classes = max(len(meta.get("class_names", [])), int(y_train.max()) + 1)
-    params = _train_params(args)
+    params = _family_args(args, args.model)
     model = train_family(args.model, features_train, y_train, params, args.seed, n_classes)
     _check_converged(model, args.allow_nonconverged)
     provenance = {
         "family": args.model,
-        "params": {k: v for k, v in params.items()},
+        "params": params,
         "seed": args.seed,
         "reduction": meta.get("reduction", ""),
         "features": Path(args.input).name,
@@ -490,32 +507,11 @@ def _parse_reductions(text: str) -> tuple:
     return tuple(specs)
 
 
-def _grid_for(args) -> dict:
-    if args.family == "rf":
-        grid = {"n_trees": _int_list(args.n_trees)}
-        if args.max_depth is not None:
-            grid["max_depth"] = [args.max_depth]
-        return grid
-    if args.family == "svm":
-        return {"C": _float_list(args.c), "kernel": [args.kernel],
-                "max_iter": [args.max_iter]}
-    grid = {
-        "rounds": _int_list(args.rounds),
-        "gamma": _float_list(args.min_split_loss),
-        "alpha": _float_list(args.gbt_alpha),
-        "lambda": _float_list(args.gbt_lambda),
-        "learning_rate": [args.learning_rate],
-    }
-    if args.max_depth is not None:
-        grid["max_depth"] = [args.max_depth]
-    return grid
-
-
 def cmd_gridsearch(args) -> StageResult:
     dataset = read_challenge_archive(args.input)
     spec = GridSpec(
         model_family=args.family,
-        hyperparameter_grid=_grid_for(args),
+        hyperparameter_grid=_family_args(args, args.family, grid=True),
         reduction_grid=_parse_reductions(args.reductions),
         folds=args.folds,
         seed=args.seed,
@@ -607,16 +603,7 @@ def cmd_reproduce(args) -> StageResult:
             missing.append(name)
         else:
             present[name] = path
-    grids = {
-        "rf": {"n_trees": _int_list(args.rf_trees)},
-        "svm": {"C": _float_list(args.svm_c)},
-        "gbt": {
-            "rounds": _int_list(args.rounds),
-            "gamma": _float_list(args.min_split_loss),
-            "alpha": _float_list(args.gbt_alpha),
-            "lambda": _float_list(args.gbt_lambda),
-        },
-    }
+    grids = {f: _family_args(args, f, REPRODUCE_PARAM_FLAGS, grid=True) for f in MODEL_FAMILIES}
     families = [tok.strip() for tok in args.families.split(",") if tok.strip()]
     table = reproduce_table(
         present,
@@ -624,7 +611,7 @@ def cmd_reproduce(args) -> StageResult:
         seed=args.seed,
         folds=args.folds,
         grids=grids,
-        pca_ks=tuple(_int_list(args.pca_ks)),
+        pca_ks=tuple(_values(args.pca_ks)),
         require_all=args.strict,
     )
     records = []
@@ -671,6 +658,7 @@ def build_parser():
         description="Workload classification pipeline over GPU telemetry windows.",
     )
     parser.add_argument("--version", action="version", version=f"wlclass {__version__}")
+    rf, svm, gbt = FAMILY_PARAMS["rf"], FAMILY_PARAMS["svm"], FAMILY_PARAMS["gbt"]
     subs = parser.add_subparsers(dest="command", required=True)
     registry = {}
 
@@ -723,21 +711,22 @@ def build_parser():
 
     train = subs.add_parser("train", help="train one model on a feature set")
     train.add_argument("--in", dest="input", required=True, help="feature set")
-    train.add_argument("--model", choices=("rf", "svm", "gbt"), required=True)
-    train.add_argument("--n-trees", type=int, default=100)
-    train.add_argument("--min-leaf", type=int, default=1)
-    train.add_argument("--max-depth", type=int, default=None)
-    train.add_argument("--c", type=float, default=1.0, help="SVM box constraint")
-    train.add_argument("--kernel", choices=("rbf", "linear"), default="rbf")
-    train.add_argument("--rbf-gamma", type=float, default=None)
-    train.add_argument("--tol", type=float, default=1e-3)
-    train.add_argument("--max-iter", type=int, default=2000,
+    train.add_argument("--model", choices=MODEL_FAMILIES, required=True)
+    train.add_argument("--n-trees", type=int, default=rf["n_trees"])
+    train.add_argument("--min-leaf", type=int, default=rf["min_leaf"])
+    train.add_argument("--max-depth", type=int, default=None,
+                       help=f"default: no limit for rf, {gbt['max_depth']} for gbt")
+    train.add_argument("--c", type=float, default=svm["C"], help="SVM box constraint")
+    train.add_argument("--kernel", choices=("rbf", "linear"), default=svm["kernel"])
+    train.add_argument("--rbf-gamma", type=float, default=svm["gamma"])
+    train.add_argument("--tol", type=float, default=svm["tol"])
+    train.add_argument("--max-iter", type=int, default=svm["max_iter"],
                        help="SVM solver cap: at most this many pair updates per training row")
-    train.add_argument("--rounds", type=int, default=40)
-    train.add_argument("--learning-rate", type=float, default=0.3)
-    train.add_argument("--min-split-loss", type=float, default=0.0, help="GBT gamma")
-    train.add_argument("--gbt-alpha", type=float, default=0.0)
-    train.add_argument("--gbt-lambda", type=float, default=1.0)
+    train.add_argument("--rounds", type=int, default=gbt["rounds"])
+    train.add_argument("--learning-rate", type=float, default=gbt["learning_rate"])
+    train.add_argument("--min-split-loss", type=float, default=gbt["gamma"], help="GBT gamma")
+    train.add_argument("--gbt-alpha", type=float, default=gbt["alpha"])
+    train.add_argument("--gbt-lambda", type=float, default=gbt["lambda"])
     train.add_argument("--allow-nonconverged", action="store_true")
     _add_common(train, out_help="model path (.wlc1)")
     train.set_defaults(func=cmd_train)
@@ -761,21 +750,21 @@ def build_parser():
 
     gs = subs.add_parser("gridsearch", help="cross-validated grid search on an archive")
     gs.add_argument("--in", dest="input", required=True, help="challenge archive")
-    gs.add_argument("--family", choices=("rf", "svm", "gbt"), required=True)
+    gs.add_argument("--family", choices=MODEL_FAMILIES, required=True)
     gs.add_argument("--reductions", default="cov", help="comma list: cov, pca-<k>")
     gs.add_argument("--folds", type=int, default=None,
                     help="default: 10 for rf/svm, 5 for gbt")
-    gs.add_argument("--n-trees", default="50,100,250")
-    gs.add_argument("--c", default="0.1,1,10")
-    gs.add_argument("--kernel", choices=("rbf", "linear"), default="rbf")
-    gs.add_argument("--max-iter", type=int, default=2000,
+    gs.add_argument("--n-trees", default=_joined(BASELINE_GRIDS["rf"]["n_trees"], "g"))
+    gs.add_argument("--c", default=_joined(BASELINE_GRIDS["svm"]["C"], "g"))
+    gs.add_argument("--kernel", choices=("rbf", "linear"), default=svm["kernel"])
+    gs.add_argument("--max-iter", type=int, default=svm["max_iter"],
                     help="SVM solver cap: at most this many pair updates per training row")
     gs.add_argument("--max-depth", type=int, default=None)
-    gs.add_argument("--rounds", default="40")
-    gs.add_argument("--learning-rate", type=float, default=0.3)
-    gs.add_argument("--min-split-loss", default="0")
-    gs.add_argument("--gbt-alpha", default="0")
-    gs.add_argument("--gbt-lambda", default="1")
+    gs.add_argument("--rounds", default=_joined([gbt["rounds"]]))
+    gs.add_argument("--learning-rate", type=float, default=gbt["learning_rate"])
+    gs.add_argument("--min-split-loss", default=_joined([gbt["gamma"]], "g"))
+    gs.add_argument("--gbt-alpha", default=_joined([gbt["alpha"]], "g"))
+    gs.add_argument("--gbt-lambda", default=_joined([gbt["lambda"]], "g"))
     gs.add_argument("--model-out", default=None, help="save the refit best model")
     gs.add_argument("--reduction-out", default=None, help="save the refit reduction")
     gs.add_argument("--report-out", default=None, help="also evaluate on the test split")
@@ -789,16 +778,13 @@ def build_parser():
                      help="JSON mapping dataset names to archive paths")
     rep.add_argument("--families", default="svm,rf")
     rep.add_argument("--folds", type=int, default=None)
-    rep.add_argument("--pca-ks", default=",".join(str(k) for k in PCA_GRID_KS))
-    rep.add_argument("--rf-trees", default=",".join(str(v) for v in BASELINE_GRIDS["rf"]["n_trees"]))
-    rep.add_argument("--svm-c", default=",".join(str(v) for v in BASELINE_GRIDS["svm"]["C"]))
-    rep.add_argument("--rounds", default="40")
-    rep.add_argument("--min-split-loss",
-                     default=",".join(str(v) for v in BASELINE_GRIDS["gbt"]["gamma"]))
-    rep.add_argument("--gbt-alpha",
-                     default=",".join(str(v) for v in BASELINE_GRIDS["gbt"]["alpha"]))
-    rep.add_argument("--gbt-lambda",
-                     default=",".join(str(v) for v in BASELINE_GRIDS["gbt"]["lambda"]))
+    rep.add_argument("--pca-ks", default=_joined(PCA_GRID_KS))
+    rep.add_argument("--rf-trees", default=_joined(BASELINE_GRIDS["rf"]["n_trees"]))
+    rep.add_argument("--svm-c", default=_joined(BASELINE_GRIDS["svm"]["C"]))
+    rep.add_argument("--rounds", default=_joined([gbt["rounds"]]))
+    rep.add_argument("--min-split-loss", default=_joined(BASELINE_GRIDS["gbt"]["gamma"]))
+    rep.add_argument("--gbt-alpha", default=_joined(BASELINE_GRIDS["gbt"]["alpha"]))
+    rep.add_argument("--gbt-lambda", default=_joined(BASELINE_GRIDS["gbt"]["lambda"]))
     rep.add_argument("--strict", action="store_true",
                      help="fail instead of skipping absent archives")
     _add_common(rep, out_help="table records path (.jsonl)")

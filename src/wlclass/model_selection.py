@@ -6,10 +6,11 @@ that fold's training rows only, so no statistic of a validation row ever
 reaches the model that is scored on it. The search runs in (reduction
 family, fold, cell) order, where a family is the reductions that differ
 only in k. Each fold makes one fit_reduction per family, at its largest
-k, and one transform of each split; a cell at k trains and scores on the
-first k feature columns. fit_pca's first k components are exactly those
-of a fit at k, and the projection onto them agrees with the first k
-columns up to BLAS rounding.
+k, which returns the training features too, and one transform of the
+validation split; a cell at k trains and scores on the first k feature
+columns. fit_pca's first k components are exactly those of a fit at k,
+and the projection onto them agrees with the first k columns up to BLAS
+rounding.
 
 A FittedReduction is stored as a reduction bundle (write_reduction_bundle
 and read_reduction_bundle), one of the dataset_io zip bundles.
@@ -51,11 +52,23 @@ from .features import (
     fit_standardizer,
     flatten_tensor,
     pca_feature_matrix,
+    project_pca,
 )
 
 log = logging.getLogger(__name__)
 
-MODEL_FAMILIES = ("rf", "svm", "gbt")
+#: Each model family's parameters and their defaults. train_family fills
+#: in what a call leaves out from here, and the CLI reads each family's
+#: flags in this order, which is the order its grid cells enumerate in.
+#: svm gamma None means default_gamma of the training features.
+FAMILY_PARAMS = {
+    "rf": {"n_trees": 100, "max_depth": None, "min_leaf": 1},
+    "svm": {"C": 1.0, "kernel": "rbf", "max_iter": 2000, "gamma": None, "tol": 1e-3},
+    "gbt": {"rounds": 40, "gamma": 0.0, "alpha": 0.0, "lambda": 1.0, "learning_rate": 0.3,
+            "max_depth": 6},
+}
+
+MODEL_FAMILIES = tuple(FAMILY_PARAMS)
 
 DEFAULT_FOLDS = {"rf": 10, "svm": 10, "gbt": 5}
 
@@ -133,13 +146,20 @@ class FittedReduction:
         return h.hexdigest()
 
 
-def fit_reduction(spec: ReductionSpec, x_train) -> FittedReduction:
+def fit_reduction(spec: ReductionSpec, x_train) -> tuple:
+    """(reduction fitted on x_train, x_train's features under it).
+
+    A PCA projects the standardized, flattened matrix it was fit on, so the
+    features equal reduction.transform(x_train) without standardizing twice.
+    """
     standardizer = fit_standardizer(x_train)
-    pca = None
-    if spec.kind == "pca":
-        flat = flatten_tensor(apply_standardizer(standardizer, x_train))
-        pca = fit_pca(flat, spec.k)
-    return FittedReduction(spec=spec, standardizer=standardizer, pca=pca)
+    if spec.kind == "cov":
+        features = covariance_feature_matrix(x_train, standardizer, spec.center_per_trial,
+                                             spec.scale_unbiased)
+        return FittedReduction(spec=spec, standardizer=standardizer), features
+    flat = flatten_tensor(apply_standardizer(standardizer, x_train))
+    pca = fit_pca(flat, spec.k)
+    return FittedReduction(spec=spec, standardizer=standardizer, pca=pca), project_pca(pca, flat)
 
 
 _STANDARDIZER_KEYS = ("means", "stds", "constant")
@@ -315,22 +335,6 @@ def kfold_indices(n: int, k: int, labels, seed: int) -> list:
     return out
 
 
-def _svm_kernel(params: dict, features) -> KernelSpec:
-    name = params.get("kernel", "rbf")
-    if name == "linear":
-        return KernelSpec("linear")
-    gamma = params.get("gamma")
-    return KernelSpec("rbf", gamma if gamma is not None else default_gamma(features))
-
-
-#: The parameter names train_family reads for each model family.
-FAMILY_PARAMS = {
-    "rf": ("n_trees", "max_depth", "min_leaf"),
-    "svm": ("C", "kernel", "gamma", "tol", "max_iter"),
-    "gbt": ("rounds", "learning_rate", "max_depth", "gamma", "alpha", "lambda"),
-}
-
-
 def _check_params(family: str, names) -> None:
     unknown = sorted(set(names) - set(FAMILY_PARAMS[family]))
     if unknown:
@@ -339,39 +343,22 @@ def _check_params(family: str, names) -> None:
 
 
 def train_family(family: str, features, y, params: dict, seed: int, n_classes: int):
-    """Train one model of the given family with one grid cell's parameters."""
+    """Train one model of the given family with one grid cell's parameters;
+    a parameter the cell leaves out takes its FAMILY_PARAMS default."""
     if family not in FAMILY_PARAMS:
         raise UsageError(f"unknown model family {family!r}")
     _check_params(family, params)
+    p = {**FAMILY_PARAMS[family], **params}
     if family == "rf":
-        return train_forest(
-            features,
-            y,
-            n_trees=params.get("n_trees", 100),
-            seed=seed,
-            max_depth=params.get("max_depth"),
-            min_leaf=params.get("min_leaf", 1),
-            n_classes=n_classes,
-        )
+        return train_forest(features, y, seed=seed, n_classes=n_classes, **p)
     if family == "svm":
-        return train_svm_multiclass(
-            features,
-            y,
-            C=params.get("C", 1.0),
-            kernel=_svm_kernel(params, features),
-            tol=params.get("tol", 1e-3),
-            max_iter=params.get("max_iter", 2000),
-            n_classes=n_classes,
-        )
-    gbt_params = GbtParams(
-        rounds=params.get("rounds", 40),
-        learning_rate=params.get("learning_rate", 0.3),
-        max_depth=params.get("max_depth", 6),
-        gamma=params.get("gamma", 0.0),
-        alpha=params.get("alpha", 0.0),
-        reg_lambda=params.get("lambda", 1.0),
-    )
-    return train_gbt(features, y, gbt_params, n_classes=n_classes)
+        name, gamma = p.pop("kernel"), p.pop("gamma")
+        if name == "rbf" and gamma is None:
+            gamma = default_gamma(features)
+        kernel = KernelSpec(name, gamma if name == "rbf" else None)  # linear ignores gamma
+        return train_svm_multiclass(features, y, kernel=kernel, n_classes=n_classes, **p)
+    return train_gbt(features, y, GbtParams(reg_lambda=p.pop("lambda"), **p),
+                     n_classes=n_classes)
 
 
 def _annotate(exc: WlclassError, context: str):
@@ -382,17 +369,18 @@ def _annotate(exc: WlclassError, context: str):
 def _score_family_fold(x, y, family, fold_pair, fold_index, spec, n_classes) -> list:
     """Validation accuracy of every cell of one reduction family on one fold.
 
-    One fit_reduction at the family's largest k and one transform of each
-    split serve every cell: a cell at k reads the first k feature columns,
-    a cov cell all of them.
+    One fit_reduction at the family's largest k, which also gives the
+    training features, and one transform of the validation split serve
+    every cell: a cell at k reads the first k feature columns, a cov cell
+    all of them.
     """
     train_idx, val_idx = fold_pair
     x_train = x[train_idx]
     cell = max(family, key=lambda c: c.reduction.k or 0)
     accuracies = []
     try:
-        fitted = fit_reduction(cell.reduction, x_train)
-        f_train, f_val = fitted.transform(x_train), fitted.transform(x[val_idx])
+        fitted, f_train = fit_reduction(cell.reduction, x_train)
+        f_val = fitted.transform(x[val_idx])
         for cell in family:
             columns = slice(cell.reduction.k)
             model = train_family(spec.model_family, np.ascontiguousarray(f_train[:, columns]),
@@ -440,8 +428,7 @@ def grid_search(x, y, spec: GridSpec):
     best_cell = int(np.argmax(mean_accuracy))
 
     best = cells[best_cell]
-    reduction = fit_reduction(best.reduction, x)
-    features = reduction.transform(x)
+    reduction, features = fit_reduction(best.reduction, x)
     model = train_family(spec.model_family, features, y, best.params, spec.seed, n_classes)
     return CvResult(
         cells=cells,

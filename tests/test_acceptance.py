@@ -77,8 +77,8 @@ def boosting_features():
         generate_corpus(spec, threads=4), WindowPolicy("middle", length=540),
         split_ratio=0.8, split_seed=0,
     )
-    reduction = fit_reduction(ReductionSpec("cov"), dataset.x_train)
-    return reduction.transform(dataset.x_train), dataset.y_train
+    _, features = fit_reduction(ReductionSpec("cov"), dataset.x_train)
+    return features, dataset.y_train
 
 
 def test_covariance_features_match_naive_gram_oracle():
@@ -254,11 +254,8 @@ def test_middle_windows_beat_start_windows_on_warmup_corpus():
         dataset = build_challenge_dataset(
             corpus, WindowPolicy(policy, length=60), split_ratio=0.8, split_seed=3,
         )
-        reduction = fit_reduction(ReductionSpec("cov"), dataset.x_train)
-        model = train_forest(
-            reduction.transform(dataset.x_train), dataset.y_train,
-            n_trees=100, seed=1,
-        )
+        reduction, features = fit_reduction(ReductionSpec("cov"), dataset.x_train)
+        model = train_forest(features, dataset.y_train, n_trees=100, seed=1)
         hits = predict(model, reduction.transform(dataset.x_test)) == dataset.y_test
         accuracy[policy] = 100.0 * float(hits.mean())
     gap = accuracy["middle"] - accuracy["start"]
@@ -277,11 +274,9 @@ def test_released_archive_reproduction():
     assert report.accuracy >= 90.0, f"forest accuracy {report.accuracy}"
 
     shuffled = read_challenge_archive(DATA_DIR / "60-random-1.npz")
-    reduction = fit_reduction(ReductionSpec("cov"), shuffled.x_train)
-    model = train_gbt(
-        reduction.transform(shuffled.x_train), shuffled.y_train,
-        GbtParams(rounds=40), n_classes=len(shuffled.model_train),
-    )
+    reduction, features = fit_reduction(ReductionSpec("cov"), shuffled.x_train)
+    model = train_gbt(features, shuffled.y_train, GbtParams(rounds=40),
+                      n_classes=len(shuffled.model_train))
     hits = predict(model, reduction.transform(shuffled.x_test)) == shuffled.y_test
     assert 100.0 * float(hits.mean()) >= 85.0
 

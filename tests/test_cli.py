@@ -7,6 +7,9 @@ import pytest
 import wlclass
 from wlclass.classifiers import load_model
 from wlclass.cli import (
+    PARAM_FLAGS,
+    REPRODUCE_PARAM_FLAGS,
+    build_parser,
     derive_seed,
     main,
     read_feature_set,
@@ -21,7 +24,7 @@ from wlclass.dataset_io import (
     write_challenge_archive,
 )
 from wlclass.errors import MalformedArchiveError
-from wlclass.model_selection import ReductionSpec, fit_reduction
+from wlclass.model_selection import FAMILY_PARAMS, ReductionSpec, fit_reduction
 from wlclass.synth import generate_corpus, make_corpus_spec
 from wlclass.windowing import WindowPolicy, build_challenge_dataset
 
@@ -347,6 +350,99 @@ class TestGridsearchCli:
         assert provenance["cv_mean_accuracy"] == pytest.approx(max(means))
 
 
+class TestFamilyParameterFlags:
+    """Each family parameter flag reaches its parameter: the cells keep their
+    order and text, and train records exactly the parameters it was given."""
+
+    @pytest.fixture(scope="class")
+    def data(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("params")
+        assert main(["synth", "--classes", "4", "--jobs-per-class", "5",
+                     "--length-min", "40", "--length-max", "45", "--seed", "3",
+                     "--emit-archive", str(d / "arc.npz"), "--length", "30"]) == 0
+        assert main(["featurize", "--in", str(d / "arc.npz"),
+                     "--out", str(d / "feat.npz")]) == 0
+        return d
+
+    GBT_FLAGS = ["--rounds", "2,3", "--min-split-loss", "0.5", "--gbt-alpha", "0.1",
+                 "--gbt-lambda", "2", "--learning-rate", "0.2", "--max-depth", "2"]
+
+    @pytest.mark.parametrize("family,flags,cells", [
+        ("rf", [], ["cov|n_trees=50", "cov|n_trees=100", "cov|n_trees=250"]),
+        ("svm", [], [f"cov|C={c},kernel=rbf,max_iter=2000" for c in ("0.1", "1.0", "10.0")]),
+        ("gbt", [], ["cov|rounds=40,gamma=0.0,alpha=0.0,lambda=1.0,learning_rate=0.3"]),
+        ("rf", ["--n-trees", "2,3", "--max-depth", "4"],
+         ["cov|n_trees=2,max_depth=4", "cov|n_trees=3,max_depth=4"]),
+        ("svm", ["--c", "2,0.5", "--kernel", "linear", "--max-iter", "50"],
+         ["cov|C=2.0,kernel=linear,max_iter=50", "cov|C=0.5,kernel=linear,max_iter=50"]),
+        ("gbt", GBT_FLAGS,
+         [f"cov|rounds={r},gamma=0.5,alpha=0.1,lambda=2.0,learning_rate=0.2,max_depth=2"
+          for r in (2, 3)]),
+    ], ids=["rf", "svm", "gbt", "rf-flags", "svm-flags", "gbt-flags"])
+    def test_gridsearch_cells(self, data, tmp_path, family, flags, cells):
+        out = tmp_path / "cv.jsonl"
+        assert main(["gridsearch", "--in", str(data / "arc.npz"), "--family", family,
+                     "--folds", "2", "--allow-nonconverged", "--out", str(out), *flags]) == 0
+        records = [r for r in read_jsonl(out) if r["record"] == "cell"]
+        assert [(r["index"], r["cell"]) for r in records] == list(enumerate(cells))
+
+    @pytest.mark.parametrize("family,flags,params", [
+        ("rf", [], {"n_trees": 100, "min_leaf": 1}),
+        ("svm", [], {"C": 1.0, "kernel": "rbf", "tol": 0.001, "max_iter": 2000}),
+        ("gbt", [], {"rounds": 40, "learning_rate": 0.3, "gamma": 0.0, "alpha": 0.0,
+                     "lambda": 1.0}),
+        ("rf", ["--n-trees", "3", "--min-leaf", "2", "--max-depth", "4"],
+         {"n_trees": 3, "min_leaf": 2, "max_depth": 4}),
+        ("svm", ["--c", "2", "--kernel", "rbf", "--rbf-gamma", "0.5", "--tol", "0.01",
+                 "--max-iter", "50"],
+         {"C": 2.0, "kernel": "rbf", "gamma": 0.5, "tol": 0.01, "max_iter": 50}),
+        ("gbt", ["--rounds", "3", "--min-split-loss", "0.5", "--gbt-alpha", "0.1",
+                 "--gbt-lambda", "2", "--learning-rate", "0.2", "--max-depth", "2"],
+         {"rounds": 3, "learning_rate": 0.2, "gamma": 0.5, "alpha": 0.1, "lambda": 2.0,
+          "max_depth": 2}),
+    ], ids=["rf", "svm", "gbt", "rf-flags", "svm-flags", "gbt-flags"])
+    def test_train_provenance_params(self, data, tmp_path, family, flags, params):
+        out = tmp_path / "m.wlc1"
+        assert main(["train", "--in", str(data / "feat.npz"), "--model", family,
+                     "--allow-nonconverged", "--out", str(out), *flags]) == 0
+        _, provenance = load_model(out)
+        # as JSON text, so 0 and 0.0 differ
+        assert json.dumps(provenance["params"], sort_keys=True) == json.dumps(
+            params, sort_keys=True)
+
+    def test_flag_mapping_names_real_flags_and_parameters(self):
+        """A name mistyped in the mapping would silently skip its parameter."""
+        _, registry = build_parser()
+        dests = {name: {a.dest for a in sub._actions} for name, sub in registry.items()}
+        for family, name in REPRODUCE_PARAM_FLAGS:  # a superset of PARAM_FLAGS' keys
+            assert name in FAMILY_PARAMS[family]
+        assert set(PARAM_FLAGS.values()) <= dests["train"]
+        assert {REPRODUCE_PARAM_FLAGS[k] for k in (("rf", "n_trees"), ("svm", "C"))} \
+            <= dests["reproduce"]
+        every = {(f, name) for f, params in FAMILY_PARAMS.items() for name in params}
+        flags = {"train": PARAM_FLAGS, "gridsearch": PARAM_FLAGS,
+                 "reproduce": REPRODUCE_PARAM_FLAGS}
+        read = {cmd: {key for key in every if m.get(key, key[1]) in dests[cmd]}
+                for cmd, m in flags.items()}
+        assert read["train"] == every
+        assert read["gridsearch"] == {("rf", "n_trees"), ("rf", "max_depth"), ("svm", "C"),
+                                      ("svm", "kernel"), ("svm", "max_iter"),
+                                      *(("gbt", name) for name in FAMILY_PARAMS["gbt"])}
+        assert read["reproduce"] == {("rf", "n_trees"), ("svm", "C"), ("gbt", "rounds"),
+                                     ("gbt", "gamma"), ("gbt", "alpha"), ("gbt", "lambda")}
+
+    def test_bad_grid_lists_are_usage(self, data, tmp_path, capsys):
+        assert main(["gridsearch", "--in", str(data / "arc.npz"), "--family", "rf",
+                     "--n-trees", "5,x", "--folds", "2",
+                     "--out", str(tmp_path / "cv.jsonl")]) == 1
+        assert "5,x" in capsys.readouterr().err
+        manifest = tmp_path / "archives.json"
+        manifest.write_text("{}")  # valid flags would reach the archive check: exit 2
+        assert main(["reproduce", "--manifest", str(manifest), "--svm-c", "a",
+                     "--out", str(tmp_path / "t.jsonl")]) == 1
+        assert "'a'" in capsys.readouterr().err
+
+
 class TestReproduceCli:
     def make_archive(self, path, seed):
         spec = make_corpus_spec(["a", "b", "c"], [6, 6, 6], seed=seed,
@@ -460,7 +556,7 @@ class TestReductionBundleValidation:
     def parts(self, tmp_path):
         x = np.random.default_rng(4).normal(size=(12, 6, 7))
         path = tmp_path / "red.npz"
-        write_reduction_bundle(path, fit_reduction(ReductionSpec("pca", k=3), x))
+        write_reduction_bundle(path, fit_reduction(ReductionSpec("pca", k=3), x)[0])
         bundle = read_bundle(path, ("means", "stds", "constant", "pca_mean",
                                     "pca_components", "pca_variance", "meta"))
         meta = bundle.pop("meta")

@@ -220,15 +220,15 @@ def _write_archive(target):
 
 def _write_cov_feature_set(target):
     x_train, y_train, names, x_test, y_test, _ = small_dataset()
-    reduction = fit_reduction(ReductionSpec("cov"), x_train)
-    write_feature_set(target, reduction.transform(x_train), y_train,
+    reduction, features_train = fit_reduction(ReductionSpec("cov"), x_train)
+    write_feature_set(target, features_train, y_train,
                       reduction.transform(x_test), y_test,
                       {"reduction": "cov", "class_names": names})
 
 
 def _write_pca_reduction_bundle(target):
     x_train, *_ = small_dataset()
-    write_reduction_bundle(target, fit_reduction(ReductionSpec("pca", k=4), x_train))
+    write_reduction_bundle(target, fit_reduction(ReductionSpec("pca", k=4), x_train)[0])
 
 
 #: Every zip artifact the package writes: (writer to a file-like, reader).

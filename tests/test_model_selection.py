@@ -158,6 +158,22 @@ class TestGridSpec:
         with pytest.raises(UsageError, match="xgb"):
             train_family("xgb", x[:, 0], y, {}, 0, 2)
 
+    def test_unknown_svm_kernel_is_usage_error(self):
+        x, y = make_windows(4, 2, length=6, sensors=3, seed=0)
+        with pytest.raises(UsageError, match="poly"):
+            train_family("svm", x[:, 0], y, {"kernel": "poly"}, 0, 2)
+
+    def test_gbt_max_depth_none_is_usage_error(self):
+        x, y = make_windows(6, 2, length=6, sensors=3, seed=0)
+        with pytest.raises(UsageError, match="max_depth"):
+            train_family("gbt", x[:, 0], y, {"max_depth": None}, 0, 2)
+        with pytest.raises(UsageError, match="rounds"):
+            train_family("gbt", x[:, 0], y, {"rounds": None}, 0, 2)
+        spec = GridSpec("gbt", {"rounds": [1], "max_depth": [None]},
+                        (ReductionSpec("cov"),), folds=2)
+        with pytest.raises(UsageError, match=r"cell 0 .*max_depth"):
+            grid_search(x, y, spec)
+
     def test_reduction_spec_validation(self):
         with pytest.raises(UsageError):
             ReductionSpec("umap")
@@ -217,17 +233,17 @@ class TestGridSearch:
         fingerprints = []
 
         def recording_fit(spec, x_train):
-            reduction = fit_reduction(spec, x_train)
+            reduction, features = fit_reduction(spec, x_train)
             fingerprints.append(reduction.fingerprint())
-            return reduction
+            return reduction, features
 
         monkeypatch.setattr(wlclass.model_selection, "fit_reduction", recording_fit)
         result = grid_search(x, y, spec)
         assert len(fingerprints) == 3 + 1  # one fit per fold, then the refit
-        full_fit = fit_reduction(ReductionSpec("cov"), x).fingerprint()
+        full_fit = fit_reduction(ReductionSpec("cov"), x)[0].fingerprint()
         folds = kfold_indices(len(y), 3, y, seed=4)
         for fold_index, (train_idx, _) in enumerate(folds):
-            expected = fit_reduction(ReductionSpec("cov"), x[train_idx]).fingerprint()
+            expected = fit_reduction(ReductionSpec("cov"), x[train_idx])[0].fingerprint()
             assert fingerprints[fold_index] == expected
             assert fingerprints[fold_index] != full_fit
         # the refit pipeline, in contrast, uses the whole split
@@ -327,7 +343,7 @@ class TestGridSearch:
         expected = np.empty((len(result.cells), 3))
         for cell in result.cells:
             for fold, (train, val) in enumerate(kfold_indices(len(y), 3, y, seed=1)):
-                reduction = fit_reduction(cell.reduction, x[train])
+                reduction, _ = fit_reduction(cell.reduction, x[train])
                 features = reduction.transform(x[train])
                 assert features.tobytes() in seen, (cell.describe(), fold)
                 model = train_family(family, features, y[train], cell.params, 1, 3)
@@ -336,11 +352,13 @@ class TestGridSearch:
         assert len(np.unique(expected)) > 1  # the cells do differ
         np.testing.assert_array_equal(result.fold_accuracy, expected)
         best = result.cells[result.best_cell].reduction
-        assert result.pipeline.reduction.fingerprint() == fit_reduction(best, x).fingerprint()
+        assert result.pipeline.reduction.fingerprint() == fit_reduction(best, x)[0].fingerprint()
 
     @pytest.mark.parametrize("ks", [(4,), (2, 4), (2, 3, 4, 6)])
     def test_one_fit_and_one_transform_per_split_per_family_fold(self, easy_problem, ks,
                                                                  monkeypatch):
+        """The fit returns the training split's features, so transform sees
+        only validation splits, and the refit needs none."""
         x, y = easy_problem
         spec = GridSpec(
             model_family="rf",
@@ -367,8 +385,17 @@ class TestGridSearch:
         folds = kfold_indices(len(y), 3, y, seed=0)
         expected_fits = [(name, len(train)) for name in ("cov", widest) for train, _ in folds]
         assert fits[:-1] == expected_fits  # the last fit is the refit on the whole split
-        assert transforms[:-1] == [(name, len(rows)) for name in ("cov", widest)
-                                   for fold in folds for rows in fold]
+        assert transforms == [(name, len(val)) for name in ("cov", widest) for _, val in folds]
+
+    @pytest.mark.parametrize("spec", [ReductionSpec("cov"),
+                                      ReductionSpec("cov", center_per_trial=True,
+                                                    scale_unbiased=True),
+                                      ReductionSpec("pca", k=1), ReductionSpec("pca", k=7)],
+                             ids=lambda spec: spec.describe())
+    def test_fit_returns_the_transform_of_its_training_windows(self, easy_problem, spec):
+        x, _ = easy_problem
+        reduction, features = fit_reduction(spec, x)
+        assert features.tobytes() == reduction.transform(x).tobytes()
 
     def test_progress_logs_each_reduction_family_and_fold(self, easy_problem, caplog):
         x, y = easy_problem
