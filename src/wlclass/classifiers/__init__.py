@@ -1,7 +1,5 @@
 """The three baseline model families, trained from scratch."""
 
-import numpy as np
-
 from ..errors import ShapeMismatchError
 from .forest import ForestModel, forest_votes, predict_forest, train_forest
 from .gbt import GbtModel, GbtParams, feature_importance_report, train_gbt
@@ -48,11 +46,9 @@ __all__ = [
 ]
 
 
-def predict(model, X) -> np.ndarray:
-    """Label predictions for any trained model; ties resolve to the lowest class."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ShapeMismatchError(f"X must be rows x features, got {X.shape}")
+def predict(model, X):
+    """Label predictions for any trained model; ties resolve to the lowest class.
+    Each model checks X by query_rows."""
     if isinstance(model, (ForestModel, SvmEnsemble, GbtModel)):
         return model.predict(X)
     raise ShapeMismatchError(f"cannot predict with {type(model).__name__}")

@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import EmptyInputError, ShapeMismatchError, UsageError
+from ..errors import UsageError
+from ._checks import labelled_rows, query_rows
 from .tree import NodeTable, TreeParams, rank_columns, stack_tables, train_tree
 
 
@@ -19,7 +20,6 @@ class ForestModel:
     table: NodeTable  # every tree; value rows are class histograms
     n_trees: int
     seed: int
-    feature_count: int
     class_count: int
     max_depth: int | None = None
     min_leaf: int = 1
@@ -27,6 +27,10 @@ class ForestModel:
 
     def __post_init__(self):
         self.node_labels = np.argmax(self.table.value, axis=1)
+
+    @property
+    def feature_count(self) -> int:
+        return self.table.feature_count
 
     def predict(self, X) -> np.ndarray:
         return predict_forest(self, X)
@@ -41,22 +45,15 @@ def train_forest(
     min_leaf: int = 1,
     n_classes: int | None = None,
 ) -> ForestModel:
-    """Train n_trees CART trees on size-N bootstrap samples.
+    """Train n_trees CART trees on size-N bootstrap samples. Inputs are
+    checked by labelled_rows.
 
     Raises:
-        UsageError: n_trees < 1.
-        EmptyInputError: no training rows.
+        UsageError: n_trees < 1, or max_depth or min_leaf out of range.
     """
     if n_trees < 1:
         raise UsageError(f"n_trees must be >= 1, got {n_trees}")
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if X.ndim != 2 or X.shape[0] != len(y):
-        raise ShapeMismatchError(f"X {X.shape} does not align with {len(y)} labels")
-    if X.shape[0] == 0:
-        raise EmptyInputError("cannot train a forest on zero rows")
-    if n_classes is None:
-        n_classes = int(y.max()) + 1
+    X, y, n_classes = labelled_rows(X, y, n_classes)
     d = X.shape[1]
     params = TreeParams(
         max_depth=max_depth,
@@ -74,7 +71,6 @@ def train_forest(
         table=stack_tables(trees),
         n_trees=n_trees,
         seed=seed,
-        feature_count=d,
         class_count=n_classes,
         max_depth=max_depth,
         min_leaf=min_leaf,
@@ -83,11 +79,7 @@ def train_forest(
 
 def forest_votes(model: ForestModel, X) -> np.ndarray:
     """Per-class vote counts, one row per input row."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.feature_count:
-        raise ShapeMismatchError(
-            f"expected n x {model.feature_count} features, got {X.shape}"
-        )
+    X = query_rows(X, model.feature_count)
     n, k = X.shape[0], model.class_count
     labels = model.node_labels[model.table.apply(X)]
     cells = (np.arange(n)[:, None] * k + labels).ravel()

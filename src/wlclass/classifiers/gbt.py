@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import EmptyInputError, ShapeMismatchError, UsageError
+from ..errors import ShapeMismatchError, UsageError
+from ._checks import labelled_rows, query_rows
 from .tree import LEAF, NodeTable, grow, rank_columns, stack_tables
 
 
@@ -47,7 +48,6 @@ class GbtParams:
 class GbtModel:
     table: NodeTable  # every tree, round by round, class by class
     params: GbtParams
-    feature_count: int
     class_count: int
     split_counts: np.ndarray  # per feature
     split_gains: np.ndarray  # per feature, accumulated recorded gain
@@ -58,12 +58,12 @@ class GbtModel:
         """rounds[r][c] is the root node of the round-r tree for class c."""
         return self.table.roots.reshape(-1, self.class_count)
 
+    @property
+    def feature_count(self) -> int:
+        return self.table.feature_count
+
     def predict_scores(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.feature_count:
-            raise ShapeMismatchError(
-                f"expected n x {self.feature_count} features, got {X.shape}"
-            )
+        X = query_rows(X, self.feature_count)
         scores = np.full((X.shape[0], self.class_count), self.params.base_score)
         weights = self.table.value[self.table.apply(X), 0].reshape(
             X.shape[0], len(self.rounds), self.class_count)
@@ -130,19 +130,12 @@ def _log_loss(proba: np.ndarray, y: np.ndarray) -> float:
 
 def train_gbt(X, y, params: GbtParams | None = None, n_classes: int | None = None) -> GbtModel:
     """Boost class_count regression trees per round on softmax gradients.
-
-    Raises:
-        EmptyInputError: no training rows.
+    Inputs are checked by labelled_rows; the softmax needs at least two
+    classes, so a single-label y trains two.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if X.ndim != 2 or X.shape[0] != len(y):
-        raise ShapeMismatchError(f"X {X.shape} does not align with {len(y)} labels")
-    if X.shape[0] == 0:
-        raise EmptyInputError("cannot train on zero rows")
+    X, y, n_classes = labelled_rows(X, y, n_classes)
+    n_classes = max(n_classes, 2)
     params = params or GbtParams()
-    if n_classes is None:
-        n_classes = max(int(y.max()) + 1, 2)
     n, d = X.shape
     onehot = np.zeros((n, n_classes))
     onehot[np.arange(n), y] = 1.0
@@ -163,7 +156,6 @@ def train_gbt(X, y, params: GbtParams | None = None, n_classes: int | None = Non
     return GbtModel(
         table=table,
         params=params,
-        feature_count=d,
         class_count=n_classes,
         split_counts=np.bincount(split, minlength=d),
         split_gains=np.bincount(split, weights=table.gain[table.feature != LEAF], minlength=d),

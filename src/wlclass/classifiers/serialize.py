@@ -105,7 +105,7 @@ def _table(bundle, n_trees, feature_count, width, boosted) -> NodeTable:
             raise ModelFormatError("leaves must have no children and splits two")
         if ((child[split] <= np.flatnonzero(split)) | (child[split] >= tree_end)).any():
             raise ModelFormatError("child index must follow its parent inside its own tree")
-    return NodeTable(feature, threshold, left, right, value, roots, gain)
+    return NodeTable(feature, threshold, left, right, value, roots, feature_count, gain)
 
 
 def _table_arrays(table: NodeTable) -> dict:
@@ -121,7 +121,7 @@ def _forest_from(meta, bundle) -> ForestModel:
     n_trees, feature_count, class_count = (
         _count(meta, name) for name in ("n_trees", "feature_count", "class_count"))
     return ForestModel(table=_table(bundle, n_trees, feature_count, class_count, False),
-                       **{name: meta[name] for name in _FOREST_FIELDS})
+                       **{name: meta[name] for name in _FOREST_FIELDS if name != "feature_count"})
 
 
 def _svm_parts(model: SvmEnsemble):
@@ -221,7 +221,6 @@ def _gbt_from(meta, bundle) -> GbtModel:
     return GbtModel(
         table=_table(bundle, params.rounds * class_count, feature_count, 3, True),
         params=params,
-        feature_count=feature_count,
         class_count=class_count,
         split_counts=split_counts,
         split_gains=split_gains,

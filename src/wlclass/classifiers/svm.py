@@ -24,7 +24,8 @@ from functools import cached_property
 
 import numpy as np
 
-from ..errors import ClassAbsentError, EmptyInputError, ShapeMismatchError, UsageError
+from ..errors import ClassAbsentError, UsageError
+from ._checks import labelled_rows, query_rows
 
 #: Curvature used for a pair whose kernel distance a is not positive (LIBSVM's TAU).
 TAU = 1e-12
@@ -90,13 +91,7 @@ class SvmBinary:
     kkt_gap: float
 
     def decision_function(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or (
-            len(self.support_vectors) and X.shape[1] != self.support_vectors.shape[1]
-        ):
-            raise ShapeMismatchError(f"bad query shape {X.shape}")
-        if len(self.support_vectors) == 0:
-            return np.full(X.shape[0], self.bias)
+        X = query_rows(X, self.support_vectors.shape[1])
         K = kernel_matrix(self.kernel, X, self.support_vectors)
         coef = self.alphas * self.support_labels
         return K @ coef + self.bias
@@ -159,19 +154,15 @@ def train_svm_binary(
 ) -> SvmBinary:
     """Solve the dual soft-margin problem for labels in {-1, +1}.
 
-    At most max_iter x len(y) pair updates are taken.
+    At most max_iter x len(y) pair updates are taken. Inputs are checked
+    by labelled_rows.
 
     Raises:
-        EmptyInputError: no rows.
         ClassAbsentError: only one sign present.
         UsageError: bad C or labels outside {-1, +1}.
     """
-    X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
-    if X.ndim != 2 or X.shape[0] != len(y):
-        raise ShapeMismatchError(f"X {X.shape} does not align with {len(y)} labels")
-    if X.shape[0] == 0:
-        raise EmptyInputError("cannot train on zero rows")
+    X, _, _ = labelled_rows(X, y == 1, 2)  # shape, rows, finite; the signs are checked next
     if not set(np.unique(y)) <= {-1, 1}:
         raise UsageError("binary labels must be -1 or +1")
     if len(np.unique(y)) < 2:
@@ -223,20 +214,13 @@ class SvmEnsemble:
         return vectors, coef
 
     def decision_matrix(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
         vectors, coef = self._support
-        if X.ndim != 2 or (len(vectors) and X.shape[1] != vectors.shape[1]):
-            raise ShapeMismatchError(f"bad query shape {X.shape}")
-        if X.shape[0] == 0:
-            return np.zeros((0, self.class_count))
+        X = query_rows(X, vectors.shape[1])
         bias = np.array([m.bias for m in self.machines])
         return kernel_matrix(self.kernel, X, vectors) @ coef + bias
 
     def predict(self, X) -> np.ndarray:
-        scores = self.decision_matrix(X)
-        if scores.shape[0] == 0:
-            return np.zeros(0, dtype=np.int64)
-        return np.argmax(scores, axis=1).astype(np.int64)
+        return np.argmax(self.decision_matrix(X), axis=1).astype(np.int64)
 
 
 def train_svm_multiclass(
@@ -250,19 +234,14 @@ def train_svm_multiclass(
 ) -> SvmEnsemble:
     """One-vs-rest ensemble: one binary machine per class, argmax decision.
 
-    Every machine is solved against one kernel matrix of X.
+    Every machine is solved against one kernel matrix of X. Inputs are
+    checked by labelled_rows.
 
     Raises:
+        UsageError: fewer than 2 classes, or C not positive.
         ClassAbsentError: some class index in [0, n_classes) has no rows.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if X.ndim != 2 or X.shape[0] != len(y):
-        raise ShapeMismatchError(f"X {X.shape} does not align with {len(y)} labels")
-    if X.shape[0] == 0:
-        raise EmptyInputError("cannot train on zero rows")
-    if n_classes is None:
-        n_classes = int(y.max()) + 1
+    X, y, n_classes = labelled_rows(X, y, n_classes)
     if n_classes < 2:
         raise UsageError("multiclass training needs at least 2 classes")
     if C <= 0:

@@ -16,11 +16,13 @@ valid cut exists; both children are then strictly smaller, which keeps
 growth finite and lets depth-2 trees represent XOR.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DegenerateInputError, EmptyInputError, ShapeMismatchError
+from ..errors import UsageError
+from ._checks import labelled_rows, query_rows
 
 LEAF = -1  # feature and child index of a leaf
 
@@ -33,7 +35,8 @@ class NodeTable:
     have feature, left and right LEAF. `value` has one row per node: the
     class histogram of its training rows (CART) or (weight, g_sum, h_sum)
     (boosted trees, which also keep each split's `gain`, 0 at leaves).
-    Tree t runs from roots[t] up to the next root.
+    Tree t runs from roots[t] up to the next root. Every tree reads rows
+    of feature_count features.
     """
 
     feature: np.ndarray
@@ -42,6 +45,7 @@ class NodeTable:
     right: np.ndarray
     value: np.ndarray
     roots: np.ndarray
+    feature_count: int
     gain: np.ndarray | None = None
 
     def apply(self, X) -> np.ndarray:
@@ -72,7 +76,7 @@ def stack_tables(tables) -> NodeTable:
     return NodeTable(
         joined("feature"), joined("threshold"), joined("left", True), joined("right", True),
         joined("value"), np.concatenate([t.roots + o for t, o in zip(tables, offsets)]),
-        None if tables[0].gain is None else joined("gain"),
+        tables[0].feature_count, None if tables[0].gain is None else joined("gain"),
     )
 
 
@@ -81,12 +85,8 @@ def rank_columns(X) -> np.ndarray:
 
     Equal values share a rank, so a stable sort by rank orders rows by
     value, ties by row. Below 2**15 rows ranks fit int16, sorted by radix.
-
-    Raises:
-        DegenerateInputError: a value is not finite.
+    X is finite: the trainers pass it through labelled_rows first.
     """
-    if not np.isfinite(X).all():
-        raise DegenerateInputError("training features contain non-finite entries")
     order = np.argsort(X, axis=0, kind="stable")
     values = np.take_along_axis(X, order, axis=0)
     dense = np.zeros(X.shape, dtype=np.int64)
@@ -152,7 +152,7 @@ def grow(X, ranks, criterion, max_depth=None, min_leaf=1, pick_features=None) ->
     feature, threshold, left, right, values, gains = zip(*nodes)
     return NodeTable(
         np.array(feature), np.array(threshold), np.array(left), np.array(right),
-        np.array(values), np.zeros(1, dtype=np.int64), np.array(gains),
+        np.array(values), np.zeros(1, dtype=np.int64), X.shape[1], np.array(gains),
     )
 
 
@@ -161,6 +161,13 @@ class TreeParams:
     max_depth: int | None = None
     min_leaf: int = 1
     feature_subsample: int | None = None  # features considered per split
+
+    def __post_init__(self):
+        if self.max_depth is not None and (
+                not isinstance(self.max_depth, numbers.Integral) or self.max_depth < 0):
+            raise UsageError(f"max_depth must be None or an integer >= 0, got {self.max_depth!r}")
+        if not isinstance(self.min_leaf, numbers.Integral) or self.min_leaf < 1:
+            raise UsageError(f"min_leaf must be an integer >= 1, got {self.min_leaf!r}")
 
 
 class _Gini:
@@ -206,22 +213,11 @@ def train_tree(
 ) -> NodeTable:
     """Grow one CART tree. Deterministic given the rng state. `ranks`, when
     given, is rank_columns(X), or a superset's ranks taken at X's rows.
-
-    Raises:
-        EmptyInputError: no training rows.
+    Inputs are checked by labelled_rows.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if X.ndim != 2:
-        raise ShapeMismatchError(f"X must be rows x features, got {X.shape}")
-    if len(y) != X.shape[0]:
-        raise ShapeMismatchError(f"{X.shape[0]} rows but {len(y)} labels")
-    if X.shape[0] == 0:
-        raise EmptyInputError("cannot train a tree on zero rows")
+    X, y, n_classes = labelled_rows(X, y, n_classes)
     params = params or TreeParams()
     rng = rng or np.random.default_rng(0)
-    if n_classes is None:
-        n_classes = int(y.max()) + 1
     tree = grow(
         X, rank_columns(X) if ranks is None else ranks, _Gini(y, n_classes),
         params.max_depth, params.min_leaf, lambda: _pick_features(X.shape[1], params, rng),
@@ -233,5 +229,5 @@ def train_tree(
 def tree_predict(tree: NodeTable, X) -> np.ndarray:
     """Labels from a table's first tree: argmax of each leaf histogram,
     ties to the lowest class."""
-    leaves = tree.apply(np.asarray(X, dtype=np.float64))[:, 0]
+    leaves = tree.apply(query_rows(X, tree.feature_count))[:, 0]
     return np.argmax(tree.value[leaves], axis=1).astype(np.int64)

@@ -16,6 +16,7 @@ grouped by job (and device, for multi-GPU jobs).
 
 import ast
 import csv
+import io
 import json
 import math
 import zipfile
@@ -202,30 +203,16 @@ def read_array(data: bytes) -> np.ndarray:
 
 
 def write_array(arr: np.ndarray) -> bytes:
-    """Serialize an array to format-1.0 bytes (row-major, 64-byte aligned header)."""
-    arr = np.ascontiguousarray(arr)
+    """Serialize a float32/64, int32/64 or bytes array to format-1.0 bytes,
+    little-endian and row-major, with numpy's own 64-byte aligned header."""
+    arr = np.asarray(arr, order="C")
     kind, itemsize = arr.dtype.kind, arr.dtype.itemsize
-    if kind == "f" and itemsize in (4, 8):
-        descr = f"<f{itemsize}"
-    elif kind == "i" and itemsize in (4, 8):
-        descr = f"<i{itemsize}"
-    elif kind == "S":
-        descr = f"|S{max(itemsize, 1)}"
-    else:
+    if not (kind in "fi" and itemsize in (4, 8) or kind == "S"):
         raise UnsupportedDtypeError(f"cannot serialize dtype {arr.dtype}")
-    header = f"{{'descr': {descr!r}, 'fortran_order': False, 'shape': {arr.shape}, }}"
-    prefix_len = len(MAGIC) + 2 + 2
-    pad = -(prefix_len + len(header) + 1) % 64
-    header = header + " " * pad + "\n"
-    out = bytearray()
-    out += MAGIC
-    out += bytes((1, 0))
-    out += len(header).to_bytes(2, "little")
-    out += header.encode("ascii")
-    if arr.dtype.byteorder == ">":
-        arr = arr.astype(arr.dtype.newbyteorder("<"))
-    out += arr.tobytes(order="C")
-    return bytes(out)
+    out = io.BytesIO()
+    np.lib.format.write_array(out, arr.astype(arr.dtype.newbyteorder("<"), copy=False),
+                              version=(1, 0), allow_pickle=False)
+    return out.getvalue()
 
 
 @dataclass
@@ -494,55 +481,26 @@ def ingest_raw_csv(path, nonfinite: str = "drop") -> list[RawTrial]:
     the GPU_SENSORS columns; device_id and label columns are optional.
     Rows are sorted by timestamp (stable, so input order breaks ties).
     Non-finite readings are dropped row-wise by default or forward-filled
-    with ``nonfinite="ffill"``.
+    with ``nonfinite="ffill"``. A row with fewer fields than the header,
+    bytes that are not UTF-8 and text the csv module cannot parse (such
+    as an unterminated quote running past its field size limit) raise
+    SchemaMismatchError naming the line; extra fields are ignored.
     """
     if nonfinite not in ("drop", "ffill"):
         raise SchemaMismatchError(f"unknown non-finite policy {nonfinite!r}")
 
     path = Path(path)
     try:
-        fh = open(path, "r", newline="")
+        fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise ArchiveIoError(f"cannot read {path}: {exc}") from None
     with fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyFileError(f"{path} is empty") from None
-        header = [h.strip() for h in header]
-        present_sensors = [h for h in header if h not in _META_COLUMNS]
-        if set(present_sensors) != set(GPU_SENSORS) or len(present_sensors) != len(GPU_SENSORS):
-            raise SchemaMismatchError(
-                f"sensor columns {sorted(present_sensors)} do not match "
-                f"the GPU sensors {sorted(GPU_SENSORS)}"
-            )
-        if "job_id" not in header or "timestamp" not in header:
-            raise SchemaMismatchError("job_id and timestamp columns are required")
-        col = {name: header.index(name) for name in header}
-        sensor_idx = [col[s] for s in GPU_SENSORS]
-        has_device = "device_id" in col
-        has_label = "label" in col
-
-        groups: dict[tuple[str, str], list] = {}
-        for row in reader:
-            if not row or all(not c.strip() for c in row):
-                continue
-            job = row[col["job_id"]].strip()
-            device = row[col["device_id"]].strip() if has_device else ""
-            try:
-                ts = float(row[col["timestamp"]])
-            except ValueError:
-                raise SchemaMismatchError(f"bad timestamp {row[col['timestamp']]!r}") from None
-            values = []
-            for j in sensor_idx:
-                cell = row[j].strip()
-                try:
-                    values.append(float(cell) if cell else float("nan"))
-                except ValueError:
-                    values.append(float("nan"))
-            label = row[col["label"]].strip() if has_label else ""
-            groups.setdefault((job, device), []).append((ts, values, label))
+            groups = _csv_groups(reader, path)
+        except (IndexError, UnicodeDecodeError, csv.Error) as exc:
+            problem = "fewer fields than the header" if isinstance(exc, IndexError) else exc
+            raise SchemaMismatchError(f"{path} line {reader.line_num}: {problem}") from None
 
     if not groups:
         raise EmptyFileError(f"{path} has a header but no data rows")
@@ -578,6 +536,48 @@ def ingest_raw_csv(path, nonfinite: str = "drop") -> list[RawTrial]:
         raise EmptyFileError(f"{path} contains no usable trials after filtering")
     trials.sort(key=lambda t: (t.job_id, t.device_id))
     return trials
+
+
+def _csv_groups(reader, path) -> dict:
+    """(job, device) -> [(timestamp, sensor values, label)], rows in file order."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise EmptyFileError(f"{path} is empty") from None
+    header = [h.strip() for h in header]
+    present_sensors = [h for h in header if h not in _META_COLUMNS]
+    if set(present_sensors) != set(GPU_SENSORS) or len(present_sensors) != len(GPU_SENSORS):
+        raise SchemaMismatchError(
+            f"sensor columns {sorted(present_sensors)} do not match "
+            f"the GPU sensors {sorted(GPU_SENSORS)}"
+        )
+    if "job_id" not in header or "timestamp" not in header:
+        raise SchemaMismatchError("job_id and timestamp columns are required")
+    col = {name: header.index(name) for name in header}
+    sensor_idx = [col[s] for s in GPU_SENSORS]
+    has_device = "device_id" in col
+    has_label = "label" in col
+
+    groups: dict[tuple[str, str], list] = {}
+    for row in reader:
+        if not row or all(not c.strip() for c in row):
+            continue
+        job = row[col["job_id"]].strip()
+        device = row[col["device_id"]].strip() if has_device else ""
+        try:
+            ts = float(row[col["timestamp"]])
+        except ValueError:
+            raise SchemaMismatchError(f"bad timestamp {row[col['timestamp']]!r}") from None
+        values = []
+        for j in sensor_idx:
+            cell = row[j].strip()
+            try:
+                values.append(float(cell) if cell else float("nan"))
+            except ValueError:
+                values.append(float("nan"))
+        label = row[col["label"]].strip() if has_label else ""
+        groups.setdefault((job, device), []).append((ts, values, label))
+    return groups
 
 
 def _is_int(text: str) -> bool:

@@ -355,7 +355,7 @@ def train_family(family: str, features, y, params: dict, seed: int, n_classes: i
         name, gamma = p.pop("kernel"), p.pop("gamma")
         if name == "rbf" and gamma is None:
             gamma = default_gamma(features)
-        kernel = KernelSpec(name, gamma if name == "rbf" else None)  # linear ignores gamma
+        kernel = KernelSpec(name, gamma)
         return train_svm_multiclass(features, y, kernel=kernel, n_classes=n_classes, **p)
     return train_gbt(features, y, GbtParams(reg_lambda=p.pop("lambda"), **p),
                      n_classes=n_classes)

@@ -431,6 +431,19 @@ class TestFamilyParameterFlags:
         assert read["reproduce"] == {("rf", "n_trees"), ("svm", "C"), ("gbt", "rounds"),
                                      ("gbt", "gamma"), ("gbt", "alpha"), ("gbt", "lambda")}
 
+    @pytest.mark.parametrize("family,flags,message", [
+        ("svm", ["--kernel", "linear", "--rbf-gamma", "0.5"], "linear kernel takes no gamma"),
+        ("rf", ["--n-trees", "2", "--max-depth", "-1"], "max_depth"),
+        ("rf", ["--n-trees", "2", "--min-leaf", "0"], "min_leaf"),
+    ], ids=["linear-gamma", "rf-depth", "rf-leaf"])
+    def test_train_parameters_out_of_range_are_usage(self, data, tmp_path, capsys, family,
+                                                     flags, message):
+        out = tmp_path / "m.wlc1"
+        assert main(["train", "--in", str(data / "feat.npz"), "--model", family,
+                     "--out", str(out), *flags]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_grid_lists_are_usage(self, data, tmp_path, capsys):
         assert main(["gridsearch", "--in", str(data / "arc.npz"), "--family", "rf",
                      "--n-trees", "5,x", "--folds", "2",

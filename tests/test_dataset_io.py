@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from wlclass.cli import (
+    main,
     read_feature_set,
     read_reduction_bundle,
     write_feature_set,
@@ -121,6 +122,21 @@ class TestWriteArray:
     def test_rejects_unsupported_dtype(self):
         with pytest.raises(UnsupportedDtypeError):
             write_array(np.array([1 + 2j, 3 + 4j]))
+
+    def test_zero_dimensional_round_trip(self):
+        restored = read_array(write_array(np.array(3.0)))
+        assert restored.shape == () and restored == 3.0
+
+    def test_bytes_are_the_reference_serializers(self):
+        rng = np.random.default_rng(5)
+        for dtype in ["<f8", "<f4", "<i8", "<i4", "|S6"]:
+            for shape in [(5,), (3, 4, 7), (2, 3), (0, 3), (1, 1, 1, 1, 1)]:
+                arr = rng.integers(-50, 50, size=shape).astype(dtype)
+                assert write_array(arr) == reference_bytes(arr, version=(1, 0))
+        big_endian = np.arange(6, dtype=">f8").reshape(2, 3)
+        assert write_array(big_endian) == reference_bytes(big_endian.astype("<f8"))
+        fortran = np.asfortranarray(np.arange(6.0).reshape(2, 3))
+        assert write_array(fortran) == reference_bytes(np.ascontiguousarray(fortran))
 
 
 class TestMalformedInputs:
@@ -483,6 +499,70 @@ class TestCsvIngest:
         trials = ingest_raw_csv(self.write(tmp_path, rows))
         assert sorted(t.label for t in trials) == [4, 9]
         assert all(t.label_name is None for t in trials)
+
+    def test_short_row_names_its_line(self, tmp_path):
+        rows = [self.row("j1", 0), self.row("j1", 1)[:-4], self.row("j1", 2)]
+        with pytest.raises(SchemaMismatchError, match="line 3: fewer fields than the header"):
+            ingest_raw_csv(self.write(tmp_path, rows))
+
+    def test_extra_fields_are_ignored(self, tmp_path):
+        rows = [self.row("j1", 0), self.row("j1", 1) + ",surplus,9"]
+        (trial,) = ingest_raw_csv(self.write(tmp_path, rows))
+        assert trial.n_samples == 2
+
+    def test_bytes_that_are_not_utf8(self, tmp_path):
+        path = self.write(tmp_path, [self.row("j1", 0), self.row("j1", 1)])
+        path.write_bytes(path.read_bytes().replace(b"vgg", b"vg\xff"))
+        with pytest.raises(SchemaMismatchError, match="utf-8"):
+            ingest_raw_csv(path)
+
+    def test_unterminated_quote_past_the_field_limit(self, tmp_path):
+        rows = [self.row("j1", 0), self.row("j1", 1, label='"vgg')]
+        rows += [self.row("j1", t) for t in range(2, 6000)]  # about 180 kB
+        with pytest.raises(SchemaMismatchError, match=r"line \d+: field larger than field limit"):
+            ingest_raw_csv(self.write(tmp_path, rows))
+
+    def test_window_exits_2_on_a_short_row(self, tmp_path, capsys):
+        rows = [self.row("j1", 0), self.row("j1", 1)[:-4]]
+        assert main(["window", "--in", str(self.write(tmp_path, rows)),
+                     "--out", str(tmp_path / "arc.npz")]) == 2
+        assert "line 3" in capsys.readouterr().err
+
+    def test_seeded_mutation_fuzz(self, tmp_path):
+        """Byte flips, truncations, commas and quotes added or deleted, and
+        non-UTF-8 bytes: every mutant gives trials or a typed error."""
+        rows = [self.row(f"j{j}", t, label=f'"{name}"')
+                for j, name in enumerate(["vgg", "bert"]) for t in range(3)]
+        base = self.write(tmp_path, rows).read_bytes()
+        rng = np.random.default_rng(99)
+        path, outcomes = tmp_path / "mutant.csv", {}
+
+        def mutate(raw):
+            at = int(rng.integers(0, len(raw) + 1))
+            kind = int(rng.integers(0, 7))
+            if kind == 0:  # set one byte to any value
+                return raw[:at] + bytes([int(rng.integers(0, 256))]) + raw[at + 1:]
+            if kind == 1:  # truncate
+                return raw[:at]
+            if kind in (2, 3):  # delete a comma or a quote
+                marks = [i for i, c in enumerate(raw) if c == b',"'[kind - 2]]
+                i = marks[int(rng.integers(0, len(marks)))] if marks else len(raw)
+                return raw[:i] + raw[i + 1:]
+            return raw[:at] + (b",", b'"', b"\xff")[kind - 4] + raw[at:]  # add one
+
+        for _ in range(400):
+            raw = base
+            for _ in range(int(rng.integers(1, 4))):
+                raw = mutate(raw)
+            path.write_bytes(raw)
+            try:
+                trials = ingest_raw_csv(path)
+            except WlclassError as exc:
+                outcomes[type(exc).__name__] = outcomes.get(type(exc).__name__, 0) + 1
+                continue
+            assert trials and all(isinstance(t, RawTrial) for t in trials)
+            outcomes["trials"] = outcomes.get("trials", 0) + 1
+        assert {"trials", "SchemaMismatchError"} <= set(outcomes), outcomes
 
 
 class TestRawTrial:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import wlclass.model_selection
-from wlclass.classifiers import predict, serialize_model
+from wlclass.classifiers import default_gamma, predict, serialize_model
 from wlclass.errors import (
     BadKError,
     DegenerateInputError,
@@ -162,6 +162,21 @@ class TestGridSpec:
         x, y = make_windows(4, 2, length=6, sensors=3, seed=0)
         with pytest.raises(UsageError, match="poly"):
             train_family("svm", x[:, 0], y, {"kernel": "poly"}, 0, 2)
+
+    def test_svm_gamma_reaches_the_kernel_as_given(self):
+        x, y = make_windows(4, 2, length=6, sensors=3, seed=0)
+        with pytest.raises(UsageError, match="linear kernel takes no gamma"):
+            train_family("svm", x[:, 0], y, {"kernel": "linear", "gamma": 0.5}, 0, 2)
+        assert train_family("svm", x[:, 0], y, {"kernel": "linear"}, 0, 2).kernel.gamma is None
+        rbf = train_family("svm", x[:, 0], y, {}, 0, 2).kernel
+        assert (rbf.name, rbf.gamma) == ("rbf", default_gamma(x[:, 0]))
+        assert train_family("svm", x[:, 0], y, {"gamma": 0.25}, 0, 2).kernel.gamma == 0.25
+
+    def test_rf_depth_and_leaf_limits_are_usage_errors(self):
+        x, y = make_windows(4, 2, length=6, sensors=3, seed=0)
+        for params in ({"max_depth": -1}, {"min_leaf": 0}, {"min_leaf": -3}):
+            with pytest.raises(UsageError, match=next(iter(params))):
+                train_family("rf", x[:, 0], y, {"n_trees": 2, **params}, 0, 2)
 
     def test_gbt_max_depth_none_is_usage_error(self):
         x, y = make_windows(6, 2, length=6, sensors=3, seed=0)

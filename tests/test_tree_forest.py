@@ -145,6 +145,18 @@ class TestTree:
         with pytest.raises(EmptyInputError):
             train_tree(np.zeros((0, 3)), np.zeros(0))
 
+    def test_depth_and_leaf_limits_checked(self):
+        for bad in ({"max_depth": -1}, {"max_depth": 2.5}, {"min_leaf": 0}, {"min_leaf": -3}):
+            with pytest.raises(UsageError, match=next(iter(bad))):
+                TreeParams(**bad)
+        assert TreeParams(max_depth=None).max_depth is None
+        assert TreeParams(max_depth=0, min_leaf=1).max_depth == 0
+        X, y = np.arange(8.0).reshape(4, 2), np.array([0, 1, 0, 1])
+        with pytest.raises(UsageError, match="max_depth"):
+            train_forest(X, y, n_trees=3, seed=0, max_depth=-1)
+        with pytest.raises(UsageError, match="min_leaf"):
+            train_forest(X, y, n_trees=3, seed=0, min_leaf=0)
+
     def test_adjacent_floats_split_apart(self):
         # the midpoint of these two neighbours rounds up to the larger one
         lo = 1.0 + 2.0**-52
@@ -206,12 +218,11 @@ class TestForest:
             return NodeTable(
                 feature=np.array([LEAF]), threshold=np.zeros(1), left=np.array([LEAF]),
                 right=np.array([LEAF]), value=np.eye(3, dtype=np.int64)[c:c + 1] * 5,
-                roots=np.zeros(1, dtype=np.int64),
+                roots=np.zeros(1, dtype=np.int64), feature_count=2,
             )
 
         forest = ForestModel(
-            table=stack_tables([leaf_for(2), leaf_for(1)]), n_trees=2, seed=0,
-            feature_count=2, class_count=3,
+            table=stack_tables([leaf_for(2), leaf_for(1)]), n_trees=2, seed=0, class_count=3,
         )
         assert predict(forest, np.zeros((1, 2)))[0] == 1
 
