@@ -1,24 +1,24 @@
-"""Parsing and writing of the challenge's array-archive format plus raw telemetry ingestion.
+"""Reading and writing of the challenge's array-archive format plus raw telemetry ingestion.
 
-The distribution format is a zip container whose members are serialized
+The distribution format is a zip container whose members are ``.npy``
 arrays: magic ``\\x93NUMPY``, a one-byte major/minor version, a little-endian
 header length, then an ASCII dict with keys ``descr``/``fortran_order``/``shape``
-followed by the raw payload. The parser here is written from first
-principles so that arbitrary byte input always produces a typed error,
-never a crash; the widely used reference serializers can read what we
-write and vice versa. Feature sets, reduction bundles and model files
-are the same kind of zip plus a JSON meta member; write_bundle and
-read_bundle are the one codec for all four.
+followed by the raw payload. numpy's ``np.lib.format`` reads and writes
+that header; this module enforces the dtype whitelist and the exact
+payload length around it and turns every failure into a typed error, so
+arbitrary byte input never crashes. Feature sets, reduction bundles and
+model files are the same kind of zip plus a JSON meta member;
+write_bundle and read_bundle are the one codec for all four.
 
 Raw telemetry arrives as delimited text, one row per timestamped sample,
 grouped by job (and device, for multi-GPU jobs).
 """
 
-import ast
 import csv
 import io
 import json
 import math
+import warnings
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -59,84 +59,25 @@ ARCHIVE_KEYS = ("X_train", "y_train", "model_train", "X_test", "y_test", "model_
 
 NUM_CLASSES = 26
 
-# descr code -> (element_type, itemsize); string kinds carry a per-element length.
-_SCALAR_CODES = {
-    "f8": ("float64", 8),
-    "f4": ("float32", 4),
-    "i8": ("int64", 8),
-    "i4": ("int32", 4),
-}
-_SCALAR_TYPES = {name: (code, size) for code, (name, size) in _SCALAR_CODES.items()}
-
 _MAX_NDIM = 32
 _MAX_HEADER = 1 << 20
+# format version -> (numpy's header reader, offset of the header dict)
+_HEADER_READERS = {
+    (1, 0): (np.lib.format.read_array_header_1_0, 10),
+    (2, 0): (np.lib.format.read_array_header_2_0, 12),
+}
 
 
-@dataclass(frozen=True)
-class ArrayDescriptor:
-    """Parsed metadata of one serialized array.
-
-    element_type is one of float64/float32/int64/int32 or, for fixed-length
-    strings, "bytes"/"str" with item_length giving the per-element length k.
-    """
-
-    element_type: str
-    byte_order: str  # "little" | "big"
-    layout: str  # "row-major" | "column-major"
-    shape: tuple[int, ...]
-    item_length: int | None = None
-
-    @property
-    def itemsize(self) -> int:
-        if self.element_type in _SCALAR_TYPES:
-            return _SCALAR_TYPES[self.element_type][1]
-        if self.element_type == "bytes":
-            return self.item_length
-        if self.element_type == "str":
-            return 4 * self.item_length  # 4-byte code points
-        raise UnsupportedDtypeError(self.element_type)
-
-    @property
-    def payload_nbytes(self) -> int:
-        return math.prod(self.shape) * self.itemsize
-
-    def to_numpy_dtype(self) -> np.dtype:
-        order = "<" if self.byte_order == "little" else ">"
-        if self.element_type in _SCALAR_TYPES:
-            return np.dtype(order + _SCALAR_TYPES[self.element_type][0])
-        if self.element_type == "bytes":
-            return np.dtype(f"|S{self.item_length}")
-        return np.dtype(f"{order}U{self.item_length}")
-
-
-def _parse_descr(descr) -> tuple[str, str, int | None]:
-    """Map a header descr string to (element_type, byte_order, item_length)."""
-    if not isinstance(descr, str) or len(descr) < 2:
-        raise UnsupportedDtypeError(f"unsupported descr {descr!r}")
-    order_code, code = descr[0], descr[1:]
-    if order_code not in "<>|=":
-        raise UnsupportedDtypeError(f"unsupported descr {descr!r}")
-    byte_order = "big" if order_code == ">" else "little"
-    if code in _SCALAR_CODES:
-        return _SCALAR_CODES[code][0], byte_order, None
-    if code and code[0] in ("S", "U"):
-        try:
-            k = int(code[1:])
-        except ValueError:
-            raise UnsupportedDtypeError(f"unsupported descr {descr!r}") from None
-        if k < 1:
-            raise UnsupportedDtypeError(f"string length must be >= 1, got {descr!r}")
-        return ("bytes" if code[0] == "S" else "str"), byte_order, k
-    raise UnsupportedDtypeError(f"unsupported descr {descr!r}")
-
-
-def parse_array_header(data: bytes) -> tuple[ArrayDescriptor, int]:
+def parse_array_header(data: bytes) -> tuple[np.dtype, tuple[int, ...], bool, int]:
     """Parse a serialized-array header from raw bytes.
 
-    Returns the descriptor and the byte offset at which the payload starts.
-    Total-length consistency (shape product times element size equals the
-    remaining bytes) is enforced, so a descriptor returned from here always
-    satisfies its invariants.
+    Returns (dtype, shape, fortran_order, offset), the payload starting at
+    offset. numpy's header reader parses the dict. Around it, the magic and
+    version are checked first, and what numpy would accept or silently
+    repair is refused: any numpy warning, a non-ASCII header, a bool or
+    negative extent, more than 32 axes, a dtype other than f4/f8/i4/i8 or
+    non-empty S/U strings, and a payload that is not exactly the shape's
+    size.
 
     Raises:
         BadMagicError: first six bytes are not the array magic.
@@ -150,56 +91,39 @@ def parse_array_header(data: bytes) -> tuple[ArrayDescriptor, int]:
     if len(data) < 10:
         raise MalformedHeaderError("input ends before the header length field")
     version = (data[6], data[7])
-    if version == (1, 0):
-        header_len = int.from_bytes(data[8:10], "little")
-        header_start = 10
-    elif version == (2, 0):
-        if len(data) < 12:
-            raise MalformedHeaderError("input ends before the header length field")
-        header_len = int.from_bytes(data[8:12], "little")
-        header_start = 12
-    else:
+    if version not in _HEADER_READERS:
         raise UnsupportedVersionError(f"version {version[0]}.{version[1]}")
-    if header_len > _MAX_HEADER:
-        raise MalformedHeaderError(f"header length {header_len} exceeds cap")
-    offset = header_start + header_len
-    if len(data) < offset:
-        raise MalformedHeaderError("header is truncated")
+    read_header, header_start = _HEADER_READERS[version]
+    fp = io.BytesIO(data)
+    fp.seek(8)
     try:
-        header_text = data[header_start:offset].decode("ascii")
-    except UnicodeDecodeError:
-        raise MalformedHeaderError("header is not ASCII") from None
-    try:
-        header = ast.literal_eval(header_text.strip())
-    except Exception:
-        raise MalformedHeaderError("header dict is unparseable") from None
-    if not isinstance(header, dict) or set(header) != {"descr", "fortran_order", "shape"}:
-        raise MalformedHeaderError("header keys must be descr/fortran_order/shape")
-    element_type, byte_order, item_length = _parse_descr(header["descr"])
-    if not isinstance(header["fortran_order"], bool):
-        raise MalformedHeaderError("fortran_order must be a boolean")
-    layout = "column-major" if header["fortran_order"] else "row-major"
-    shape = header["shape"]
-    if not isinstance(shape, tuple) or len(shape) > _MAX_NDIM:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy warns where it repairs a header
+            shape, fortran_order, dtype = read_header(fp, max_header_size=_MAX_HEADER)
+    except Exception as exc:  # header bytes are untrusted; literal_eval can raise anything
+        raise MalformedHeaderError(f"header is unreadable: {exc}") from None
+    offset = fp.tell()
+    if not data[header_start:offset].isascii():
+        raise MalformedHeaderError("header is not ASCII")
+    if len(shape) > _MAX_NDIM or any(isinstance(d, bool) or d < 0 for d in shape):
         raise MalformedHeaderError(f"bad shape {shape!r}")
-    for dim in shape:
-        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
-            raise MalformedHeaderError(f"bad shape {shape!r}")
-    descriptor = ArrayDescriptor(element_type, byte_order, layout, tuple(shape), item_length)
-    if len(data) - offset != descriptor.payload_nbytes:
+    if not (dtype.kind in "fi" and dtype.itemsize in (4, 8)
+            or dtype.kind in "SU" and dtype.itemsize > 0):
+        raise UnsupportedDtypeError(f"unsupported dtype {dtype}")
+    payload_nbytes = math.prod(shape) * dtype.itemsize
+    if len(data) - offset != payload_nbytes:
         raise MalformedHeaderError(
-            f"payload is {len(data) - offset} bytes, shape {shape} needs "
-            f"{descriptor.payload_nbytes}"
+            f"payload is {len(data) - offset} bytes, shape {shape} needs {payload_nbytes}"
         )
-    return descriptor, offset
+    return dtype, shape, fortran_order, offset
 
 
 def read_array(data: bytes) -> np.ndarray:
-    """Deserialize one array from raw member bytes."""
-    descriptor, offset = parse_array_header(data)
-    arr = np.frombuffer(data[offset:], dtype=descriptor.to_numpy_dtype())
-    order = "F" if descriptor.layout == "column-major" else "C"
-    return arr.reshape(descriptor.shape, order=order)
+    """Deserialize one array from raw member bytes, as a read-only view of them."""
+    data = bytes(data)
+    dtype, shape, fortran_order, offset = parse_array_header(data)
+    arr = np.frombuffer(data, dtype=dtype, offset=offset)
+    return arr.reshape(shape, order="F" if fortran_order else "C")
 
 
 def write_array(arr: np.ndarray) -> bytes:
@@ -253,7 +177,6 @@ class ChallengeDataset:
     x_test: np.ndarray
     y_test: np.ndarray
     model_test: list[str]
-    sensor_order: tuple[str, ...] = GPU_SENSORS
     label_convention: str = "0-based"  # convention found in the source archive
 
     def validate(self) -> "ChallengeDataset":
@@ -263,7 +186,7 @@ class ChallengeDataset:
             raise ShapeMismatchError(
                 f"sample counts differ: {self.x_train.shape[1]} vs {self.x_test.shape[1]}"
             )
-        n_sensors = len(self.sensor_order)
+        n_sensors = len(GPU_SENSORS)
         if self.x_train.shape[2] != n_sensors or self.x_test.shape[2] != n_sensors:
             raise ShapeMismatchError(f"trailing dimension must be {n_sensors}")
         for x, y, name in ((self.x_train, self.y_train, "train"), (self.x_test, self.y_test, "test")):
@@ -293,7 +216,6 @@ class ChallengeDataset:
             and np.array_equal(self.y_test, other.y_test)
             and self.model_train == other.model_train
             and self.model_test == other.model_test
-            and self.sensor_order == other.sensor_order
         )
 
 

@@ -34,6 +34,7 @@ from .classifiers import (
     train_gbt,
     train_svm_multiclass,
 )
+from .classifiers._checks import integer_labels
 from .dataset_io import read_bundle, read_challenge_archive, write_bundle
 from .errors import (
     BadKError,
@@ -112,8 +113,9 @@ class ReductionSpec:
 
     def describe(self) -> str:
         if self.kind == "cov":
-            suffix = ",centered" if self.center_per_trial else ""
-            return f"cov{suffix}"
+            centered = ",centered" if self.center_per_trial else ""
+            unbiased = ",unbiased" if self.scale_unbiased else ""
+            return f"cov{centered}{unbiased}"
         return f"pca-{self.k}"
 
 
@@ -400,7 +402,7 @@ def grid_search(x, y, spec: GridSpec):
     cell index.
     """
     x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
+    y = integer_labels(y)
     if x.ndim != 3 or x.shape[0] != len(y):
         raise ShapeMismatchError(f"tensor {x.shape} does not align with {len(y)} labels")
     cells = spec.cells()

@@ -1,5 +1,7 @@
 import hashlib
 import io
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +49,14 @@ def reference_bytes(arr, version=None):
     return buf.getvalue()
 
 
+def raw_npy(descr, shape, payload_nbytes, comment=""):
+    """Format-1.0 bytes with a hand-written header dict and a zero payload."""
+    header = f"{{'descr': {descr}, 'fortran_order': False, 'shape': {shape}, }}{comment}"
+    header = header + " " * (-(10 + len(header) + 1) % 64) + "\n"
+    return (b"\x93NUMPY\x01\x00" + len(header).to_bytes(2, "little")
+            + header.encode("latin-1") + bytes(payload_nbytes))
+
+
 class TestHeaderParseAgainstReference:
     """Field-by-field comparison with the reference serializer's own reader."""
 
@@ -61,38 +71,47 @@ class TestHeaderParseAgainstReference:
                 else:
                     arr = rng.integers(-50, 50, size=shape).astype(dtype)
                 raw = reference_bytes(arr)
-                descr, offset = parse_array_header(raw)
+                got_dtype, got_shape, got_fortran, offset = parse_array_header(raw)
 
                 buf = io.BytesIO(raw)
                 np.lib.format.read_magic(buf)
                 ref_shape, ref_fortran, ref_dtype = np.lib.format.read_array_header_1_0(buf)
-                assert descr.shape == ref_shape
-                assert (descr.layout == "column-major") == ref_fortran
-                assert descr.to_numpy_dtype() == ref_dtype
+                assert got_shape == ref_shape
+                assert got_fortran == ref_fortran
+                assert got_dtype == ref_dtype
                 assert offset == buf.tell()
-                assert descr.payload_nbytes == len(raw) - offset
+                assert math.prod(got_shape) * got_dtype.itemsize == len(raw) - offset
 
     def test_version_two_headers_parse(self):
         arr = np.arange(12.0).reshape(3, 4)
         raw = reference_bytes(arr, version=(2, 0))
-        descr, offset = parse_array_header(raw)
-        assert descr.shape == (3, 4)
-        assert descr.element_type == "float64"
+        dtype, shape, _, _ = parse_array_header(raw)
+        assert shape == (3, 4)
+        assert dtype == np.float64
         np.testing.assert_array_equal(read_array(raw), arr)
 
     def test_fortran_order_payload(self):
         arr = np.asfortranarray(np.arange(20.0).reshape(4, 5))
         raw = reference_bytes(arr)
-        descr, _ = parse_array_header(raw)
-        assert descr.layout == "column-major"
+        _, _, fortran_order, _ = parse_array_header(raw)
+        assert fortran_order
         np.testing.assert_array_equal(read_array(raw), arr)
 
     def test_big_endian_payload(self):
         arr = np.arange(6, dtype=">i4").reshape(2, 3)
         raw = reference_bytes(arr)
-        descr, _ = parse_array_header(raw)
-        assert descr.byte_order == "big"
+        dtype, _, _, _ = parse_array_header(raw)
+        assert dtype.byteorder == ">"
         np.testing.assert_array_equal(read_array(raw), arr)
+
+    def test_header_longer_than_127_bytes(self):
+        arr = np.arange(2.0).reshape((1,) * 19 + (2,))
+        raw = reference_bytes(arr)
+        assert raw[8] > 127
+        np.testing.assert_array_equal(read_array(raw), arr)
+
+    def test_descr_without_byte_order_reads_as_native(self):
+        np.testing.assert_array_equal(read_array(raw_npy("'f8'", "(2,)", 16)), np.zeros(2))
 
 
 class TestWriteArray:
@@ -116,7 +135,7 @@ class TestWriteArray:
     def test_header_is_aligned(self):
         for shape in [(1,), (100,), (3, 3, 3)]:
             raw = write_array(np.zeros(shape))
-            _, offset = parse_array_header(raw)
+            *_, offset = parse_array_header(raw)
             assert offset % 64 == 0
 
     def test_rejects_unsupported_dtype(self):
@@ -196,10 +215,35 @@ class TestMalformedInputs:
             for _ in range(rng.integers(1, 5)):
                 raw[rng.integers(0, len(raw))] = rng.integers(0, 256)
             try:
-                descr, offset = parse_array_header(bytes(raw))
+                dtype, shape, _, offset = parse_array_header(bytes(raw))
             except WlclassError:
                 continue
-            assert len(raw) - offset == descr.payload_nbytes
+            assert len(raw) - offset == math.prod(shape) * dtype.itemsize
+
+    @pytest.mark.parametrize("raw, expected", [
+        pytest.param(reference_bytes(np.zeros(4)) + b"\x00", MalformedHeaderError,
+                     id="trailing-byte"),
+        pytest.param(raw_npy("'<f8'", "(True,)", 8), MalformedHeaderError, id="bool-axis"),
+        pytest.param(raw_npy("'<f8'", "(-1,)", 0), MalformedHeaderError, id="negative-axis"),
+        pytest.param(raw_npy("'<f8'", "(" + "1, " * 33 + ")", 8), MalformedHeaderError,
+                     id="33-axes"),
+        pytest.param(raw_npy("'<f8'", "(3L,)", 24), MalformedHeaderError, id="python2-long"),
+        pytest.param(raw_npy("'<f8'", "(1,)", 8, comment=" # \xe9"), MalformedHeaderError,
+                     id="non-ascii-comment"),
+        pytest.param(raw_npy("'<u8'", "(1,)", 8), UnsupportedDtypeError, id="u8"),
+        pytest.param(raw_npy("'<f2'", "(1,)", 2), UnsupportedDtypeError, id="f2"),
+        pytest.param(raw_npy("'|S0'", "(1,)", 0), UnsupportedDtypeError, id="S0"),
+        pytest.param(raw_npy("'<U0'", "(1,)", 0), UnsupportedDtypeError, id="U0"),
+        pytest.param(raw_npy("[('a', '<f8')]", "(1,)", 8), UnsupportedDtypeError,
+                     id="structured"),
+    ])
+    def test_refusals_are_typed_and_silent(self, raw, expected):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(expected) as raised:
+                read_array(raw)
+        assert raised.type is expected
+        assert caught == []
 
     def test_random_garbage_fuzz(self):
         rng = np.random.default_rng(77)

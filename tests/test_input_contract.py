@@ -41,6 +41,7 @@ def training_set():
 
 def with_label(label):
     X, y = training_set()
+    y = y.astype(type(label))
     y[5] = label
     return X, y
 
@@ -58,6 +59,7 @@ CASES = {
     "NaN feature": (with_nan, DegenerateInputError),
     "label -1": (lambda: with_label(-1), LabelOutOfRangeError),
     "label n_classes": (lambda: with_label(N_CLASSES), LabelOutOfRangeError),
+    "label 0.5": (lambda: with_label(0.5), LabelOutOfRangeError),
 }
 
 
@@ -93,6 +95,14 @@ def test_checks_run_in_order_and_keep_float64_input_uncopied():
     rows, labels, n_classes = labelled_rows(X, y)
     assert rows is X and n_classes == N_CLASSES
     assert labels.dtype == np.int64
+
+
+def test_labels_must_be_integral():
+    X, y = training_set()
+    np.testing.assert_array_equal(labelled_rows(X, y.astype(np.float64))[1], y)
+    for labels in ([0.0, 0.9, 1.7, 2.2] * 3, np.where(y == 1, np.nan, y)):
+        with pytest.raises(LabelOutOfRangeError, match="integers"):
+            labelled_rows(X, labels)
 
 
 def predictors():

@@ -9,6 +9,7 @@ from wlclass.classifiers import default_gamma, predict, serialize_model
 from wlclass.errors import (
     BadKError,
     DegenerateInputError,
+    LabelOutOfRangeError,
     MissingArchiveError,
     ShapeMismatchError,
     UsageError,
@@ -200,12 +201,21 @@ class TestGridSpec:
             ReductionSpec("pca", k=0)
         assert ReductionSpec("pca", k=4).describe() == "pca-4"
         assert ReductionSpec("cov").describe() == "cov"
+        assert ReductionSpec("cov", scale_unbiased=True).describe() == "cov,unbiased"
+        assert ReductionSpec("cov", center_per_trial=True,
+                             scale_unbiased=True).describe() == "cov,centered,unbiased"
 
 
 class TestGridSearch:
     @pytest.fixture
     def easy_problem(self):
         return make_windows(12, 3, length=8, sensors=4, seed=5)
+
+    def test_fractional_labels_are_refused(self, easy_problem):
+        x, y = easy_problem
+        spec = GridSpec("rf", {"n_trees": [1]}, (ReductionSpec("cov"),), folds=2)
+        with pytest.raises(LabelOutOfRangeError, match="integers"):
+            grid_search(x, y + 0.5, spec)
 
     def test_more_trees_not_worse_and_best_is_argmax(self):
         x, y = make_windows(10, 3, length=8, sensors=4, seed=2, noise=2.5)
