@@ -362,13 +362,8 @@ def cmd_window(args) -> StageResult:
 
 
 def cmd_featurize(args) -> StageResult:
+    spec = ReductionSpec.parse(args.reduction)
     dataset = read_challenge_archive(args.input)
-    if args.reduction == "pca":
-        spec = ReductionSpec("pca", k=args.k)
-    else:
-        spec = ReductionSpec(
-            "cov", center_per_trial=args.center_per_trial, scale_unbiased=args.unbiased
-        )
     reduction, features_train = fit_reduction(spec, dataset.x_train)
     features_test = reduction.transform(dataset.x_test)
     meta = {
@@ -487,24 +482,10 @@ def cmd_evaluate(args) -> StageResult:
 
 
 def _parse_reductions(text: str) -> tuple:
-    specs = []
-    for token in str(text).split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if token == "cov":
-            specs.append(ReductionSpec("cov"))
-        elif token.startswith("pca-"):
-            try:
-                k = int(token[4:])
-            except ValueError:
-                raise UsageError(f"bad reduction token {token!r}; use cov or pca-<k>") from None
-            specs.append(ReductionSpec("pca", k=k))
-        else:
-            raise UsageError(f"bad reduction token {token!r}; use cov or pca-<k>")
+    specs = tuple(ReductionSpec.parse(token) for token in str(text).split(",") if token.strip())
     if not specs:
         raise UsageError("at least one reduction is required")
-    return tuple(specs)
+    return specs
 
 
 def cmd_gridsearch(args) -> StageResult:
@@ -698,11 +679,7 @@ def build_parser():
 
     featurize = subs.add_parser("featurize", help="fit a reduction on train, apply to both splits")
     featurize.add_argument("--in", dest="input", required=True, help="challenge archive")
-    featurize.add_argument("--reduction", choices=("cov", "pca"), default="cov")
-    featurize.add_argument("--k", type=int, default=28, help="PCA components")
-    featurize.add_argument("--center-per-trial", action="store_true")
-    featurize.add_argument("--unbiased", action="store_true",
-                           help="divide Gram entries by n - 1")
+    featurize.add_argument("--reduction", default="cov", help="cov or pca-<k>")
     featurize.add_argument("--reduction-out", default=None,
                            help="also save the fitted reduction bundle")
     _add_common(featurize, out_help="feature set path (.npz)")

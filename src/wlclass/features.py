@@ -1,11 +1,11 @@
 """Standardization and the two trial-level dimensionality reductions.
 
 A fitted Standardizer pools every (trial, time) pair per sensor on the
-training split. Reduction one turns each standardized trial M into the
-upper triangle of the Gram matrix M'M (28 values for 7 sensors); reduction
-two flattens each trial to a 3780-vector and projects it onto principal
-components. Both consume standardized data only and return plain
-trials x features float64 arrays.
+training split. Reduction one, the covariance baseline, turns each
+standardized trial M into the upper triangle of its sensor Gram matrix
+M'M (28 values for 7 sensors); reduction two flattens each trial to a
+3780-vector and projects it onto principal components. Both consume
+standardized data only and return plain trials x features float64 arrays.
 """
 
 from dataclasses import dataclass
@@ -84,34 +84,16 @@ def apply_standardizer(std: Standardizer, tensor: np.ndarray) -> np.ndarray:
     return (x - std.means) * _inverse_scale(std)
 
 
-def _upper_gram(m: np.ndarray, center_per_trial: bool, scale_unbiased: bool, upper) -> np.ndarray:
-    if center_per_trial:
-        m = m - m.mean(axis=0)
-    gram = m.T @ m
-    if scale_unbiased:
-        n = m.shape[0]
-        if n < 2:
-            raise DegenerateInputError("unbiased scaling needs at least 2 samples")
-        gram = gram / (n - 1)
-    return gram[upper]
-
-
-def covariance_features(
-    trial: np.ndarray, center_per_trial: bool = False, scale_unbiased: bool = False
-) -> np.ndarray:
-    """Upper triangle of the sensor Gram matrix M'M, row-major: entry
-    (i, j), i <= j, in the order of np.triu_indices.
-
-    By default the product is taken exactly as written, without removing
-    the trial's own channel means; center_per_trial switches to the
-    textbook covariance and scale_unbiased divides by n - 1.
-    """
+def covariance_features(trial: np.ndarray) -> np.ndarray:
+    """Upper triangle of the sensor Gram matrix M'M of one (standardized)
+    samples x sensors trial M, row-major: entry (i, j), i <= j, in the
+    order of np.triu_indices."""
     m = np.asarray(trial, dtype=np.float64)
     if m.ndim != 2:
         raise ShapeMismatchError(f"trial must be samples x sensors, got {m.shape}")
     if not np.isfinite(m).all():
         raise DegenerateInputError("trial contains non-finite entries")
-    return _upper_gram(m, center_per_trial, scale_unbiased, np.triu_indices(m.shape[1]))
+    return (m.T @ m)[np.triu_indices(m.shape[1])]
 
 
 def covariance_feature_names(sensor_names=GPU_SENSORS) -> tuple:
@@ -119,12 +101,7 @@ def covariance_feature_names(sensor_names=GPU_SENSORS) -> tuple:
     return tuple(f"cov({sensor_names[i]},{sensor_names[j]})" for i, j in zip(iu, ju))
 
 
-def covariance_feature_matrix(
-    tensor: np.ndarray,
-    standardizer: Standardizer,
-    center_per_trial: bool = False,
-    scale_unbiased: bool = False,
-) -> np.ndarray:
+def covariance_feature_matrix(tensor: np.ndarray, standardizer: Standardizer) -> np.ndarray:
     """Standardize a trial tensor and stack per-trial Gram features.
 
     Trials are standardized one at a time, so no standardized copy of the
@@ -143,7 +120,8 @@ def covariance_feature_matrix(
     means, inv = standardizer.means, _inverse_scale(standardizer)
     out = np.empty((x.shape[0], len(upper[0])))
     for row, trial in enumerate(x):
-        out[row] = _upper_gram((trial - means) * inv, center_per_trial, scale_unbiased, upper)
+        z = (trial - means) * inv
+        out[row] = (z.T @ z)[upper]
     return _check_finite(out)
 
 

@@ -100,8 +100,6 @@ class ReductionSpec:
 
     kind: str  # "cov" | "pca"
     k: int | None = None
-    center_per_trial: bool = False
-    scale_unbiased: bool = False
 
     def __post_init__(self):
         if self.kind not in ("cov", "pca"):
@@ -111,12 +109,18 @@ class ReductionSpec:
         if self.k is not None and self.k < 1:
             raise UsageError(f"k must be >= 1, got {self.k}")
 
+    @classmethod
+    def parse(cls, token: str) -> "ReductionSpec":
+        """The spec a token names, in describe()'s grammar: cov or pca-<k>."""
+        token = str(token).strip()
+        if token == "cov":
+            return cls("cov")
+        if token.startswith("pca-") and token[4:].isdecimal():
+            return cls("pca", int(token[4:]))
+        raise UsageError(f"bad reduction token {token!r}; use cov or pca-<k>")
+
     def describe(self) -> str:
-        if self.kind == "cov":
-            centered = ",centered" if self.center_per_trial else ""
-            unbiased = ",unbiased" if self.scale_unbiased else ""
-            return f"cov{centered}{unbiased}"
-        return f"pca-{self.k}"
+        return "cov" if self.kind == "cov" else f"pca-{self.k}"
 
 
 @dataclass
@@ -129,12 +133,7 @@ class FittedReduction:
 
     def transform(self, tensor) -> np.ndarray:
         if self.spec.kind == "cov":
-            return covariance_feature_matrix(
-                tensor,
-                self.standardizer,
-                self.spec.center_per_trial,
-                self.spec.scale_unbiased,
-            )
+            return covariance_feature_matrix(tensor, self.standardizer)
         return pca_feature_matrix(tensor, self.standardizer, self.pca)
 
     def fingerprint(self) -> str:
@@ -156,8 +155,7 @@ def fit_reduction(spec: ReductionSpec, x_train) -> tuple:
     """
     standardizer = fit_standardizer(x_train)
     if spec.kind == "cov":
-        features = covariance_feature_matrix(x_train, standardizer, spec.center_per_trial,
-                                             spec.scale_unbiased)
+        features = covariance_feature_matrix(x_train, standardizer)
         return FittedReduction(spec=spec, standardizer=standardizer), features
     flat = flatten_tensor(apply_standardizer(standardizer, x_train))
     pca = fit_pca(flat, spec.k)
@@ -174,13 +172,8 @@ def write_reduction_bundle(path, reduction: FittedReduction) -> None:
     if pca is not None:
         arrays.update(pca_mean=pca.mean, pca_components=pca.components,
                       pca_variance=pca.explained_variance)
-    write_bundle(path, arrays, {
-        "kind": spec.kind,
-        "k": spec.k,
-        "center_per_trial": spec.center_per_trial,
-        "scale_unbiased": spec.scale_unbiased,
-        "rank_deficient": pca.rank_deficient if pca else False,
-    })
+    write_bundle(path, arrays, {"kind": spec.kind, "k": spec.k,
+                                "rank_deficient": pca.rank_deficient if pca else False})
 
 
 def read_reduction_bundle(path) -> FittedReduction:
@@ -191,6 +184,7 @@ def read_reduction_bundle(path) -> FittedReduction:
 
     Raises:
         MalformedArchiveError: besides unreadable members, a bad kind or k,
+            a meta key of a retired cov variant that is not false,
             PCA members on a cov bundle or missing from a PCA one, or a
             member whose shape or dtype disagrees with the others: m-vectors
             means and stds (float) and constant (integer), and for PCA a
@@ -201,6 +195,10 @@ def read_reduction_bundle(path) -> FittedReduction:
     kind, k = meta.get("kind"), meta.get("k")
     if not (kind == "cov" and k is None or kind == "pca" and type(k) is int and k >= 1):
         raise MalformedArchiveError(f"reduction bundle {path}: bad kind {kind!r} with k {k!r}")
+    for key in ("center_per_trial", "scale_unbiased"):  # retired cov variants
+        if meta.get(key, False) is not False:
+            raise MalformedArchiveError(f"reduction bundle {path}: {key} is {meta[key]!r}; "
+                                        "only the plain Gram reduction is supported")
     expected = _STANDARDIZER_KEYS + (_PCA_KEYS if kind == "pca" else ())
     if set(bundle) != set(expected):
         raise MalformedArchiveError(f"reduction bundle {path}: {kind} with {sorted(bundle)}")
@@ -216,9 +214,7 @@ def read_reduction_bundle(path) -> FittedReduction:
     pca = None
     if kind == "pca":
         pca = PcaModel(bundle["pca_mean"], bundle["pca_components"], bundle["pca_variance"])
-    spec = ReductionSpec(kind, k, center_per_trial=bool(meta.get("center_per_trial", False)),
-                         scale_unbiased=bool(meta.get("scale_unbiased", False)))
-    return FittedReduction(spec=spec, standardizer=std, pca=pca)
+    return FittedReduction(spec=ReductionSpec(kind, k), standardizer=std, pca=pca)
 
 
 @dataclass(frozen=True)
@@ -309,10 +305,11 @@ def kfold_indices(n: int, k: int, labels, seed: int) -> list:
 
     Raises:
         BadKError: k < 2 or k > n.
+        LabelOutOfRangeError: a label is not an integer.
     """
     if k < 2 or k > n:
         raise BadKError(f"k must be in [2, {n}], got {k}")
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = integer_labels(labels)
     if len(labels) != n:
         raise ShapeMismatchError(f"{len(labels)} labels for n={n}")
     fold_of = np.empty(n, dtype=np.int64)
@@ -412,8 +409,7 @@ def grid_search(x, y, spec: GridSpec):
 
     families = {}  # reductions that differ only in k
     for cell in cells:
-        r = cell.reduction
-        families.setdefault((r.kind, r.center_per_trial, r.scale_unbiased), []).append(cell)
+        families.setdefault(cell.reduction.kind, []).append(cell)
     fold_accuracy = np.empty((len(cells), k))
     for family in families.values():
         rows = [c.index for c in family]
@@ -454,9 +450,10 @@ class EvalReport:
 
 
 def evaluate(predictions, y_test, class_names, dataset_id="", model_provenance=None) -> EvalReport:
-    """Score predictions against labels into an accuracy/confusion report."""
-    predictions = np.asarray(predictions, dtype=np.int64)
-    y_test = np.asarray(y_test, dtype=np.int64)
+    """Score predictions against labels into an accuracy/confusion report.
+    A label or prediction that is not an integer raises LabelOutOfRangeError."""
+    predictions = integer_labels(predictions)
+    y_test = integer_labels(y_test)
     if predictions.shape != y_test.shape:
         raise ShapeMismatchError(
             f"{predictions.shape} predictions vs {y_test.shape} labels"

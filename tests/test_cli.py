@@ -1,5 +1,8 @@
 import hashlib
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,6 +63,22 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "synth" in capsys.readouterr().out
+
+    def test_readme_commands_parse(self):
+        """Every wlclass command of the README's sh blocks, continuations
+        joined, parses, so a flag deleted but still documented fails here."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        parser, _ = build_parser()
+        commands = [shlex.split(line)[1:]
+                    for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+                    for line in block.replace("\\\n", " ").splitlines()
+                    if line.startswith("wlclass ")]
+        assert len(commands) >= 9
+        for argv in commands:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README command does not parse: wlclass {shlex.join(argv)}")
 
     def test_no_arguments_is_usage(self):
         assert main([]) == 1
@@ -190,25 +209,27 @@ class TestConfigFile:
                      "--config", str(cfg), "--out", str(tmp_path / "m.wlc1")]) == 1
 
     def test_boolean_config_toggles_store_true_flag(self, tmp_path):
-        d = tmp_path
-        assert main(["synth", "--classes", "4", "--jobs-per-class", "5",
-                     "--length-min", "40", "--length-max", "45",
-                     "--emit-archive", str(d / "arc.npz"), "--length", "30"]) == 0
-        cfg = d / "feat.cfg"
-        cfg.write_text("center-per-trial = true\n")
-        assert main(["featurize", "--in", str(d / "arc.npz"), "--config", str(cfg),
-                     "--out", str(d / "feat.npz")]) == 0
-        *_, meta = read_feature_set(d / "feat.npz")
-        assert meta["reduction"] == "cov,centered"
+        feat = self.feature_set(tmp_path)
+        cfg, out = tmp_path / "train.cfg", tmp_path / "m.wlc1"
+        for word, expected in (("true", True), ("false", False)):
+            cfg.write_text(f"allow-nonconverged = {word}\n")
+            assert main(["train", "--in", str(feat), "--model", "rf", "--n-trees", "2",
+                         "--config", str(cfg), "--out", str(out)]) == 0
+            manifest = json.loads((tmp_path / "m.wlc1.manifest.json").read_text())
+            assert manifest["flags"]["allow_nonconverged"] is expected
 
     def test_config_reduction_outside_choices_is_usage(self, tmp_path):
+        """featurize --reduction takes one gridsearch --reductions token."""
         d = tmp_path
         self.feature_set(d)
         cfg = d / "feat.cfg"
-        cfg.write_text("reduction = pca2\n")
-        assert main(["featurize", "--in", str(d / "arc.npz"), "--config", str(cfg),
-                     "--out", str(d / "pca.npz")]) == 1
-        assert not (d / "pca.npz").exists()
+        for token in ("pca2", "pca", "pca-0", "pca-x", "cov,pca-4"):
+            cfg.write_text(f"reduction = {token}\n")
+            assert main(["featurize", "--in", str(d / "arc.npz"), "--config", str(cfg),
+                         "--out", str(d / "pca.npz")]) == 1
+            assert main(["featurize", "--in", str(d / "arc.npz"), "--reduction", token,
+                         "--out", str(d / "pca.npz")]) == 1
+            assert not list(d.glob("pca.npz*"))
 
     def test_config_split_outside_choices_is_usage(self, tmp_path):
         d = tmp_path
@@ -264,7 +285,7 @@ class TestPipelineArtifacts:
         run_chain(tmp_path)
         out = tmp_path / "pca.npz"
         assert main(["featurize", "--in", str(tmp_path / "arc.npz"),
-                     "--reduction", "pca", "--k", "4", "--out", str(out)]) == 0
+                     "--reduction", "pca-4", "--out", str(out)]) == 0
         features_train, _, features_test, _, meta = read_feature_set(out)
         assert features_train.shape[1] == 4
         assert features_test.shape[1] == 4
@@ -591,6 +612,19 @@ class TestReductionBundleValidation:
         variance[-1] = 0.0
         write_bundle(path, {**arrays, "pca_variance": variance}, meta)
         assert read_reduction_bundle(path).pca.rank_deficient
+
+    def test_retired_cov_variant_keys(self, tmp_path, parts):
+        """Bundles that still carry the retired variants' meta keys load when
+        both are false and are refused, by key name, when either is true."""
+        arrays, meta = parts
+        legacy = {**meta, "center_per_trial": False, "scale_unbiased": False}
+        path = tmp_path / "legacy.npz"
+        write_bundle(path, arrays, legacy)
+        assert read_reduction_bundle(path).spec == ReductionSpec("pca", k=3)
+        for key in ("center_per_trial", "scale_unbiased"):
+            write_bundle(path, arrays, {**legacy, key: True})
+            with pytest.raises(MalformedArchiveError, match=key):
+                read_reduction_bundle(path)
 
     def test_meta_not_an_object(self, tmp_path, parts):
         arrays, _ = parts

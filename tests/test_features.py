@@ -126,14 +126,6 @@ class TestCovarianceFeatures:
             factor = c**2 if (a == j and b == j) else c if j in (a, b) else 1.0
             np.testing.assert_allclose(out[pos], base[pos] * factor, rtol=1e-10)
 
-    def test_center_per_trial_matches_textbook_covariance(self):
-        rng = np.random.default_rng(8)
-        trial = rng.normal(size=(25, 7)) + 10.0
-        feats = covariance_features(trial, center_per_trial=True, scale_unbiased=True)
-        ref = np.cov(trial, rowvar=False)
-        iu, ju = np.triu_indices(7)
-        np.testing.assert_allclose(feats, ref[iu, ju], rtol=1e-10)
-
     def test_nonfinite_rejected(self):
         trial = np.zeros((5, 7))
         trial[1, 1] = np.inf
@@ -161,10 +153,8 @@ class TestCovarianceFeatures:
         tensor[:, :, 4] = 1.5  # a constant sensor
         std = fit_standardizer(tensor)
         z = apply_standardizer(std, tensor)
-        for center, unbiased in ((False, False), (True, False), (False, True), (True, True)):
-            expected = np.vstack([covariance_features(t, center, unbiased) for t in z])
-            got = covariance_feature_matrix(tensor, std, center, unbiased)
-            assert np.array_equal(got, expected)
+        expected = np.vstack([covariance_features(t) for t in z])
+        assert np.array_equal(covariance_feature_matrix(tensor, std), expected)
         with pytest.raises(ShapeMismatchError):
             covariance_feature_matrix(np.zeros((0, 40, 6)), std)
 
@@ -366,9 +356,8 @@ class TestPipelineComposition:
         for sensor, value in ((0, np.inf), (3, np.inf), (5, np.nan)):
             bad = tensor.copy()
             bad[4, 7, sensor] = value
-            for center, unbiased in ((False, False), (True, True)):
-                with pytest.raises(DegenerateInputError):
-                    covariance_feature_matrix(bad, std, center, unbiased)
+            with pytest.raises(DegenerateInputError):
+                covariance_feature_matrix(bad, std)
             with pytest.raises(DegenerateInputError):
                 pca_feature_matrix(bad, std, model)
         huge = np.full((1, 12, 7), 1e200)

@@ -201,9 +201,11 @@ class TestGridSpec:
             ReductionSpec("pca", k=0)
         assert ReductionSpec("pca", k=4).describe() == "pca-4"
         assert ReductionSpec("cov").describe() == "cov"
-        assert ReductionSpec("cov", scale_unbiased=True).describe() == "cov,unbiased"
-        assert ReductionSpec("cov", center_per_trial=True,
-                             scale_unbiased=True).describe() == "cov,centered,unbiased"
+        for token in ("cov", "pca-4", " pca-12 "):
+            assert ReductionSpec.parse(token).describe() == token.strip()
+        for token in ("pca", "pca-0", "pca--1", "pca-+3", "pca-x", "cov,pca-4", "cov,centered", ""):
+            with pytest.raises(UsageError):
+                ReductionSpec.parse(token)
 
 
 class TestGridSearch:
@@ -216,6 +218,8 @@ class TestGridSearch:
         spec = GridSpec("rf", {"n_trees": [1]}, (ReductionSpec("cov"),), folds=2)
         with pytest.raises(LabelOutOfRangeError, match="integers"):
             grid_search(x, y + 0.5, spec)
+        with pytest.raises(LabelOutOfRangeError, match="integers"):
+            kfold_indices(4, 2, [0.5, 0.5, 1.5, 1.7], 0)
 
     def test_more_trees_not_worse_and_best_is_argmax(self):
         x, y = make_windows(10, 3, length=8, sensors=4, seed=2, noise=2.5)
@@ -351,8 +355,8 @@ class TestGridSearch:
         spec = GridSpec(
             model_family=family,
             hyperparameter_grid=grid,
-            reduction_grid=(ReductionSpec("cov"), ReductionSpec("cov", center_per_trial=True),
-                            ReductionSpec("pca", k=4), ReductionSpec("pca", k=8)),
+            reduction_grid=(ReductionSpec("cov"), ReductionSpec("pca", k=4),
+                            ReductionSpec("pca", k=8)),
             folds=3,
             seed=1,
         )
@@ -413,8 +417,6 @@ class TestGridSearch:
         assert transforms == [(name, len(val)) for name in ("cov", widest) for _, val in folds]
 
     @pytest.mark.parametrize("spec", [ReductionSpec("cov"),
-                                      ReductionSpec("cov", center_per_trial=True,
-                                                    scale_unbiased=True),
                                       ReductionSpec("pca", k=1), ReductionSpec("pca", k=7)],
                              ids=lambda spec: spec.describe())
     def test_fit_returns_the_transform_of_its_training_windows(self, easy_problem, spec):
@@ -493,6 +495,8 @@ class TestEvaluate:
             evaluate([2], [0], class_names=("a", "b"))
         with pytest.raises(ShapeMismatchError):
             evaluate([-1], [0], class_names=("a", "b"))
+        with pytest.raises(LabelOutOfRangeError, match="integers"):
+            evaluate([0.7, 1.2], [0, 1], class_names=("a", "b"))
 
     def test_format_report_mentions_every_class(self):
         report = evaluate([0, 1, 1], [0, 1, 0], class_names=("alpha", "beta"))

@@ -43,8 +43,8 @@ def test_traced_commands_fire_the_feature_and_selection_spans(tmp_path):
     tracer = load_tracer().Tracer()
     tracer.install()
     try:
-        assert wlclass.cli.main(["featurize", "--in", str(archive), "--reduction", "pca",
-                                 "--k", "3", "--out", str(tmp_path / "pca.npz")]) == 0
+        assert wlclass.cli.main(["featurize", "--in", str(archive), "--reduction", "pca-3",
+                                 "--out", str(tmp_path / "pca.npz")]) == 0
         assert wlclass.cli.main(["gridsearch", "--in", str(archive), "--family", "rf",
                                  "--n-trees", "2", "--folds", "2",
                                  "--reductions", "cov,pca-2,pca-3",
