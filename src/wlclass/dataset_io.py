@@ -14,10 +14,12 @@ Raw telemetry arrives as delimited text, one row per timestamped sample,
 grouped by job (and device, for multi-GPU jobs).
 """
 
+import array
 import csv
 import io
 import json
 import math
+import operator
 import warnings
 import zipfile
 from dataclasses import dataclass
@@ -395,18 +397,25 @@ def write_challenge_archive(dataset: ChallengeDataset, path) -> None:
 
 _META_COLUMNS = ("job_id", "timestamp", "device_id", "label")
 
+#: Rows whose readings are held as Python floats before they move into one
+#: float64 block, which bounds that list's per-float overhead.
+_BLOCK_ROWS = 8192
+
 
 def ingest_raw_csv(path, nonfinite: str = "drop") -> list[RawTrial]:
     """Ingest delimited telemetry into one RawTrial per (job, device) group.
 
     The file must carry a header row naming job_id, timestamp, and exactly
     the GPU_SENSORS columns; device_id and label columns are optional.
-    Rows are sorted by timestamp (stable, so input order breaks ties).
-    Non-finite readings are dropped row-wise by default or forward-filled
-    with ``nonfinite="ffill"``. A row with fewer fields than the header,
-    bytes that are not UTF-8 and text the csv module cannot parse (such
-    as an unterminated quote running past its field size limit) raise
-    SchemaMismatchError naming the line; extra fields are ignored.
+    Rows are sorted by timestamp, and tied timestamps keep file order. An
+    empty or unparseable reading counts as missing (NaN); such rows are
+    dropped by default or forward-filled with ``nonfinite="ffill"``. A
+    group's label is its first non-empty label in time order. Memory is
+    about 7 float64 readings per row. A row with fewer fields than the
+    header or a timestamp that is not a finite number, bytes that are not
+    UTF-8 and text the csv module cannot parse (such as an unterminated
+    quote running past its field size limit) raise SchemaMismatchError
+    naming the line; extra fields are ignored.
     """
     if nonfinite not in ("drop", "ffill"):
         raise SchemaMismatchError(f"unknown non-finite policy {nonfinite!r}")
@@ -419,49 +428,44 @@ def ingest_raw_csv(path, nonfinite: str = "drop") -> list[RawTrial]:
     with fh:
         reader = csv.reader(fh)
         try:
-            groups = _csv_groups(reader, path)
+            keys, codes, ts, values, labels = _csv_columns(reader, path)
         except (IndexError, UnicodeDecodeError, csv.Error) as exc:
             problem = "fewer fields than the header" if isinstance(exc, IndexError) else exc
             raise SchemaMismatchError(f"{path} line {reader.line_num}: {problem}") from None
 
-    if not groups:
+    if not keys:
         raise EmptyFileError(f"{path} has a header but no data rows")
 
-    label_names = sorted({label for rows in groups.values() for _, _, label in rows if label})
+    label_names = sorted(filter(None, set(labels)))
     all_int = label_names and all(_is_int(v) for v in label_names)
     name_to_index = {name: i for i, name in enumerate(label_names)}
 
+    order = np.lexsort((ts, codes))  # stable: ties keep file order
+    bounds = np.searchsorted(codes[order], np.arange(len(keys) + 1))
     trials = []
-    for (job, device), rows in groups.items():
-        rows.sort(key=lambda r: r[0])  # stable: ties keep input order
-        series = np.array([r[1] for r in rows], dtype=np.float64)
-        series = _apply_nonfinite_policy(series, nonfinite)
+    for code, (job, device) in enumerate(keys):
+        rows = order[bounds[code]:bounds[code + 1]]
+        series = _apply_nonfinite_policy(values[rows], nonfinite)
         if series.shape[0] == 0:
             continue
-        row_label = next((r[2] for r in rows if r[2]), "")
+        row_label = next((labels[r] for r in rows.tolist() if labels[r]), "")
         if not row_label:
             label, label_name = None, None
         elif all_int:
             label, label_name = int(row_label), None
         else:
             label, label_name = name_to_index[row_label], row_label
-        trials.append(
-            RawTrial(
-                job_id=job,
-                label=label,
-                series=series,
-                label_name=label_name,
-                device_id=device,
-            )
-        )
+        trials.append(RawTrial(job_id=job, label=label, series=series,
+                               label_name=label_name, device_id=device))
     if not trials:
         raise EmptyFileError(f"{path} contains no usable trials after filtering")
     trials.sort(key=lambda t: (t.job_id, t.device_id))
     return trials
 
 
-def _csv_groups(reader, path) -> dict:
-    """(job, device) -> [(timestamp, sensor values, label)], rows in file order."""
+def _csv_columns(reader, path) -> tuple:
+    """One pass over the rows: the (job, device) keys in first-seen order, then
+    per row its key's code, timestamp, readings (an n x 7 array) and label."""
     try:
         header = next(reader)
     except StopIteration:
@@ -476,30 +480,45 @@ def _csv_groups(reader, path) -> dict:
     if "job_id" not in header or "timestamp" not in header:
         raise SchemaMismatchError("job_id and timestamp columns are required")
     col = {name: header.index(name) for name in header}
-    sensor_idx = [col[s] for s in GPU_SENSORS]
-    has_device = "device_id" in col
-    has_label = "label" in col
+    job_col, ts_col = col["job_id"], col["timestamp"]
+    device_col, label_col = col.get("device_id"), col.get("label")
+    readings = operator.itemgetter(*(col[s] for s in GPU_SENSORS))
+    block_len = len(GPU_SENSORS) * _BLOCK_ROWS
 
-    groups: dict[tuple[str, str], list] = {}
+    index: dict[tuple[str, str], int] = {}
+    label_text: dict[str, str] = {}  # one string object per distinct label
+    codes, ts, labels, blocks, flat = [], array.array("d"), [], [], []
     for row in reader:
-        if not row or all(not c.strip() for c in row):
+        if not "".join(row).strip():
             continue
-        job = row[col["job_id"]].strip()
-        device = row[col["device_id"]].strip() if has_device else ""
+        key = (row[job_col].strip(), row[device_col].strip() if device_col is not None else "")
+        codes.append(index.setdefault(key, len(index)))
         try:
-            ts = float(row[col["timestamp"]])
+            t = float(row[ts_col])
         except ValueError:
-            raise SchemaMismatchError(f"bad timestamp {row[col['timestamp']]!r}") from None
-        values = []
-        for j in sensor_idx:
-            cell = row[j].strip()
-            try:
-                values.append(float(cell) if cell else float("nan"))
-            except ValueError:
-                values.append(float("nan"))
-        label = row[col["label"]].strip() if has_label else ""
-        groups.setdefault((job, device), []).append((ts, values, label))
-    return groups
+            t = math.nan
+        if not math.isfinite(t):
+            raise SchemaMismatchError(f"{path} line {reader.line_num}: bad timestamp {row[ts_col]!r}")
+        ts.append(t)
+        cells = readings(row)
+        start = len(flat)
+        try:
+            flat.extend(map(float, cells))
+        except ValueError:  # an empty or unparseable cell is a missing reading
+            del flat[start:]
+            for cell in cells:
+                try:
+                    flat.append(float(cell))
+                except ValueError:
+                    flat.append(math.nan)
+        label = row[label_col].strip() if label_col is not None else ""
+        labels.append(label_text.setdefault(label, label))
+        if len(flat) == block_len:
+            blocks.append(np.array(flat, dtype=np.float64))
+            flat.clear()
+    blocks.append(np.array(flat, dtype=np.float64))
+    values = np.concatenate(blocks).reshape(-1, len(GPU_SENSORS))
+    return list(index), np.array(codes, dtype=np.int64), np.asarray(ts), values, labels
 
 
 def _is_int(text: str) -> bool:

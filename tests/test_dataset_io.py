@@ -1,6 +1,8 @@
+import csv
 import hashlib
 import io
 import math
+import re
 import warnings
 
 import numpy as np
@@ -13,10 +15,13 @@ from wlclass.cli import (
     write_feature_set,
     write_reduction_bundle,
 )
+from wlclass import dataset_io
 from wlclass.dataset_io import (
     ChallengeDataset,
     GPU_SENSORS,
     RawTrial,
+    _apply_nonfinite_policy,
+    _is_int,
     ingest_raw_csv,
     parse_array_header,
     read_array,
@@ -455,6 +460,88 @@ class TestChallengeArchive:
             ).validate()
 
 
+def reference_ingest(path, nonfinite="drop"):
+    """The row-by-row reader that ingest_raw_csv replaced: one (timestamp,
+    readings, label) tuple per row in a dict of groups, each group sorted
+    with list.sort. It raises what the old reader raised, and returns None
+    where a row's timestamp is not finite, which the old reader accepted
+    and ingest_raw_csv refuses."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise EmptyFileError(path) from None
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise SchemaMismatchError(exc) from None
+        sensors = [h for h in header if h not in ("job_id", "timestamp", "device_id", "label")]
+        if sorted(sensors) != sorted(GPU_SENSORS) or not {"job_id", "timestamp"} <= set(header):
+            raise SchemaMismatchError(header)
+        col = {name: header.index(name) for name in header}
+        groups = {}
+        try:
+            for row in reader:
+                if not row or all(not c.strip() for c in row):
+                    continue
+                job = row[col["job_id"]].strip()
+                device = row[col["device_id"]].strip() if "device_id" in col else ""
+                try:
+                    ts = float(row[col["timestamp"]])
+                except ValueError:
+                    raise SchemaMismatchError(row) from None
+                values = []
+                for j in [col[s] for s in GPU_SENSORS]:
+                    cell = row[j].strip()
+                    try:
+                        values.append(float(cell) if cell else float("nan"))
+                    except ValueError:
+                        values.append(float("nan"))
+                label = row[col["label"]].strip() if "label" in col else ""
+                groups.setdefault((job, device), []).append((ts, values, label))
+        except (IndexError, UnicodeDecodeError, csv.Error) as exc:
+            raise SchemaMismatchError(exc) from None
+    if not groups:
+        raise EmptyFileError(path)
+    if not all(math.isfinite(r[0]) for rows in groups.values() for r in rows):
+        return None
+    label_names = sorted({label for rows in groups.values() for _, _, label in rows if label})
+    all_int = label_names and all(_is_int(v) for v in label_names)
+    trials = []
+    for (job, device), rows in groups.items():
+        rows.sort(key=lambda r: r[0])
+        series = np.array([r[1] for r in rows], dtype=np.float64)
+        series = _apply_nonfinite_policy(series, nonfinite)
+        if series.shape[0] == 0:
+            continue
+        name = next((r[2] for r in rows if r[2]), "")
+        label = None if not name else int(name) if all_int else label_names.index(name)
+        trials.append(RawTrial(job, label, series, name if name and not all_int else None, device))
+    if not trials:
+        raise EmptyFileError(path)
+    return sorted(trials, key=lambda t: (t.job_id, t.device_id))
+
+
+def trial_fields(trials):
+    return [(t.job_id, t.device_id, t.label, t.label_name, t.series.tobytes()) for t in trials]
+
+
+def assert_matches_reference(path):
+    """Under both non-finite policies, ingest_raw_csv returns the reference's
+    trials or raises the reference's error type."""
+    for nonfinite in ("drop", "ffill"):
+        try:
+            expected = reference_ingest(path, nonfinite)
+        except WlclassError as exc:
+            with pytest.raises(type(exc)):
+                ingest_raw_csv(path, nonfinite)
+            continue
+        if expected is None:
+            with pytest.raises(SchemaMismatchError, match="bad timestamp"):
+                ingest_raw_csv(path, nonfinite)
+            continue
+        assert trial_fields(ingest_raw_csv(path, nonfinite)) == trial_fields(expected)
+
+
 class TestCsvIngest:
     HEADER = "job_id,timestamp,device_id,label," + ",".join(GPU_SENSORS)
 
@@ -549,6 +636,21 @@ class TestCsvIngest:
         with pytest.raises(SchemaMismatchError, match="line 3: fewer fields than the header"):
             ingest_raw_csv(self.write(tmp_path, rows))
 
+    def test_bad_timestamp_names_its_path_and_line(self, tmp_path):
+        path = self.write(tmp_path, [self.row("j1", 0), self.row("j1", "x"), self.row("j1", 2)])
+        with pytest.raises(SchemaMismatchError, match=f"^{re.escape(str(path))} line 3: bad timestamp 'x'$"):
+            ingest_raw_csv(path)
+
+    @pytest.mark.parametrize("stamp", ["nan", "inf", "-inf", "1e999"])
+    def test_nonfinite_timestamp_is_refused(self, tmp_path, stamp):
+        """list.sort cannot order NaN keys: the old reader returned the
+        timestamps 2, nan, 1, 0 in the order 2, nan, 0, 1."""
+        rows = [self.row("j1", t, values=[i] * 7) for i, t in enumerate([2, stamp, 1, 0])]
+        path = self.write(tmp_path, rows)
+        message = f"{path} line 3: bad timestamp '{stamp}'"
+        with pytest.raises(SchemaMismatchError, match=f"^{re.escape(message)}$"):
+            ingest_raw_csv(path)
+
     def test_extra_fields_are_ignored(self, tmp_path):
         rows = [self.row("j1", 0), self.row("j1", 1) + ",surplus,9"]
         (trial,) = ingest_raw_csv(self.write(tmp_path, rows))
@@ -572,14 +674,15 @@ class TestCsvIngest:
                      "--out", str(tmp_path / "arc.npz")]) == 2
         assert "line 3" in capsys.readouterr().err
 
-    def test_seeded_mutation_fuzz(self, tmp_path):
-        """Byte flips, truncations, commas and quotes added or deleted, and
-        non-UTF-8 bytes: every mutant gives trials or a typed error."""
+    def mutants(self, tmp_path):
+        """400 seeded mutants of a small file, each written to one path:
+        byte flips, truncations, commas and quotes added or deleted, and
+        non-UTF-8 bytes."""
         rows = [self.row(f"j{j}", t, label=f'"{name}"')
                 for j, name in enumerate(["vgg", "bert"]) for t in range(3)]
         base = self.write(tmp_path, rows).read_bytes()
         rng = np.random.default_rng(99)
-        path, outcomes = tmp_path / "mutant.csv", {}
+        path = tmp_path / "mutant.csv"
 
         def mutate(raw):
             at = int(rng.integers(0, len(raw) + 1))
@@ -599,6 +702,12 @@ class TestCsvIngest:
             for _ in range(int(rng.integers(1, 4))):
                 raw = mutate(raw)
             path.write_bytes(raw)
+            yield path
+
+    def test_seeded_mutation_fuzz(self, tmp_path):
+        """Every mutant gives trials or a typed error."""
+        outcomes = {}
+        for path in self.mutants(tmp_path):
             try:
                 trials = ingest_raw_csv(path)
             except WlclassError as exc:
@@ -607,6 +716,47 @@ class TestCsvIngest:
             assert trials and all(isinstance(t, RawTrial) for t in trials)
             outcomes["trials"] = outcomes.get("trials", 0) + 1
         assert {"trials", "SchemaMismatchError"} <= set(outcomes), outcomes
+
+    def test_mutants_match_the_row_by_row_reference(self, tmp_path):
+        for path in self.mutants(tmp_path):
+            assert_matches_reference(path)
+
+    def test_awkward_file_matches_the_row_by_row_reference(self, tmp_path):
+        """Quoted fields, CRLF endings, whitespace-only rows, extra fields,
+        empty and unparseable cells, tied timestamps (0.0 and -0.0 too), two
+        devices, and labels on only some rows."""
+        rows = [
+            self.HEADER,
+            '"j1",2,0,,1,2,3,4,5,6,7',
+            'j1,1,0,"vgg", 1.5 ,2.5,,x,5,6,7',
+            "  , ,\t",
+            "j1,1,0,bert,9,9,9,9,9,9,9,surplus,extra",
+            'j1,0.0,1,,"1,5",2,3,4,5,6,7',
+            "j1,-0.0,1,vgg,1,2,3,4,5,6,nan",
+            "j1,-0.0,1,,8,8,8,8,8,8,8",
+            "",
+            "j2,5,0,,1e3,2,3,4,5,6,inf",
+            "j2,4,0,,1_0,2,3,4,5,6,7",
+            "j2,4,0,,3,3,3,3,3,3,3",
+        ]
+        path = tmp_path / "awkward.csv"
+        path.write_bytes("\r\n".join(rows).encode() + b"\r\n")
+        assert_matches_reference(path)
+        j1_0 = ingest_raw_csv(path)[0]
+        assert (j1_0.job_id, j1_0.label_name) == ("j1", "vgg")
+
+    @pytest.mark.parametrize("n_rows", [8, 9])
+    def test_block_boundaries_keep_readings_in_place(self, tmp_path, monkeypatch, n_rows):
+        """With 2-row blocks, a row with an empty cell ends the first block
+        and a row with an unparseable cell starts the second."""
+        values = [[i] * 7 for i in range(n_rows)]
+        values[1][2], values[2][5] = "", "x"
+        rows = [self.row(f"j{i % 2}", n_rows - i, values=values[i]) for i in range(n_rows)]
+        path = self.write(tmp_path, [*rows[:3], " ,", *rows[3:]])
+        expected = {p: trial_fields(ingest_raw_csv(path, p)) for p in ("drop", "ffill")}
+        monkeypatch.setattr(dataset_io, "_BLOCK_ROWS", 2)
+        for policy, fields in expected.items():
+            assert trial_fields(ingest_raw_csv(path, policy)) == fields
 
 
 class TestRawTrial:
