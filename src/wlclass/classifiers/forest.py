@@ -1,8 +1,11 @@
 """Bagged CART forests with sqrt-feature subsampling and majority vote.
 
-Each tree gets its own generator derived from (seed, tree_index), so the
-model is byte-identical across runs. The trees are stacked into one node
-table, and prediction walks all of them at once.
+Tree t gets its own generator derived from (seed, t). It draws the
+tree's bootstrap sample, then its candidate features depth by depth, so
+each tree depends on (seed, t) alone: the model is byte-identical across
+runs, and a smaller forest is a prefix of a larger one. All the trees
+grow together (tree.grow) into one node table, and prediction walks all
+of them at once.
 """
 
 import math
@@ -12,7 +15,8 @@ import numpy as np
 
 from ..errors import UsageError
 from ._checks import labelled_rows, query_rows
-from .tree import NodeTable, TreeParams, rank_columns, stack_tables, train_tree
+from .tree import NodeTable, TreeParams, grow_cart
+from .tree import train_tree  # noqa: F401  perfbench/tracer.py hooks it by this module's name
 
 
 @dataclass
@@ -60,15 +64,10 @@ def train_forest(
         min_leaf=min_leaf,
         feature_subsample=max(1, int(math.sqrt(d))),
     )
-    ranks = rank_columns(X)  # ranked once; each bootstrap sample takes its columns
-    trees = []
-    for t in range(n_trees):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
-        sample = rng.integers(0, len(y), size=len(y))
-        trees.append(train_tree(X[sample], y[sample], params, rng=rng, n_classes=n_classes,
-                                ranks=ranks[:, sample]))
+    rngs = [np.random.default_rng(np.random.SeedSequence([seed, t])) for t in range(n_trees)]
+    samples = np.stack([rng.integers(0, len(y), size=len(y)) for rng in rngs])
     return ForestModel(
-        table=stack_tables(trees),
+        table=grow_cart(X, y, n_classes, params, rngs, samples),
         n_trees=n_trees,
         seed=seed,
         class_count=n_classes,

@@ -8,11 +8,13 @@ split is accepted only when that exceeds gamma. Leaf weights apply the
 l1 soft threshold: -sign(G) max(|G|-alpha, 0) / (H+lambda). Split counts
 and gains accumulate into per-feature importance.
 
-Trees come from tree.grow over one rank encoding of X that every tree shares,
-and the model keeps them stacked in one node table.
+The class trees of a round share X, its one rank encoding and the
+round's probabilities, so they grow together as one tree.grow batch.
+Every node's sums and prefix sums add the same numbers in the same order
+as growing each tree alone would, so the models are bit for bit those of
+one-tree-at-a-time growth. The model keeps all trees in one node table.
 """
 
-import math
 import numbers
 from dataclasses import dataclass
 
@@ -75,12 +77,12 @@ class GbtModel:
         return np.argmax(self.predict_scores(X), axis=1).astype(np.int64)
 
 
-def _leaf_weight(g: float, h: float, alpha: float, lam: float) -> float:
+def _leaf_weight(g, h, alpha, lam):
+    """-sign(g) max(|g| - alpha, 0) / (h + lam), 0 where h + lam is not positive."""
     denom = h + lam
-    if denom <= 0.0:
-        return 0.0
-    shrunk = max(abs(g) - alpha, 0.0)
-    return -math.copysign(shrunk, g) / denom
+    with np.errstate(divide="ignore", invalid="ignore"):
+        weight = -np.copysign(np.maximum(np.abs(g) - alpha, 0.0), g) / denom
+    return np.where(denom > 0.0, weight, 0.0)
 
 
 def _gain_term(g, h, lam):
@@ -89,32 +91,37 @@ def _gain_term(g, h, lam):
 
 
 class _Gain:
-    """Boosting criterion: leaf weights from (g, h) sums, second-order split gain."""
+    """Boosting criterion: leaf weights from (g, h) sums, second-order split
+    gain, taken above gamma. g and h have one row per class tree. A node's
+    sums run over its rows in ascending order, and a prefix sum along one
+    feature's order within one node, as if each tree were grown alone."""
 
     def __init__(self, g, h, params: GbtParams):
-        self.g, self.h, self.params = g, h, params
+        self.g, self.h, self.params, self.trees = g.ravel(), h.ravel(), params, len(g)
+        self.floor = params.gamma
 
-    def node(self, rows):
-        g_sum, h_sum = float(self.g[rows].sum()), float(self.h[rows].sum())
-        weight = _leaf_weight(g_sum, h_sum, self.params.alpha, self.params.reg_lambda)
-        return (weight, g_sum, h_sum), True
+    def node(self, rows, row_node, sizes):
+        g, h, ends = self.g[rows], self.h[rows], np.cumsum(sizes).tolist()
+        sums = np.array([(g[lo:hi].sum(), h[lo:hi].sum()) for lo, hi in zip([0] + ends[:-1], ends)])
+        weight = _leaf_weight(sums[:, 0], sums[:, 1], self.params.alpha, self.params.reg_lambda)
+        return np.column_stack([weight, sums]), np.ones(sizes.size, dtype=bool)
 
-    def scores(self, ordered, fi, ci, value):
-        """Recorded gain at each cut."""
-        _, g_total, h_total = value
+    def scores(self, rows, width, sizes, ci, base, cuts, value):
+        """Recorded gain at each cut; see _Gini.scores for the arguments."""
+        g, h, lo = self.g[rows], self.h[rows], 0
+        for size in sizes.tolist():  # prefix sums along each candidate feature of each node
+            for stat in (g, h):
+                block = stat[lo:lo + width * size].reshape(width, size)
+                np.cumsum(block, axis=1, out=block)
+            lo += width * size
         lam = self.params.reg_lambda
-        parent_term = float(_gain_term(np.array(g_total), np.array(h_total), lam))
-        cuts = fi * ordered.shape[1] + ci
-        g_prefix = np.cumsum(self.g[ordered], axis=1).ravel().take(cuts)
-        h_prefix = np.cumsum(self.h[ordered], axis=1).ravel().take(cuts)
-        return 0.5 * (
-            _gain_term(g_prefix, h_prefix, lam)
-            + _gain_term(g_total - g_prefix, h_total - h_prefix, lam)
-            - parent_term
-        )
-
-    def accept(self, gain):
-        return gain - self.params.gamma > 0.0
+        g_prefix, h_prefix = g[ci], h[ci]
+        gain = _gain_term(g_prefix, h_prefix, lam)
+        gain += _gain_term(np.repeat(value[:, 1], cuts) - g_prefix,
+                           np.repeat(value[:, 2], cuts) - h_prefix, lam)
+        gain -= np.repeat(_gain_term(value[:, 1], value[:, 2], lam), cuts)
+        gain *= 0.5
+        return gain
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
@@ -141,17 +148,15 @@ def train_gbt(X, y, params: GbtParams | None = None, n_classes: int | None = Non
     onehot[np.arange(n), y] = 1.0
     scores = np.full((n, n_classes), params.base_score)
     ranks = rank_columns(X)  # every tree splits the same X
-    trees, losses = [], []
+    rounds, losses = [], []
     for _ in range(params.rounds):
-        proba = _softmax(scores)
-        for c in range(n_classes):
-            g = proba[:, c] - onehot[:, c]
-            h = proba[:, c] * (1.0 - proba[:, c])
-            tree = grow(X, ranks, _Gain(g, h, params), params.max_depth)
-            scores[:, c] += params.learning_rate * tree.value[tree.apply(X)[:, 0], 0]
-            trees.append(tree)
+        proba = _softmax(scores).T  # the round's class trees are grown together
+        trees = grow(X, ranks, _Gain(proba - onehot.T, proba * (1.0 - proba), params),
+                     max_depth=params.max_depth)
+        scores += params.learning_rate * trees.value[trees.apply(X), 0]
+        rounds.append(trees)
         losses.append(_log_loss(_softmax(scores), y))
-    table = stack_tables(trees)
+    table = stack_tables(rounds)
     split = table.feature[table.feature != LEAF]
     return GbtModel(
         table=table,

@@ -1,19 +1,25 @@
-"""Decision trees as flat node tables, grown by one split scan for both families.
+"""Decision trees as flat node tables, grown depth by depth in batches for both families.
 
 A tree is a `NodeTable` numbered in preorder, left child before right,
-so every child index exceeds its parent's. Columns are ranked once
-(`rank_columns`); each node sorts its rows by rank for all candidate
-features at once, and the scan takes prefix sums of per-row statistics
-along them and scores every value boundary at its midpoint: class counts
-give the weighted Gini impurity (CART, below), gradient and hessian sums
-the second-order gain (gbt.py). This is XGBoost's exact greedy split
-finder (Chen & Guestrin 2016).
+so every child index exceeds its parent's. `grow` grows a batch of trees
+together, such as every tree of a forest or every class tree of a
+boosting round, breadth first. Columns are ranked once (`rank_columns`)
+and every frontier node keeps its rows sorted by rank for each feature.
+One pass per depth takes prefix sums of per-row statistics along the
+candidate features of every splittable node of every tree and scores
+every value boundary at its midpoint: class counts give the weighted
+Gini impurity (CART, below), gradient and hessian sums the second-order
+gain (gbt.py). The split nodes' rows are then stably partitioned into
+their children's, so no depth sorts again. This is XGBoost's exact
+greedy split finder on presorted column blocks, grown depthwise (Chen &
+Guestrin 2016, section 4.1); the nodes are renumbered to preorder last.
 
 Ties resolve to the lowest feature index, then the lowest threshold, so
-a tree is a pure function of (X, statistics, params, rng state). A CART
-node may split at zero impurity decrease as long as it is impure and a
-valid cut exists; both children are then strictly smaller, which keeps
-growth finite and lets depth-2 trees represent XOR.
+a tree is a pure function of (X, its rows, statistics, params, rng
+state), whichever batch grows it. A CART node may split at zero impurity
+decrease as long as it is impure and a valid cut exists; both children
+are then strictly smaller, which keeps growth finite and lets depth-2
+trees represent XOR.
 """
 
 import numbers
@@ -96,64 +102,158 @@ def rank_columns(X) -> np.ndarray:
     return np.ascontiguousarray(ranks.T, dtype=np.int16 if len(X) < 2**15 else np.int32)
 
 
-def _best_split(X, ranks, rows, feats, criterion, value, min_leaf):
-    """Best (score, feature, threshold) over every value boundary of the
-    candidate features, or None when no valid cut exists."""
-    rank = ranks[feats[:, None], rows]
-    order = np.argsort(rank, axis=1, kind="stable")
-    ordered = rows[order]  # candidate features x node rows, by value then row
-    rank = np.take_along_axis(rank, order, axis=1)
-    fi, ci = np.nonzero(rank[:, :-1] < rank[:, 1:])  # cut after sorted position ci
-    if min_leaf > 1:
-        keep = (ci + 1 >= min_leaf) & (len(rows) - 1 - ci >= min_leaf)
-        fi, ci = fi[keep], ci[keep]
-    if fi.size == 0:
-        return None
-    scores = criterion.scores(ordered, fi, ci, value)
-    best = int(np.argmax(scores))  # first maximum: lowest feature, then lowest threshold
-    f, c = feats[fi[best]], ci[best]
-    lo, hi = X[ordered[fi[best], c], f], X[ordered[fi[best], c + 1], f]
-    threshold = float((lo + hi) / 2.0)
-    if threshold >= hi:  # adjacent floats or overflow: keep both children non-empty
-        threshold = float(lo)
-    return float(scores[best]), int(f), threshold
+#: Sorted-block cells, rows x (features + 1), of one group of trees grown together.
+_GROUP_CELLS = 1 << 20
+#: Candidate cells scored at once: every scoring temporary stays under
+#: 128 KiB, so it stays in cache and needs no freshly mapped pages.
+_CHUNK = 12_000
 
 
-def grow(X, ranks, criterion, max_depth=None, min_leaf=1, pick_features=None) -> NodeTable:
-    """Grow one tree in preorder, left child before right, from an explicit stack.
+def _ranges(starts, lengths) -> np.ndarray:
+    """The concatenated ranges [s, s + l) for every start s and length l."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(ends[-1] if ends.size else 0)
 
-    `ranks` is rank_columns(X). The criterion gives each node's value row
-    and whether it may split (`node(rows)`), every candidate cut's score,
-    higher being better (`scores(ordered, fi, ci, value)`), and whether
-    the best cut is taken (`accept(score)`). `pick_features()` draws a
-    splitting node's candidate features; by default all.
+
+def grow(X, ranks, criterion, samples=None, max_depth=None, min_leaf=1, pick=None) -> NodeTable:
+    """Grow criterion.trees trees depth by depth, all at once; one table in tree order.
+
+    Tree t trains on X rows samples[t] (all of X when samples is None), its
+    row j being batch row t * n + j. `ranks` is rank_columns(X). A frontier
+    node keeps a block of its rows sorted by rank for every feature, then
+    ascending. Each depth scores the candidate features of every splittable
+    node in one pass, then stably partitions the blocks of the split nodes
+    into their children's, so rows are sorted once. Trees are grown in
+    groups of as many as fit _GROUP_CELLS; each depends only on its own
+    rows, statistics and draws.
+
+    The criterion gives each node's value row and whether it may split
+    (`node(rows, row_node, sizes)`, rows ascending by node), every cut's
+    score, higher being better (`scores`, see _Gini), and the `floor` a
+    node's best score must exceed for its cut to be taken. `pick(counts)`
+    draws the candidate features of a depth's splittable nodes, counts[t]
+    of them in tree t, tree by tree and left to right; by default every
+    feature is a candidate.
     """
-    nodes = []  # [feature, threshold, left, right, value, gain]
-    stack = [(None, 0, 0, np.arange(X.shape[0]))]
-    while stack:
-        parent, side, depth, rows = stack.pop()  # rows ascending
-        if parent is not None:
-            nodes[parent][side] = len(nodes)
-        value, splittable = criterion.node(rows)
-        nodes.append([LEAF, 0.0, LEAF, LEAF, value, 0.0])
-        if not splittable or len(rows) < 2 * min_leaf:
-            continue
-        if max_depth is not None and depth >= max_depth:
-            continue
-        feats = pick_features() if pick_features else np.arange(X.shape[1])
-        best = _best_split(X, ranks, rows, feats, criterion, value, min_leaf)
-        if best is None or not criterion.accept(best[0]):
-            continue
-        node = nodes[-1]
-        node[5], node[0], node[1] = best
-        go_left = X[rows, node[0]] <= node[1]
-        stack.append((len(nodes) - 1, 3, depth + 1, rows[~go_left]))
-        stack.append((len(nodes) - 1, 2, depth + 1, rows[go_left]))
-    feature, threshold, left, right, values, gains = zip(*nodes)
-    return NodeTable(
-        np.array(feature), np.array(threshold), np.array(left), np.array(right),
-        np.array(values), np.zeros(1, dtype=np.int64), X.shape[1], np.array(gains),
-    )
+    d, trees = X.shape[1], criterion.trees
+    shared = None  # every tree's sorted rows, when every tree has all of X
+    if samples is None:
+        shared = np.argsort(ranks, axis=1, kind="stable")
+        samples = np.broadcast_to(np.arange(len(X)), (trees, len(X)))
+    n = samples.shape[1]
+    step, tables = max(1, _GROUP_CELLS // ((d + 1) * n)), []
+    for first in range(0, trees, step):
+        tree = np.arange(first, min(first + step, trees))
+        blocks = np.empty((tree.size, d + 1, n), dtype=np.intp)
+        blocks[:, :d] = shared if shared is not None else np.argsort(
+            ranks[:, samples[tree]], axis=2, kind="stable").transpose(1, 0, 2)
+        blocks[:, d] = np.arange(n)
+        blocks += n * tree[:, None, None]  # batch rows
+        tables.append(_grow_group(X, ranks, criterion, samples.ravel(), blocks.ravel(), tree,
+                                  max_depth, min_leaf, pick))
+    return stack_tables(tables)
+
+
+def _grow_group(X, ranks, criterion, x_row, seg, tree, max_depth, min_leaf, pick) -> NodeTable:
+    """grow() for the trees `tree`, whose root blocks are `seg`; x_row maps
+    every batch row to its row of X."""
+    d, n = X.shape[1], x_row.size // criterion.trees
+    size, parent = np.full(tree.size, n), np.full(tree.size, LEAF)
+    side = np.zeros(tree.size, dtype=int)
+    lr = np.arange(tree.size)  # left-to-right rank within the depth, tree by tree
+    levels, depth, first_id = [], 0, 0  # first_id: breadth-first id of the depth's first node
+    while tree.size:
+        start = np.cumsum((d + 1) * size) - (d + 1) * size
+        rows = seg[_ranges(start + d * size, size)]
+        row_node = np.repeat(np.arange(tree.size), size)
+        value, splittable = criterion.node(rows, row_node, size)
+        feature, threshold, gain = np.full(tree.size, LEAF), *np.zeros((2, tree.size))
+        levels.append((parent, side, value, feature, threshold, gain))
+        ok = splittable & (size >= 2 * min_leaf) & (max_depth is None or depth < max_depth)
+        searched = np.flatnonzero(ok)[np.argsort(lr[ok], kind="stable")]
+        if searched.size == 0:
+            break
+        feats = (np.broadcast_to(np.arange(d), (searched.size, d)) if pick is None
+                 else pick(np.bincount(tree[searched], minlength=criterion.trees)))
+        work = np.cumsum(size[searched] * feats.shape[1])
+        runs = np.unique(np.searchsorted(work, np.arange(0, work[-1], _CHUNK), side="right"))
+        split, f, cut_at, score = (np.concatenate(column) for column in zip(*(
+            _best_cuts(X, ranks, x_row, seg, start, size, value, searched[lo:hi], feats[lo:hi],
+                       criterion, min_leaf)
+            for lo, hi in zip(runs, np.append(runs[1:], searched.size)))))
+        if split.size == 0:
+            break
+        feature[split], threshold[split], gain[split] = f, cut_at, score
+        split.sort()  # children follow their parents' block order
+        moving = np.isin(row_node, split)
+        r, rn = rows[moving], row_node[moving]
+        left = X[x_row[r], feature[rn]] <= threshold[rn]
+        code = np.zeros(x_row.size, dtype=np.int8)  # per batch row: 1 goes left, 2 right
+        code[r] = 2 - left
+        routed = code[seg]
+        n_left = np.bincount(rn[left], minlength=tree.size)[split]
+        seg = np.concatenate([seg[routed == 1], seg[routed == 2]])  # stable: lefts, then rights
+        parent, side = np.tile(first_id + split, 2), np.repeat([0, 1], split.size)
+        first_id, depth = first_id + tree.size, depth + 1
+        tree, size = np.tile(tree[split], 2), np.concatenate([n_left, size[split] - n_left])
+        lr = np.argsort(np.argsort(np.tile(2 * lr[split], 2) + side))
+    return _preorder(levels, d)
+
+
+def _best_cuts(X, ranks, x_row, seg, start, size, value, nodes, feats, criterion, min_leaf):
+    """(node, feature, threshold, score) of the taken best cut of each of
+    `nodes`, whose candidate features are the rows of feats."""
+    m = feats.shape[1]
+    seg_feat, seg_len = feats.ravel(), np.repeat(size[nodes], m)  # node by node
+    u = seg[_ranges(np.repeat(start[nodes], m) + seg_feat * seg_len, seg_len)]
+    xr = x_row[u]
+    rank = ranks.ravel()[np.repeat(seg_feat * ranks.shape[1], seg_len) + xr]
+    seg_start = np.cumsum(seg_len) - seg_len
+    cut = rank[:-1] < rank[1:]  # a value boundary after this position
+    cut[seg_start[1:] - 1] = False
+    ci = np.flatnonzero(cut)
+    per_seg = np.diff(np.searchsorted(ci, seg_start), append=ci.size)
+    if min_leaf > 1:
+        n_left = ci + 1 - np.repeat(seg_start, per_seg)
+        keep = (n_left >= min_leaf) & (np.repeat(seg_len, per_seg) - n_left >= min_leaf)
+        per_seg = np.bincount(np.repeat(np.arange(per_seg.size), per_seg)[keep],
+                              minlength=per_seg.size)
+        ci = ci[keep]
+    cuts = per_seg.reshape(-1, m).sum(axis=1)  # per node; ci ascends by node
+    scores = criterion.scores(u, m, size[nodes], ci, np.repeat(seg_start, per_seg), cuts,
+                              value[nodes])
+    has = np.flatnonzero(cuts)  # first maximum per node: lowest feature, then threshold
+    top = np.maximum.reduceat(scores, (np.cumsum(cuts) - cuts)[has]) if has.size else scores
+    best = np.flatnonzero(scores == np.repeat(top, cuts[has]))
+    cut_node = np.searchsorted(np.cumsum(cuts), best, side="right")
+    first = np.diff(cut_node, prepend=-1) != 0
+    best, cut_node = best[first], cut_node[first]
+    taken = scores[best] - criterion.floor > 0.0
+    best, cut_node = best[taken], cut_node[taken]
+    c, f = ci[best], seg_feat[np.searchsorted(np.cumsum(per_seg), best, side="right")]
+    lo, hi = X[xr[c], f], X[xr[c + 1], f]
+    threshold = (lo + hi) / 2.0  # unless that rounds up to hi: keep both children non-empty
+    return nodes[cut_node], f, np.where(threshold >= hi, lo, threshold), scores[best]
+
+
+def _preorder(levels, feature_count) -> NodeTable:
+    """The breadth-first `levels` of some trees, numbered in preorder tree by tree."""
+    parent, side, value, feature, threshold, gain = (np.concatenate(c) for c in zip(*levels))
+    ends = np.cumsum([len(level[0]) for level in levels])
+    kids = np.full((len(parent), 2), LEAF)
+    kids[parent[ends[0]:], side[ends[0]:]] = np.arange(ends[0], len(parent))
+    size = np.ones(len(parent), dtype=np.int64)
+    for lo, hi in zip(ends[-2::-1], ends[:0:-1]):  # subtree sizes, deepest level first
+        np.add.at(size, parent[lo:hi], size[lo:hi])
+    pre = np.cumsum(size[:ends[0]]) - size[:ends[0]]  # roots
+    pre = np.concatenate([pre, np.empty(len(parent) - ends[0], dtype=np.int64)])
+    for lo, hi in zip(ends[:-1], ends[1:]):
+        p = parent[lo:hi]
+        pre[lo:hi] = pre[p] + 1 + side[lo:hi] * size[kids[p, 0]]
+    at = np.argsort(pre)  # breadth-first id of each preorder slot
+    kids = np.where(kids[at] == LEAF, LEAF, pre[kids[at]])
+    return NodeTable(feature[at], threshold[at], kids[:, 0], kids[:, 1], value[at],
+                     pre[:ends[0]], feature_count, gain[at])
 
 
 @dataclass(frozen=True)
@@ -168,62 +268,92 @@ class TreeParams:
             raise UsageError(f"max_depth must be None or an integer >= 0, got {self.max_depth!r}")
         if not isinstance(self.min_leaf, numbers.Integral) or self.min_leaf < 1:
             raise UsageError(f"min_leaf must be an integer >= 1, got {self.min_leaf!r}")
+        if self.feature_subsample is not None and (
+                not isinstance(self.feature_subsample, numbers.Integral)
+                or self.feature_subsample < 1):
+            raise UsageError("feature_subsample must be None or an integer >= 1, "
+                             f"got {self.feature_subsample!r}")
 
 
 class _Gini:
-    """CART criterion: class histograms, weighted Gini impurity of the children."""
+    """CART criterion: class histograms, weighted Gini impurity of the children.
 
-    def __init__(self, y, n_classes):
-        self.y, self.k = y, n_classes
+    A cut's score is sum_c L_c^2 / n_L + sum_c R_c^2 / n_R over the class
+    counts of its children, taken as one quotient of exact integers, so
+    equal weighted impurities score equal. Labels are per batch row.
+    """
 
-    def node(self, rows):
-        counts = np.bincount(self.y[rows], minlength=self.k)
-        return counts, 1.0 - float(((counts / len(rows)) ** 2).sum()) != 0.0
+    floor = -np.inf  # every best cut is taken
 
-    def scores(self, ordered, fi, ci, counts):
-        """Negated weighted impurity of the two children at each cut."""
-        f, n = ordered.shape
-        prefix = np.zeros((n, f, self.k), dtype=np.int32)  # one-hots, then class prefixes
-        cells = (np.arange(n)[:, None] * f + np.arange(f)) * self.k + self.y[ordered].T
-        prefix.reshape(-1)[cells] = 1
-        np.cumsum(prefix, axis=0, out=prefix)
-        left = np.take(prefix.reshape(-1, self.k), ci * f + fi, axis=0).astype(np.float64)
-        right = counts - left
-        n_left = (ci + 1).astype(np.float64)
-        n_right = n - n_left
-        left /= n_left[:, None]
-        right /= n_right[:, None]
-        gini_left = 1.0 - np.square(left, out=left).sum(axis=1)
-        gini_right = 1.0 - np.square(right, out=right).sum(axis=1)
-        return -((n_left * gini_left + n_right * gini_right) / n)
+    def __init__(self, y, n_classes, trees=1):
+        self.k, self.trees = n_classes, trees
+        self.y = y.astype(np.min_scalar_type(n_classes - 1))  # small labels sort by radix
 
-    def accept(self, score):
-        return True
+    def node(self, rows, row_node, sizes):
+        counts = np.bincount(row_node * self.k + self.y[rows], minlength=sizes.size * self.k)
+        counts = counts.reshape(sizes.size, self.k)
+        return counts, (counts > 0).sum(axis=1) > 1
+
+    def scores(self, rows, width, sizes, ci, base, cuts, counts):
+        """Score of every cut. `rows` holds `width` sorted segments of sizes[i]
+        rows for each node i; cut ci (ascending) falls after rows[ci] in the
+        segment that starts at rows[base]; node i has cuts[i] cuts and value
+        row counts[i]."""
+        seg = np.repeat(np.arange(sizes.size * width), np.repeat(sizes, width))
+        y = self.y[rows]
+        order = np.argsort(y, kind="stable")  # by class, then position: segments stay runs
+        key = seg * self.k + y
+        ordered = key[order]
+        run = np.ones(key.size, dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=run[1:])
+        at = np.arange(key.size)
+        seen = np.empty_like(at)  # earlier rows of the same class in the segment
+        seen[order] = at - np.maximum.accumulate(np.where(run, at, 0))
+        squares = np.zeros(key.size + 1, dtype=np.int64)  # running sum_c L_c^2
+        np.cumsum(2 * seen + 1, out=squares[1:])
+        cross = np.zeros(key.size + 1, dtype=np.int64)  # running sum_c N_c L_c
+        np.cumsum(counts.ravel()[seg // width * self.k + y], out=cross[1:])
+        n_left = ci + 1 - base
+        left_sq = squares[ci + 1] - squares[base]
+        right_sq = (np.repeat((counts**2).sum(axis=1), cuts) - 2 * (cross[ci + 1] - cross[base])
+                    + left_sq)
+        n_right = np.repeat(sizes, cuts) - n_left
+        return (left_sq * n_right + right_sq * n_left) / (n_left * n_right)
 
 
-def _pick_features(d, params: TreeParams, rng) -> np.ndarray:
-    m = params.feature_subsample
+def _picker(d, m, rngs):
+    """`grow`'s candidate draw: at each depth, tree t's generator draws one
+    key per (splittable node, feature); a node's candidates are the
+    features of its m lowest keys, ascending."""
     if m is None or m >= d:
-        return np.arange(d)
-    return np.sort(rng.choice(d, size=m, replace=False))
+        return None
+
+    def pick(counts):
+        keys = np.concatenate([rng.random((count, d)) for rng, count in zip(rngs, counts) if count])
+        return np.sort(np.argsort(keys, axis=1, kind="stable")[:, :m], axis=1)
+
+    return pick
 
 
-def train_tree(
-    X, y, params: TreeParams | None = None, rng=None, n_classes=None, ranks=None
-) -> NodeTable:
-    """Grow one CART tree. Deterministic given the rng state. `ranks`, when
-    given, is rank_columns(X), or a superset's ranks taken at X's rows.
-    Inputs are checked by labelled_rows.
+def grow_cart(X, y, n_classes, params: TreeParams, rngs, samples=None) -> NodeTable:
+    """One CART tree per generator in `rngs`, grown together, tree t on X
+    rows samples[t] (all of X when samples is None). X and y are checked by
+    the caller; X is ranked once for every tree."""
+    table = grow(
+        X, rank_columns(X),
+        _Gini(y if samples is None else y[samples].ravel(), n_classes, len(rngs)), samples,
+        params.max_depth, params.min_leaf, _picker(X.shape[1], params.feature_subsample, rngs),
+    )
+    table.gain = None  # a CART split's score is not kept
+    return table
+
+
+def train_tree(X, y, params: TreeParams | None = None, rng=None, n_classes=None) -> NodeTable:
+    """Grow one CART tree. Deterministic given the rng state. Inputs are
+    checked by labelled_rows.
     """
     X, y, n_classes = labelled_rows(X, y, n_classes)
-    params = params or TreeParams()
-    rng = rng or np.random.default_rng(0)
-    tree = grow(
-        X, rank_columns(X) if ranks is None else ranks, _Gini(y, n_classes),
-        params.max_depth, params.min_leaf, lambda: _pick_features(X.shape[1], params, rng),
-    )
-    tree.gain = None  # a CART split's score is not kept
-    return tree
+    return grow_cart(X, y, n_classes, params or TreeParams(), [rng or np.random.default_rng(0)])
 
 
 def tree_predict(tree: NodeTable, X) -> np.ndarray:

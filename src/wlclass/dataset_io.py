@@ -437,7 +437,7 @@ def ingest_raw_csv(path, nonfinite: str = "drop") -> list[RawTrial]:
         raise EmptyFileError(f"{path} has a header but no data rows")
 
     label_names = sorted(filter(None, set(labels)))
-    all_int = label_names and all(_is_int(v) for v in label_names)
+    all_int = label_names and _integer_coded(label_names)
     name_to_index = {name: i for i, name in enumerate(label_names)}
 
     order = np.lexsort((ts, codes))  # stable: ties keep file order
@@ -521,12 +521,11 @@ def _csv_columns(reader, path) -> tuple:
     return list(index), np.array(codes, dtype=np.int64), np.asarray(ts), values, labels
 
 
-def _is_int(text: str) -> bool:
-    try:
-        int(text)
-        return True
-    except ValueError:
-        return False
+def _integer_coded(names) -> bool:
+    """Whether the distinct labels `names` are integers: ASCII digits only
+    (not 1_0, +10 or -3), and no two naming the same integer (010 and 10)."""
+    return (all(v.isascii() and v.isdecimal() for v in names)
+            and len({int(v) for v in names}) == len(names))
 
 
 def _apply_nonfinite_policy(series: np.ndarray, policy: str) -> np.ndarray:

@@ -21,7 +21,7 @@ from wlclass.dataset_io import (
     GPU_SENSORS,
     RawTrial,
     _apply_nonfinite_policy,
-    _is_int,
+    _integer_coded,
     ingest_raw_csv,
     parse_array_header,
     read_array,
@@ -505,7 +505,7 @@ def reference_ingest(path, nonfinite="drop"):
     if not all(math.isfinite(r[0]) for rows in groups.values() for r in rows):
         return None
     label_names = sorted({label for rows in groups.values() for _, _, label in rows if label})
-    all_int = label_names and all(_is_int(v) for v in label_names)
+    all_int = label_names and _integer_coded(label_names)
     trials = []
     for (job, device), rows in groups.items():
         rows.sort(key=lambda r: r[0])
@@ -630,6 +630,13 @@ class TestCsvIngest:
         trials = ingest_raw_csv(self.write(tmp_path, rows))
         assert sorted(t.label for t in trials) == [4, 9]
         assert all(t.label_name is None for t in trials)
+
+    @pytest.mark.parametrize("labels", [("1_0", "10", "+10"), ("010", "10", "-3")])
+    def test_labels_int_would_merge_stay_names(self, tmp_path, labels):
+        rows = [self.row(f"j{i}", 0, label=label) for i, label in enumerate(labels)]
+        trials = ingest_raw_csv(self.write(tmp_path, rows))
+        assert len({t.label for t in trials}) == 3
+        assert sorted(t.label_name for t in trials) == sorted(labels)
 
     def test_short_row_names_its_line(self, tmp_path):
         rows = [self.row("j1", 0), self.row("j1", 1)[:-4], self.row("j1", 2)]

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,9 @@ from wlclass.classifiers import (
 )
 from wlclass.classifiers.tree import LEAF
 from wlclass.errors import EmptyInputError, ShapeMismatchError, UsageError
+from wlclass.features import covariance_feature_matrix, fit_standardizer
+from wlclass.synth import default_26_class_spec, generate_corpus
+from wlclass.windowing import WindowPolicy, extract_window
 
 
 def leaves(model):
@@ -176,3 +181,29 @@ class TestFeatureImportance:
         model = train_gbt(X, y, GbtParams(rounds=1))
         with pytest.raises(ShapeMismatchError):
             feature_importance_report(model, ["only", "two"])
+
+
+#: sha256 of serialize_model(train_gbt(...)) on cov_matrix(). Boosting draws
+#: no random numbers, so these bytes hold however the trees are grown.
+PINNED_MODELS = {
+    "defaults": ({}, "7a0889fe03824f8bb6235ac0db5620ebee4d8a8666f688aae77e2db6b11ac4f2"),
+    "depth 3, gamma/alpha/lambda": (
+        {"max_depth": 3, "gamma": 0.05, "alpha": 0.1, "reg_lambda": 2.0},
+        "9c6a00a99c144d1d8391caa7750a68c6c09d7307be3fe8106b30f820f59ca146"),
+}
+
+
+def cov_matrix():
+    """Covariance features of a seeded 26-class corpus: 181 rows x 28."""
+    trials = generate_corpus(default_26_class_spec(seed=7, scale=0.05))
+    x = np.stack([extract_window(t, WindowPolicy("middle", length=540)).data for t in trials])
+    return covariance_feature_matrix(x, fit_standardizer(x)), np.array([t.label for t in trials])
+
+
+@pytest.mark.parametrize("setting", sorted(PINNED_MODELS))
+def test_models_keep_their_pinned_bytes(setting):
+    X, y = cov_matrix()
+    params, digest = PINNED_MODELS[setting]
+    assert X.shape == (181, 28) and len(np.unique(y)) == 26
+    model = train_gbt(X, y, GbtParams(**params))
+    assert hashlib.sha256(serialize_model(model)).hexdigest() == digest

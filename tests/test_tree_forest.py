@@ -3,6 +3,7 @@ import pytest
 
 from wlclass.classifiers import (
     ForestModel,
+    GbtParams,
     NodeTable,
     TreeParams,
     deserialize_model,
@@ -11,9 +12,11 @@ from wlclass.classifiers import (
     serialize_model,
     stack_tables,
     train_forest,
+    train_gbt,
     train_tree,
     tree_predict,
 )
+from wlclass.classifiers import tree as tree_module
 from wlclass.classifiers.tree import LEAF
 from wlclass.cli import main, write_feature_set
 from wlclass.errors import EmptyInputError, ShapeMismatchError, UsageError
@@ -27,6 +30,20 @@ def tree_nodes(table, t):
     """Node index range of tree t of a stacked table."""
     bounds = list(table.roots) + [len(table.feature)]
     return range(bounds[t], bounds[t + 1])
+
+
+def tree_arrays(table, t):
+    """Tree t of a stacked table as (feature, threshold, left, right, value),
+    its children numbered from its own root."""
+    nodes = tree_nodes(table, t)
+    left, right = (np.where(c[nodes] == LEAF, LEAF, c[nodes] - nodes.start)
+                   for c in (table.left, table.right))
+    return table.feature[nodes], table.threshold[nodes], left, right, table.value[nodes]
+
+
+def assert_same_tree(a, b):
+    for x, y in zip(a, b):
+        np.testing.assert_array_equal(x, y)
 
 
 def walk_leaf(table, root, x):
@@ -146,11 +163,14 @@ class TestTree:
             train_tree(np.zeros((0, 3)), np.zeros(0))
 
     def test_depth_and_leaf_limits_checked(self):
-        for bad in ({"max_depth": -1}, {"max_depth": 2.5}, {"min_leaf": 0}, {"min_leaf": -3}):
+        for bad in ({"max_depth": -1}, {"max_depth": 2.5}, {"min_leaf": 0}, {"min_leaf": -3},
+                    {"feature_subsample": 0}, {"feature_subsample": -1},
+                    {"feature_subsample": 2.5}):
             with pytest.raises(UsageError, match=next(iter(bad))):
                 TreeParams(**bad)
         assert TreeParams(max_depth=None).max_depth is None
         assert TreeParams(max_depth=0, min_leaf=1).max_depth == 0
+        assert TreeParams(feature_subsample=1).feature_subsample == 1
         X, y = np.arange(8.0).reshape(4, 2), np.array([0, 1, 0, 1])
         with pytest.raises(UsageError, match="max_depth"):
             train_forest(X, y, n_trees=3, seed=0, max_depth=-1)
@@ -165,6 +185,23 @@ class TestTree:
         tree = train_tree(X, y, TreeParams(max_depth=3))
         assert is_leaf(tree, tree.left[0]) and is_leaf(tree, tree.right[0])
         np.testing.assert_array_equal(tree_predict(tree, X), y)
+
+    def test_candidates_are_drawn_depth_by_depth_left_to_right(self):
+        """With one candidate per node, a continuous X and min_leaf 1, every
+        impure node splits on the feature of its lowest key."""
+        rng = np.random.default_rng(21)
+        X, y = rng.normal(size=(80, 6)), rng.integers(0, 3, 80)
+        tree = train_tree(X, y, TreeParams(feature_subsample=1), rng=np.random.default_rng(8))
+        draws, level, checked = np.random.default_rng(8), [0], 0
+        while level:
+            impure = [node for node in level if np.count_nonzero(tree.value[node]) > 1]
+            keys = draws.random((len(impure), X.shape[1]))
+            for node, row in zip(impure, keys):
+                assert tree.feature[node] == np.argmin(row)
+                checked += 1
+            level = [child for node in level if not is_leaf(tree, node)
+                     for child in (tree.left[node], tree.right[node])]
+        assert checked > 20
 
     def test_duplicate_rows_conflicting_labels_terminate(self):
         X = np.ones((6, 2))
@@ -269,6 +306,41 @@ class TestForest:
             serialized.add((table.feature[nodes].tobytes(), table.threshold[nodes].tobytes(),
                             table.value[nodes].tobytes()))
         assert len(serialized) > 1
+
+    def wide(self, seed=18):
+        """Rounded features (so values tie) of which a few carry the label."""
+        rng = np.random.default_rng(seed)
+        X = np.round(rng.normal(size=(90, 9)), 1)
+        return X, (X[:, 0] + X[:, 3] > 0).astype(int) + 2 * (rng.random(90) < 0.2)
+
+    def test_smaller_forest_is_a_prefix_of_a_larger(self):
+        X, y = self.wide()
+        small, large = (train_forest(X, y, n_trees=n, seed=5) for n in (5, 20))
+        for t in range(5):
+            assert_same_tree(tree_arrays(small.table, t), tree_arrays(large.table, t))
+
+    def test_batched_trees_equal_trees_grown_alone(self):
+        X, y = self.wide(seed=19)
+        for depth, leaf in ((3, 1), (None, 4), (5, 2)):
+            forest = train_forest(X, y, n_trees=6, seed=3, max_depth=depth, min_leaf=leaf)
+            for t in range(6):
+                rng = np.random.default_rng(np.random.SeedSequence([3, t]))
+                sample = rng.integers(0, len(y), size=len(y))
+                alone = train_tree(X[sample], y[sample], TreeParams(depth, leaf, 3), rng=rng,
+                                   n_classes=forest.class_count)
+                assert_same_tree(tree_arrays(forest.table, t), tree_arrays(alone, 0))
+
+    def test_group_and_chunk_sizes_leave_models_unchanged(self, monkeypatch):
+        X, y = self.wide(seed=20)
+
+        def models():
+            return (serialize_model(train_forest(X, y, n_trees=5, seed=1)),
+                    serialize_model(train_gbt(X, y, GbtParams(rounds=2, max_depth=4))))
+
+        expected = models()
+        monkeypatch.setattr(tree_module, "_GROUP_CELLS", 1)  # one tree per group
+        monkeypatch.setattr(tree_module, "_CHUNK", 1)  # one node per scoring run
+        assert models() == expected
 
 
 class TestDeepTrees:
