@@ -9,6 +9,7 @@ of them at once.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,10 +54,12 @@ def train_forest(
     checked by labelled_rows.
 
     Raises:
-        UsageError: n_trees < 1, or max_depth or min_leaf out of range.
+        UsageError: n_trees, seed, max_depth or min_leaf not an integer in range.
     """
-    if n_trees < 1:
-        raise UsageError(f"n_trees must be >= 1, got {n_trees}")
+    if not isinstance(n_trees, numbers.Integral) or n_trees < 1:
+        raise UsageError(f"n_trees must be an integer >= 1, got {n_trees!r}")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise UsageError(f"seed must be an integer >= 0, got {seed!r}")
     X, y, n_classes = labelled_rows(X, y, n_classes)
     d = X.shape[1]
     params = TreeParams(
@@ -68,11 +71,11 @@ def train_forest(
     samples = np.stack([rng.integers(0, len(y), size=len(y)) for rng in rngs])
     return ForestModel(
         table=grow_cart(X, y, n_classes, params, rngs, samples),
-        n_trees=n_trees,
-        seed=seed,
+        n_trees=int(n_trees),  # plain ints: the model file's meta is JSON
+        seed=int(seed),
         class_count=n_classes,
-        max_depth=max_depth,
-        min_leaf=min_leaf,
+        max_depth=max_depth if max_depth is None else int(max_depth),
+        min_leaf=int(min_leaf),
     )
 
 

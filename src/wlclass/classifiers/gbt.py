@@ -5,18 +5,20 @@ hessian statistics (g = p - y, h = p(1 - p)). Split gain follows the
 second-order formulation: recorded gain is
 half [G_L^2/(H_L+lambda) + G_R^2/(H_R+lambda) - G^2/(H+lambda)], and a
 split is accepted only when that exceeds gamma. Leaf weights apply the
-l1 soft threshold: -sign(G) max(|G|-alpha, 0) / (H+lambda). Split counts
-and gains accumulate into per-feature importance.
+l1 soft threshold: -sign(G) max(|G|-alpha, 0) / (H+lambda). Per-feature
+importance (split counts and summed gains) is derived from the trees.
 
 The class trees of a round share X, its one rank encoding and the
 round's probabilities, so they grow together as one tree.grow batch.
 Every node's sums and prefix sums add the same numbers in the same order
-as growing each tree alone would, so the models are bit for bit those of
-one-tree-at-a-time growth. The model keeps all trees in one node table.
+as growing each tree alone would. The model keeps all trees in one node
+table.
 """
 
+import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,10 +42,13 @@ class GbtParams:
             raise UsageError(f"rounds must be an integer >= 1, got {self.rounds!r}")
         if not isinstance(self.max_depth, numbers.Integral) or self.max_depth < 0:
             raise UsageError(f"max_depth must be an integer >= 0, got {self.max_depth!r}")
-        if self.learning_rate <= 0:
-            raise UsageError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.alpha < 0 or self.reg_lambda < 0 or self.gamma < 0:
-            raise UsageError("regularization constants must be non-negative")
+        if not 0 < self.learning_rate < math.inf:
+            raise UsageError(f"learning_rate must be finite and positive, got {self.learning_rate}")
+        if not (0 <= self.alpha < math.inf and 0 <= self.reg_lambda < math.inf
+                and self.gamma >= 0):  # gamma inf never splits
+            raise UsageError("regularization constants must be non-negative, and alpha and "
+                             f"lambda finite; got gamma {self.gamma}, alpha {self.alpha}, "
+                             f"lambda {self.reg_lambda}")
 
 
 @dataclass
@@ -51,8 +56,6 @@ class GbtModel:
     table: NodeTable  # every tree, round by round, class by class
     params: GbtParams
     class_count: int
-    split_counts: np.ndarray  # per feature
-    split_gains: np.ndarray  # per feature, accumulated recorded gain
     train_loss: list  # per-round multiclass log-loss
 
     @property
@@ -63,6 +66,17 @@ class GbtModel:
     @property
     def feature_count(self) -> int:
         return self.table.feature_count
+
+    @cached_property
+    def split_counts(self) -> np.ndarray:  # per feature, over all trees
+        split = self.table.feature != LEAF
+        return np.bincount(self.table.feature[split], minlength=self.feature_count)
+
+    @cached_property
+    def split_gains(self) -> np.ndarray:  # per feature, summed recorded gain
+        split = self.table.feature != LEAF
+        return np.bincount(self.table.feature[split], weights=self.table.gain[split],
+                           minlength=self.feature_count)
 
     def predict_scores(self, X) -> np.ndarray:
         X = query_rows(X, self.feature_count)
@@ -143,7 +157,7 @@ def train_gbt(X, y, params: GbtParams | None = None, n_classes: int | None = Non
     X, y, n_classes = labelled_rows(X, y, n_classes)
     n_classes = max(n_classes, 2)
     params = params or GbtParams()
-    n, d = X.shape
+    n = X.shape[0]
     onehot = np.zeros((n, n_classes))
     onehot[np.arange(n), y] = 1.0
     scores = np.full((n, n_classes), params.base_score)
@@ -156,16 +170,8 @@ def train_gbt(X, y, params: GbtParams | None = None, n_classes: int | None = Non
         scores += params.learning_rate * trees.value[trees.apply(X), 0]
         rounds.append(trees)
         losses.append(_log_loss(_softmax(scores), y))
-    table = stack_tables(rounds)
-    split = table.feature[table.feature != LEAF]
-    return GbtModel(
-        table=table,
-        params=params,
-        class_count=n_classes,
-        split_counts=np.bincount(split, minlength=d),
-        split_gains=np.bincount(split, weights=table.gain[table.feature != LEAF], minlength=d),
-        train_loss=losses,
-    )
+    return GbtModel(table=stack_tables(rounds), params=params, class_count=n_classes,
+                    train_loss=losses)
 
 
 def feature_importance_report(model: GbtModel, feature_names) -> list:

@@ -1,28 +1,28 @@
 """Versioned self-describing model files, written by the one bundle codec.
 
 A model file is one `dataset_io.write_bundle` zip: a stored `.npy`
-member per array, then `meta.json` holding `format` (3), `kind`
+member per array, then `meta.json` holding `format` (4), `kind`
 (forest, gbt or svm), caller-supplied `provenance` and the model's
 scalar fields. Members are int64 or float64, so floats survive exactly
-and equal models give equal bytes.
+and equal models give equal bytes. Each fact is stored once.
 
 Tree models store their stacked node table (tree.NodeTable) as members
-feature, threshold, left, right, roots and value (one row per node: the
-class histogram for forests, (weight, g_sum, h_sum) for boosted trees);
-boosted models add each split's gain, split_counts, split_gains and
-train_loss. An SVM ensemble stores the support rows of all its machines,
-machine after machine, as support_indices, support_alphas,
-support_labels and support_vectors, with support_counts rows per machine
-and one bias, converged flag (0/1), update count, KKT gap and
-training-row count (n_train, equal across machines) per machine.
+feature, threshold, left, right, roots (one per tree) and value (one row
+per node: the class histogram for forests, (weight, g_sum, h_sum) for
+boosted trees); boosted models add each split's gain and train_loss. An
+SVM ensemble stores the union of its machines' support rows once
+(SvmEnsemble._support): support_rows, support_vectors and support_coef
+(rows x machines, alpha * y, 0 off a machine's support), plus one bias,
+converged flag (0/1), update count and KKT gap per machine and n_train
+in meta; loading rebuilds each machine from its nonzero coefficients.
 
 Loading accepts exactly one bundle, with nothing before its first member
 or after its end record, and checks every member before it builds a
 model: every walk over a node table ends at a leaf without indexing out
-of range, and every SVM machine has strictly increasing support indices
-in [0, n_train), alphas in (0, C], labels of -1 or +1, finite vectors of
-one width that agree wherever machines share a support index, and a
-finite bias. Every failure is a ModelFormatError.
+of range, and an SVM has strictly increasing support rows in
+[0, n_train), each used by some machine, finite vectors of one width,
+finite coefficients with |coef| <= C and finite biases. Every failure
+is a ModelFormatError.
 """
 
 import dataclasses
@@ -40,16 +40,15 @@ from .gbt import GbtModel, GbtParams
 from .svm import KernelSpec, SvmBinary, SvmEnsemble
 from .tree import LEAF, NodeTable
 
-FORMAT_VERSION = 3
-_FOREST_FIELDS = ("n_trees", "seed", "feature_count", "class_count", "max_depth", "min_leaf")
+FORMAT_VERSION = 4
+_FOREST_FIELDS = ("seed", "feature_count", "class_count", "max_depth", "min_leaf")
 #: Per-machine SVM members and their element kinds.
-_MACHINE = {"bias": "f", "converged": "i", "updates": "i", "kkt_gap": "f", "n_train": "i"}
+_MACHINE = {"bias": "f", "converged": "i", "updates": "i", "kkt_gap": "f"}
 _TABLE = ("feature", "threshold", "left", "right", "value", "roots")
 _MEMBERS = {
     "forest": _TABLE,
-    "gbt": _TABLE + ("gain", "split_counts", "split_gains", "train_loss"),
-    "svm": ("support_indices", "support_alphas", "support_labels", "support_vectors",
-            "support_counts", *_MACHINE),
+    "gbt": _TABLE + ("gain", "train_loss"),
+    "svm": ("support_rows", "support_vectors", "support_coef", *_MACHINE),
 }
 #: Zip end-of-central-directory record: signature, two disk numbers, two
 #: entry counts, directory size, directory offset, comment length.
@@ -92,7 +91,8 @@ def _table(bundle, n_trees, feature_count, width, boosted) -> NodeTable:
         raise ModelFormatError("node table arrays differ in length")
     if value.shape != (n, width):
         raise ModelFormatError(f"node table values must be {width} per node")
-    if len(roots) != n_trees or roots[0] != 0 or (np.diff(roots) <= 0).any() or roots[-1] >= n:
+    if (n_trees < 1 or len(roots) != n_trees or roots[0] != 0 or (np.diff(roots) <= 0).any()
+            or roots[-1] >= n):
         raise ModelFormatError(f"node table must hold {n_trees} trees with increasing roots")
     split = feature != LEAF
     if ((feature < LEAF) | (feature >= feature_count)).any():
@@ -118,26 +118,26 @@ def _forest_parts(model: ForestModel):
 
 
 def _forest_from(meta, bundle) -> ForestModel:
-    n_trees, feature_count, class_count = (
-        _count(meta, name) for name in ("n_trees", "feature_count", "class_count"))
+    feature_count, class_count = (_count(meta, name) for name in ("feature_count", "class_count"))
+    n_trees = len(bundle["roots"])  # one tree per root
     return ForestModel(table=_table(bundle, n_trees, feature_count, class_count, False),
+                       n_trees=n_trees,
                        **{name: meta[name] for name in _FOREST_FIELDS if name != "feature_count"})
 
 
 def _svm_parts(model: SvmEnsemble):
-    machines = model.machines
+    rows, vectors, coef = model._support
     arrays = {
-        "support_indices": np.concatenate([m.support_indices for m in machines]),
-        "support_alphas": np.concatenate([m.alphas for m in machines]),
-        "support_labels": np.concatenate([m.support_labels for m in machines]),
-        "support_vectors": np.concatenate([m.support_vectors for m in machines]),
-        "support_counts": [len(m.support_indices) for m in machines],
-        **{name: np.array([getattr(m, name) for m in machines],
+        "support_rows": rows,
+        "support_vectors": vectors,
+        "support_coef": coef,
+        **{name: np.array([getattr(m, name) for m in model.machines],
                           np.float64 if kind == "f" else np.int64)
            for name, kind in _MACHINE.items()},
     }
     kernel = {"name": model.kernel.name, "gamma": model.kernel.gamma}
-    return arrays, {"class_count": model.class_count, "kernel": kernel, "C": model.C}
+    return arrays, {"class_count": model.class_count, "kernel": kernel, "C": model.C,
+                    "n_train": model.machines[0].n_train}
 
 
 def _svm_from(meta, bundle) -> SvmEnsemble:
@@ -145,62 +145,41 @@ def _svm_from(meta, bundle) -> SvmEnsemble:
     kernel = KernelSpec(meta["kernel"]["name"], gamma if gamma is None else _number(gamma, "gamma"))
     if C <= 0:
         raise ModelFormatError(f"C must be positive, got {C!r}")
-    class_count = _count(meta, "class_count")
-    counts = _array(bundle, "support_counts", "i")
-    if class_count < 2 or counts.shape != (class_count,):
-        raise ModelFormatError(f"an SVM needs one machine per class, at least 2; "
-                               f"got {len(counts)} machines for {class_count} classes")
+    class_count, n_train = _count(meta, "class_count"), _count(meta, "n_train")
+    if class_count < 2:
+        raise ModelFormatError(f"an SVM needs at least 2 classes, got {class_count}")
     per_machine = [_array(bundle, name, kind) for name, kind in _MACHINE.items()]
-    if any(a.shape != counts.shape for a in per_machine):
-        raise ModelFormatError("per-machine members must hold one entry per machine")
-    bias, converged, updates, kkt_gap, n_train = per_machine
-    indices, alphas, labels = (_array(bundle, f"support_{name}", kind) for name, kind in
-                               (("indices", "i"), ("alphas", "f"), ("labels", "f")))
+    if any(a.shape != (class_count,) for a in per_machine):
+        raise ModelFormatError("per-machine members must hold one entry per class")
+    bias, converged, updates, kkt_gap = per_machine
+    rows = _array(bundle, "support_rows", "i")
     vectors = _array(bundle, "support_vectors", "f", 2)
-    if (counts < 0).any() or any(len(a) != counts.sum()
-                                 for a in (indices, alphas, labels, vectors)):
-        raise ModelFormatError("support rows do not add up to the per-machine counts")
-    if not np.isfinite(bias).all():
-        raise ModelFormatError("machine bias is not finite")
-    if not (np.isin(converged, (0, 1)).all() and (updates >= 0).all()
-            and (n_train >= 1).all() and (n_train == n_train[0]).all()):
-        raise ModelFormatError("need converged 0 or 1, updates >= 0 and one n_train >= 1")
-    if not ((alphas > 0) & (alphas <= C)).all():
-        raise ModelFormatError("support alphas must lie in (0, C]")
-    if not (np.abs(labels) == 1).all():
-        raise ModelFormatError("support labels must be -1 or +1")
-    if not np.isfinite(vectors).all():
-        raise ModelFormatError("support vectors are not finite")
-    _, first, row = np.unique(indices, return_index=True, return_inverse=True)
-    if (vectors != vectors[first][row]).any():  # one training index names one row
-        raise ModelFormatError("machines hold different vectors for one support index")
-    machines = []
-    for c, end in enumerate(np.cumsum(counts)):
-        rows = slice(end - counts[c], end)
-        support = indices[rows]
-        if (np.diff(support) <= 0).any() or (support < 0).any() or (support >= n_train[c]).any():
-            raise ModelFormatError("support indices must increase strictly within [0, n_train)")
-        machines.append(SvmBinary(
-            alphas=alphas[rows],
-            bias=float(bias[c]),
-            support_indices=support,
-            support_vectors=vectors[rows],
-            support_labels=labels[rows],
-            kernel=kernel,
-            C=C,
-            converged=bool(converged[c]),
-            n_train=int(n_train[c]),
-            updates=int(updates[c]),
-            kkt_gap=float(kkt_gap[c]),
-        ))
+    coef = _array(bundle, "support_coef", "f", 2)
+    if len(vectors) != len(rows) or coef.shape != (len(rows), class_count):
+        raise ModelFormatError("need one support vector and one coef per class per support row")
+    if (np.diff(rows) <= 0).any() or (rows < 0).any() or (rows >= n_train).any():
+        raise ModelFormatError("support rows must increase strictly within [0, n_train)")
+    if not (np.isfinite(vectors).all() and np.isfinite(bias).all()):
+        raise ModelFormatError("support vectors and biases must be finite")
+    if not (np.abs(coef) <= C).all():  # NaN fails too
+        raise ModelFormatError("support coefficients must be finite with |coef| <= C")
+    used = coef != 0
+    if not used.any(axis=1).all():
+        raise ModelFormatError("every support row must be some machine's")
+    if not (np.isin(converged, (0, 1)).all() and (updates >= 0).all()):
+        raise ModelFormatError("need converged 0 or 1 and updates >= 0")
+    machines = [SvmBinary(
+        alphas=np.abs(coef[on, c]), bias=float(bias[c]), support_indices=rows[on],
+        support_vectors=vectors[on], support_labels=np.sign(coef[on, c]), kernel=kernel, C=C,
+        converged=bool(converged[c]), n_train=n_train, updates=int(updates[c]),
+        kkt_gap=float(kkt_gap[c])) for c, on in enumerate(used.T)]
     return SvmEnsemble(machines=machines, class_count=class_count, kernel=kernel, C=C)
 
 
 def _gbt_parts(model: GbtModel):
     params = dataclasses.asdict(model.params)
     params["gamma"] = "inf" if math.isinf(params["gamma"]) else params["gamma"]  # JSON has no inf
-    arrays = {**_table_arrays(model.table), "split_counts": model.split_counts,
-              "split_gains": model.split_gains, "train_loss": model.train_loss}
+    arrays = {**_table_arrays(model.table), "train_loss": model.train_loss}
     return arrays, {"params": params, "feature_count": model.feature_count,
                     "class_count": model.class_count}
 
@@ -208,22 +187,16 @@ def _gbt_parts(model: GbtModel):
 def _gbt_from(meta, bundle) -> GbtModel:
     p = meta["params"]
     _count(p, "rounds")
-    for name in ("learning_rate", "base_score"):
-        _number(p[name], name)
+    _number(p["base_score"], "base_score")  # GbtParams checks the rest
     params = GbtParams(**{**p, "gamma": float("inf") if p["gamma"] == "inf" else p["gamma"]})
     feature_count, class_count = _count(meta, "feature_count"), _count(meta, "class_count")
-    split_counts, split_gains, train_loss = (_array(bundle, name, kind) for name, kind in (
-        ("split_counts", "i"), ("split_gains", "f"), ("train_loss", "f")))
-    if len(train_loss) != params.rounds or any(
-            a.shape != (feature_count,) for a in (split_counts, split_gains)):
-        raise ModelFormatError("split counts and gains need one entry per feature, "
-                               "train_loss one per round")
+    train_loss = _array(bundle, "train_loss", "f")
+    if len(train_loss) != params.rounds:
+        raise ModelFormatError("train_loss needs one entry per round")
     return GbtModel(
         table=_table(bundle, params.rounds * class_count, feature_count, 3, True),
         params=params,
         class_count=class_count,
-        split_counts=split_counts,
-        split_gains=split_gains,
         train_loss=train_loss.tolist(),
     )
 
@@ -272,7 +245,7 @@ def deserialize_model(data: bytes):
     """Returns (model, provenance dict).
 
     Raises:
-        ModelFormatError: data is not exactly one model bundle of format 3
+        ModelFormatError: data is not exactly one model bundle of format 4
             whose members pass the checks of its kind.
     """
     data = bytes(data)
@@ -283,7 +256,8 @@ def deserialize_model(data: bytes):
         raise ModelFormatError(f"unreadable model bundle: {exc}") from None
     meta = bundle.pop("meta")
     if meta.get("format") != FORMAT_VERSION:
-        raise ModelFormatError(f"unsupported model format {meta.get('format')!r}")
+        raise ModelFormatError(f"unsupported model format {meta.get('format')!r}; only "
+                               f"format {FORMAT_VERSION} is read: retrain to rewrite the model")
     kind = meta.get("kind")
     if not isinstance(kind, str) or kind not in _KINDS:
         raise ModelFormatError(f"unknown model kind {kind!r}")

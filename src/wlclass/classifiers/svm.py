@@ -19,6 +19,7 @@ error; the machine is returned with converged=False and callers decide
 what that means.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -39,10 +40,17 @@ class KernelSpec:
     def __post_init__(self):
         if self.name not in ("linear", "rbf"):
             raise UsageError(f"kernel must be linear or rbf, got {self.name!r}")
-        if self.name == "rbf" and (self.gamma is None or self.gamma <= 0):
-            raise UsageError("rbf kernel needs gamma > 0")
+        if self.name == "rbf" and (self.gamma is None or not 0 < self.gamma < math.inf):
+            raise UsageError(f"rbf kernel needs a finite gamma > 0, got {self.gamma}")
         if self.name == "linear" and self.gamma is not None:
             raise UsageError("linear kernel takes no gamma")
+
+
+def _check_solver(C, tol) -> None:
+    if not 0 < C < math.inf:
+        raise UsageError(f"C must be finite and positive, got {C}")
+    if not math.isfinite(tol):
+        raise UsageError(f"tol must be finite, got {tol}")
 
 
 def default_gamma(X) -> float:
@@ -159,7 +167,7 @@ def train_svm_binary(
 
     Raises:
         ClassAbsentError: only one sign present.
-        UsageError: bad C or labels outside {-1, +1}.
+        UsageError: C not finite and positive, tol not finite, or labels not -1/+1.
     """
     y = np.asarray(y)
     X, _, _ = labelled_rows(X, y == 1, 2)  # shape, rows, finite; the signs are checked next
@@ -167,8 +175,7 @@ def train_svm_binary(
         raise UsageError("binary labels must be -1 or +1")
     if len(np.unique(y)) < 2:
         raise ClassAbsentError("need at least one example of each sign")
-    if C <= 0:
-        raise UsageError(f"C must be positive, got {C}")
+    _check_solver(C, tol)
     if kernel is None:
         kernel = KernelSpec("rbf", default_gamma(X))
     return _solve_dual(kernel_matrix(kernel, X, X), X, y, C, kernel, tol, max_iter)
@@ -198,10 +205,11 @@ class SvmEnsemble:
 
     @cached_property
     def _support(self) -> tuple:
-        """(support vectors of all machines, support x class coefficients).
+        """(support rows, their vectors, support x class coefficients).
 
         Every machine was trained on the same rows, so a training index
-        names one row across machines; the rows are ordered by it.
+        names one row across machines; the rows are ordered by it. A row
+        that is not machine c's support row has coefficient 0 in column c.
         """
         rows, first = np.unique(
             np.concatenate([m.support_indices for m in self.machines]), return_index=True
@@ -211,10 +219,10 @@ class SvmEnsemble:
         for c, m in enumerate(self.machines):
             at = np.searchsorted(rows, m.support_indices)
             coef[at, c] = m.alphas * m.support_labels
-        return vectors, coef
+        return rows, vectors, coef
 
     def decision_matrix(self, X) -> np.ndarray:
-        vectors, coef = self._support
+        _, vectors, coef = self._support
         X = query_rows(X, vectors.shape[1])
         bias = np.array([m.bias for m in self.machines])
         return kernel_matrix(self.kernel, X, vectors) @ coef + bias
@@ -238,14 +246,13 @@ def train_svm_multiclass(
     checked by labelled_rows.
 
     Raises:
-        UsageError: fewer than 2 classes, or C not positive.
+        UsageError: fewer than 2 classes, C not finite and positive, or tol not finite.
         ClassAbsentError: some class index in [0, n_classes) has no rows.
     """
     X, y, n_classes = labelled_rows(X, y, n_classes)
     if n_classes < 2:
         raise UsageError("multiclass training needs at least 2 classes")
-    if C <= 0:
-        raise UsageError(f"C must be positive, got {C}")
+    _check_solver(C, tol)
     present = np.bincount(y, minlength=n_classes)
     for c in range(n_classes):
         if present[c] == 0:

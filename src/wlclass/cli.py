@@ -371,8 +371,6 @@ def cmd_featurize(args) -> StageResult:
         "class_names": list(dataset.model_train),
         "fingerprint": reduction.fingerprint(),
         "source": Path(args.input).name,
-        "n_train": int(features_train.shape[0]),
-        "n_test": int(features_test.shape[0]),
     }
     write_feature_set(args.out, features_train, dataset.y_train, features_test,
                       dataset.y_test, meta)
@@ -380,7 +378,7 @@ def cmd_featurize(args) -> StageResult:
         write_reduction_bundle(args.reduction_out, reduction)
     print(
         f"featurize: {spec.describe()} -> {features_train.shape[1]} features "
-        f"({meta['n_train']} train / {meta['n_test']} test)"
+        f"({len(features_train)} train / {len(features_test)} test)"
     )
     outputs = [args.out] + ([args.reduction_out] if args.reduction_out else [])
     return StageResult(outputs=outputs, inputs=[args.input])

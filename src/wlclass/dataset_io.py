@@ -41,6 +41,7 @@ from .errors import (
     ShapeMismatchError,
     UnsupportedDtypeError,
     UnsupportedVersionError,
+    UsageError,
     WlclassError,
 )
 
@@ -275,8 +276,14 @@ def write_bundle(path, arrays: dict, meta: dict | None = None) -> None:
     member per array in the given order, then `meta.json` holding the
     canonical JSON of meta when given. Every member carries the same fixed
     timestamp, so equal content gives equal bytes. Members are serialized
-    one at a time, so at most one payload copy exists at once.
+    one at a time, so at most one payload copy exists at once. A meta that
+    canonical JSON cannot encode is a UsageError, and nothing is written.
     """
+    try:
+        text = None if meta is None else canonical_json(meta)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"cannot write {path}: meta is not JSON: {exc}") from None
+
     def put(zf, name, payload):
         info = zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
         info.compress_type = zipfile.ZIP_STORED
@@ -286,8 +293,8 @@ def write_bundle(path, arrays: dict, meta: dict | None = None) -> None:
         with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as zf:
             for key, arr in arrays.items():
                 put(zf, f"{key}.npy", write_array(arr))
-            if meta is not None:
-                put(zf, "meta.json", canonical_json(meta).encode("utf-8"))
+            if text is not None:
+                put(zf, "meta.json", text.encode("utf-8"))
     except OSError as exc:
         raise ArchiveIoError(f"cannot write {path}: {exc}") from None
 

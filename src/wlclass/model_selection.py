@@ -115,7 +115,7 @@ class ReductionSpec:
         token = str(token).strip()
         if token == "cov":
             return cls("cov")
-        if token.startswith("pca-") and token[4:].isdecimal():
+        if token.startswith("pca-") and token[4:].isascii() and token[4:].isdecimal():
             return cls("pca", int(token[4:]))
         raise UsageError(f"bad reduction token {token!r}; use cov or pca-<k>")
 
@@ -172,15 +172,14 @@ def write_reduction_bundle(path, reduction: FittedReduction) -> None:
     if pca is not None:
         arrays.update(pca_mean=pca.mean, pca_components=pca.components,
                       pca_variance=pca.explained_variance)
-    write_bundle(path, arrays, {"kind": spec.kind, "k": spec.k,
-                                "rank_deficient": pca.rank_deficient if pca else False})
+    write_bundle(path, arrays, {"kind": spec.kind, "k": spec.k})
 
 
 def read_reduction_bundle(path) -> FittedReduction:
     """Load a fitted reduction, checking that its members fit together.
 
-    The meta member's rank_deficient is informative only: the loaded
-    PcaModel derives it from pca_variance.
+    A rank_deficient meta key, which older bundles wrote, is ignored: the
+    loaded PcaModel derives it from pca_variance.
 
     Raises:
         MalformedArchiveError: besides unreadable members, a bad kind or k,

@@ -12,6 +12,7 @@ across runs and across thread counts, and trials always come out in
 (class, job) order.
 """
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -93,8 +94,9 @@ class SynthClassSpec:
             raise UsageError(f"mean_profile needs {m} entries, got {len(self.mean_profile)}")
         if len(self.noise_scale) != m:
             raise UsageError(f"noise_scale needs {m} entries, got {len(self.noise_scale)}")
-        if any(s < 0 for s in self.noise_scale):
-            raise UsageError("noise_scale entries must be non-negative")
+        if not all(0 <= s < math.inf for s in self.noise_scale):
+            raise UsageError("noise_scale entries must be finite and non-negative, "
+                             f"got {self.noise_scale}")
         _cholesky_or_raise(self.correlation, self.class_name)
         lo, hi = self.length_range
         if not (1 <= lo <= hi):
@@ -274,8 +276,8 @@ def default_26_class_spec(
     warmup_samples: int = 0,
 ) -> SynthCorpusSpec:
     """The full taxonomy with job counts scaled proportionally (minimum 3)."""
-    if scale <= 0:
-        raise UsageError(f"scale must be positive, got {scale}")
+    if not 0 < scale < math.inf:
+        raise UsageError(f"scale must be finite and positive, got {scale}")
     names = [name for name, _ in CLASS_JOB_COUNTS]
     counts = [scaled_job_count(count, scale) for _, count in CLASS_JOB_COUNTS]
     return make_corpus_spec(

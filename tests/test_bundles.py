@@ -23,4 +23,4 @@ def test_every_binary_artifact_is_a_bundle(tmp_path):
     red = read_bundle(d / "red.npz", ("means", "stds", "constant", "meta"))
     assert red["meta"]["kind"] == "cov"
     meta = read_bundle(d / "model.wlc1", ("meta", "feature", "roots"))["meta"]
-    assert (meta["format"], meta["kind"]) == (3, "forest")
+    assert (meta["format"], meta["kind"]) == (4, "forest")

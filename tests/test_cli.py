@@ -291,6 +291,35 @@ class TestPipelineArtifacts:
         assert features_test.shape[1] == 4
         assert meta["reduction"] == "pca-4"
 
+    def test_feature_set_meta_holds_no_row_counts(self, tmp_path):
+        """The arrays carry the split sizes; a set written with the old
+        n_train/n_test meta keys still loads."""
+        run_chain(tmp_path)
+        *arrays, meta = read_feature_set(tmp_path / "feat.npz")
+        assert not {"n_train", "n_test"} & set(meta)
+        old = tmp_path / "old.npz"
+        write_feature_set(old, *arrays, {**meta, "n_train": len(arrays[0]),
+                                         "n_test": len(arrays[2])})
+        *loaded, old_meta = read_feature_set(old)
+        for a, b in zip(arrays, loaded, strict=True):
+            np.testing.assert_array_equal(a, b)
+        assert old_meta["n_train"] == len(arrays[0])
+
+    def test_reduction_bundle_meta_holds_no_rank_flag(self, tmp_path):
+        """rank_deficient is derived from pca_variance; a bundle written with
+        the old meta key still loads."""
+        x = np.random.default_rng(4).normal(size=(12, 6, 7))
+        path = tmp_path / "red.npz"
+        write_reduction_bundle(path, fit_reduction(ReductionSpec("pca", k=3), x)[0])
+        keys = ("means", "stds", "constant", "pca_mean", "pca_components", "pca_variance")
+        bundle = read_bundle(path, (*keys, "meta"))
+        assert bundle["meta"] == {"kind": "pca", "k": 3}
+        old = tmp_path / "old.npz"
+        write_bundle(old, {key: bundle[key] for key in keys},
+                     {**bundle["meta"], "rank_deficient": False})
+        np.testing.assert_array_equal(read_reduction_bundle(old).transform(x),
+                                      read_reduction_bundle(path).transform(x))
+
     def test_reduction_bundle_reapplies_exactly(self, tmp_path):
         run_chain(tmp_path)
         reduction = read_reduction_bundle(tmp_path / "red.npz")
@@ -475,6 +504,33 @@ class TestFamilyParameterFlags:
         assert main(["reproduce", "--manifest", str(manifest), "--svm-c", "a",
                      "--out", str(tmp_path / "t.jsonl")]) == 1
         assert "'a'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--model", "svm", "--c", "inf"],
+        ["train", "--model", "svm", "--c", "nan"],
+        ["train", "--model", "svm", "--rbf-gamma", "inf"],
+        ["train", "--model", "svm", "--tol", "nan"],
+        ["train", "--model", "gbt", "--learning-rate", "inf"],
+        ["train", "--model", "gbt", "--learning-rate", "nan"],
+        ["train", "--model", "gbt", "--gbt-lambda", "inf"],
+        ["train", "--model", "gbt", "--gbt-alpha", "nan"],
+        ["gridsearch", "--family", "gbt", "--learning-rate", "inf"],
+        ["gridsearch", "--family", "svm", "--c", "inf"],
+        ["synth", "--classes", "26", "--scale", "nan"],
+        ["synth", "--noise", "nan"],
+        ["gridsearch", "--family", "rf", "--n-trees", "2", "--reductions", "pca-\u0663"],
+    ], ids=" ".join)
+    def test_bad_parameter_values_are_usage(self, data, tmp_path, capsys, argv):
+        """A parameter no model file can hold, or a reduction token that
+        describe() would not write back, is refused before any work: never
+        a traceback from the writer or a fit on garbage."""
+        out = tmp_path / "out"
+        source = {"train": "feat.npz", "gridsearch": "arc.npz"}.get(argv[0])
+        inputs = ["--in", str(data / source)] if source else []
+        folds = ["--folds", "2"] if argv[0] == "gridsearch" else []
+        assert main([*argv, *inputs, *folds, "--out", str(out)]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestReproduceCli:

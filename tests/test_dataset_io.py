@@ -43,6 +43,7 @@ from wlclass.errors import (
     ShapeMismatchError,
     UnsupportedDtypeError,
     UnsupportedVersionError,
+    UsageError,
     WlclassError,
 )
 from wlclass.model_selection import ReductionSpec, fit_reduction
@@ -302,6 +303,15 @@ ZIP_ARTIFACTS = {
     "cov-feature-set": (_write_cov_feature_set, read_feature_set),
     "pca-reduction-bundle": (_write_pca_reduction_bundle, read_reduction_bundle),
 }
+
+
+def test_meta_json_cannot_encode_is_usage_and_writes_nothing(tmp_path):
+    path = tmp_path / "bundle.npz"
+    for meta in ({"C": float("inf")}, {"gap": float("nan")}, {"seed": np.int64(3)},
+                 {"arr": np.zeros(2)}):
+        with pytest.raises(UsageError, match="meta is not JSON"):
+            dataset_io.write_bundle(path, {"a": np.zeros(2)}, meta)
+        assert not path.exists()
 
 
 class TestChallengeArchive:

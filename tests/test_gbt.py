@@ -133,6 +133,12 @@ class TestGbtTraining:
             GbtParams(alpha=-1.0)
         with pytest.raises(UsageError):  # model files store only +inf
             GbtParams(gamma=float("-inf"))
+        for bad in ({"learning_rate": np.inf}, {"learning_rate": np.nan}, {"alpha": np.nan},
+                    {"alpha": np.inf}, {"reg_lambda": np.inf}, {"reg_lambda": np.nan},
+                    {"gamma": np.nan}):
+            with pytest.raises(UsageError):
+                GbtParams(**bad)
+        assert GbtParams(gamma=np.inf).gamma == np.inf  # never split
 
     def test_predict_shape_check(self):
         X, y = self.data(seed=9)
@@ -186,10 +192,10 @@ class TestFeatureImportance:
 #: sha256 of serialize_model(train_gbt(...)) on cov_matrix(). Boosting draws
 #: no random numbers, so these bytes hold however the trees are grown.
 PINNED_MODELS = {
-    "defaults": ({}, "7a0889fe03824f8bb6235ac0db5620ebee4d8a8666f688aae77e2db6b11ac4f2"),
+    "defaults": ({}, "c23d06028772ee9e68def830073da3029a9f6dbec1d1fda65f437072f3ff3ed4"),
     "depth 3, gamma/alpha/lambda": (
         {"max_depth": 3, "gamma": 0.05, "alpha": 0.1, "reg_lambda": 2.0},
-        "9c6a00a99c144d1d8391caa7750a68c6c09d7307be3fe8106b30f820f59ca146"),
+        "619562cbdeeb71fda2e22ff4893ab65bc1af41899f315f2103373ca4a77d6dad"),
 }
 
 

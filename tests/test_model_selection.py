@@ -207,6 +207,13 @@ class TestGridSpec:
             with pytest.raises(UsageError):
                 ReductionSpec.parse(token)
 
+    def test_reduction_token_digits_are_ascii(self):
+        """describe() writes ASCII digits, so parse reads only those: the
+        Arabic-Indic three would otherwise come back as pca-3."""
+        for token in ("pca-\u0663", "pca-1\u0663", "pca-\uff13"):
+            with pytest.raises(UsageError, match="bad reduction token"):
+                ReductionSpec.parse(token)
+
 
 class TestGridSearch:
     @pytest.fixture

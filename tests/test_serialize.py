@@ -113,7 +113,17 @@ class TestRoundTrip:
         save_model(models["forest"], path)
         assert path.read_bytes()[:4] == b"PK\x03\x04"
         bundle = read_bundle(path, ("meta", *_MEMBERS["forest"]))
-        assert bundle["meta"]["format"] == 3 and bundle["meta"]["kind"] == "forest"
+        assert bundle["meta"]["format"] == 4 and bundle["meta"]["kind"] == "forest"
+
+    def test_svm_stores_each_support_row_once(self):
+        _, _, models = trained_models()
+        svm = models["svm"]
+        arrays, meta = unbundle(serialize_model(svm))
+        distinct = np.unique(np.concatenate([m.support_indices for m in svm.machines]))
+        np.testing.assert_array_equal(arrays["support_rows"], distinct)
+        assert arrays["support_vectors"].shape == (len(distinct), 3)
+        assert arrays["support_coef"].shape == (len(distinct), svm.class_count)
+        assert meta["n_train"] == svm.machines[0].n_train
 
 
 class TestMalformedModelFiles:
@@ -145,11 +155,26 @@ class TestMalformedModelFiles:
     def test_unsupported_version(self):
         _, _, models = trained_models()
         arrays, meta = unbundle(serialize_model(models["forest"]))
-        for version in (99, 2, None, "3"):
+        for version in (99, 2, None, "4"):
             with pytest.raises(ModelFormatError, match="unsupported model format"):
                 deserialize_model(rebundle(arrays, {**meta, "format": version}))
         del meta["format"]
         with pytest.raises(ModelFormatError, match="unsupported model format"):
+            deserialize_model(rebundle(arrays, meta))
+
+    def test_format_3_file_says_retrain(self):
+        """A format-3 SVM file (support rows per machine, n_train per machine)
+        is refused by its format number and told to retrain."""
+        n = 4
+        arrays = {"support_indices": np.arange(n), "support_alphas": np.full(n, 0.5),
+                  "support_labels": np.array([1.0, -1.0, -1.0, 1.0]),
+                  "support_vectors": np.zeros((n, 3)), "support_counts": np.array([2, 2]),
+                  "bias": np.zeros(2), "converged": np.ones(2, np.int64),
+                  "updates": np.ones(2, np.int64), "kkt_gap": np.zeros(2),
+                  "n_train": np.full(2, n)}
+        meta = {"format": 3, "kind": "svm", "provenance": {}, "class_count": 2,
+                "kernel": {"name": "linear", "gamma": None}, "C": 1.0}
+        with pytest.raises(ModelFormatError, match="format 3.*retrain"):
             deserialize_model(rebundle(arrays, meta))
 
     def test_version_1_forest_file(self):
@@ -248,7 +273,7 @@ class TestMalformedModelFiles:
         edits = {
             "differ in length": lambda a: a.update(threshold=a["threshold"][:-1]),
             "values must be": lambda a: a.update(value=a["value"][:, :-1]),
-            "trees with increasing roots": lambda a: a.update(roots=a["roots"][:-1]),
+            "trees with increasing roots": lambda a: a.update(roots=a["roots"][::-1]),
             "must be a 1-D integer array": lambda a: a.update(left=a["left"] + 0.5),
             "must be a 2-D integer array": lambda a: a.update(value=a["value"].ravel()),
         }
@@ -257,11 +282,20 @@ class TestMalformedModelFiles:
                 deserialize_model(self.tampered(models["forest"], lambda a, m: edit(a)))
 
     def test_gbt_importance_and_loss_lengths(self):
+        """train_loss needs one entry per round; importance is not stored but
+        read off the table, so an edited split feature moves it."""
         _, _, models = trained_models()
-        for name in ("split_counts", "split_gains", "train_loss"):
-            with pytest.raises(ModelFormatError, match="one entry per"):
-                deserialize_model(self.tampered(
-                    models["gbt"], lambda a, m: a.update({name: a[name][:-1]})))
+        gbt = models["gbt"]
+        with pytest.raises(ModelFormatError, match="one entry per"):
+            deserialize_model(self.tampered(
+                gbt, lambda a, m: a.update(train_loss=a["train_loss"][:-1])))
+        split = int(np.flatnonzero(gbt.table.feature >= 0)[0])
+        moved = (int(gbt.table.feature[split]) + 1) % 3
+        loaded, _ = deserialize_model(self.tampered(gbt, set_entry("feature", split, moved)))
+        counts = gbt.split_counts.copy()
+        counts[gbt.table.feature[split]] -= 1
+        counts[moved] += 1
+        np.testing.assert_array_equal(loaded.split_counts, counts)
 
     def test_unknown_kind(self):
         _, _, models = trained_models()
@@ -297,21 +331,27 @@ def set_meta(path, value):
     return edit
 
 
-def shared_row_moved(arrays, meta):
-    """Move machine 1's copy of a support row that machine 0 also holds."""
-    count = int(arrays["support_counts"][0])
-    indices = arrays["support_indices"]
-    shared = np.flatnonzero(np.isin(indices[count:], indices[:count]))
-    arrays["support_vectors"][count + shared[0]] += 1.0
-
-
 def one_machine(arrays, meta):
-    """Keep only the first machine, for one class."""
-    count = int(arrays["support_counts"][0])
-    for name, arr in arrays.items():
-        arrays[name] = arr[:count] if name.startswith("support_") else arr[:1]
-    arrays["support_counts"] = arrays["support_counts"][:1]
+    """Keep only the first machine, for one class, and the rows it uses."""
+    used = arrays["support_coef"][:, 0] != 0
+    for name in ("support_rows", "support_vectors"):
+        arrays[name] = arrays[name][used]
+    arrays["support_coef"] = arrays["support_coef"][used, :1]
+    for name in ("bias", "converged", "updates", "kkt_gap"):
+        arrays[name] = arrays[name][:1]
     meta["class_count"] = 1
+
+
+def unused_row(arrays, meta):
+    """Zero every machine's coefficient at the first support row."""
+    arrays["support_coef"][0] = 0.0
+
+
+def zero_alpha(arrays, meta):
+    """Zero the one alpha of a support row that a single machine uses."""
+    coef = arrays["support_coef"]
+    row = np.flatnonzero((coef != 0).sum(axis=1) == 1)[0]
+    coef[row] = 0.0
 
 
 class TestSvmValidation:
@@ -319,29 +359,37 @@ class TestSvmValidation:
     later crash or a silently wrong model."""
 
     CASES = {
-        "labels one short": replace("support_labels", lambda a: a[:-1]),
+        "labels one short": replace("support_coef", lambda a: a[:-1]),  # coef is alpha * y
+        "coef one machine short": replace("support_coef", lambda a: a[:, :-1]),
+        "coef not a matrix": replace("support_coef", lambda a: a.ravel()),
         "vectors not a matrix": replace("support_vectors", lambda a: a.ravel()),
         "vectors of a third axis": replace("support_vectors", lambda a: a[:, :, None]),
+        "vectors one row short": replace("support_vectors", lambda a: a[:-1]),
         "non-finite vector": set_entry("support_vectors", (0, 0), np.nan),
         "bias not a number": replace("bias", lambda a: np.array([b"x"] * len(a))),
         "infinite bias": set_entry("bias", 0, np.inf),
-        "no machines": lambda a, m: a.update({name: a[name][:0] for name in (
-            "support_counts", "bias", "converged", "updates", "kkt_gap", "n_train")}),
+        "no machines": lambda a, m: a.update(
+            support_coef=a["support_coef"][:, :0],
+            **{name: a[name][:0] for name in ("bias", "converged", "updates", "kkt_gap")}),
         "one class": set_meta(("class_count",), 1),
         "one machine for one class": one_machine,
         "more classes than machines": set_meta(("class_count",), 4),
-        "negative support index": set_entry("support_indices", 0, -1),
-        "support index past n_train": replace("support_indices", lambda a: a + 45),
-        "support indices not increasing": set_entry("support_indices", 1, 0),
-        "counts do not add up": set_entry("support_counts", 0, 0),
-        "negative count": replace("support_counts", lambda a: a * np.array([-1, 1, 2])),
-        "zero alpha": set_entry("support_alphas", 0, 0.0),
-        "alpha above C": set_entry("support_alphas", 0, 1.5),
-        "label of 2": set_entry("support_labels", 0, 2.0),
+        "negative support index": set_entry("support_rows", 0, -1),
+        "support index past n_train": replace("support_rows", lambda a: a + 45),
+        "support indices not increasing": set_entry("support_rows", 1, 0),
+        "support indices not integers": replace("support_rows", lambda a: a + 0.0),
+        "zero alpha": zero_alpha,
+        "alpha above C": set_entry("support_coef", (0, 0), 1.5),
+        "coef below -C": set_entry("support_coef", (0, 0), -1.5),
+        "NaN coef": set_entry("support_coef", (0, 0), np.nan),
+        "infinite coef": set_entry("support_coef", (0, 0), -np.inf),
+        "row no machine uses": unused_row,
         "converged of 2": set_entry("converged", 0, 2),
-        "negative n_train": set_entry("n_train", 0, -1),
-        "n_train differing between machines": set_entry("n_train", 1, 46),
-        "machines disagree on a shared row": shared_row_moved,
+        "negative updates": set_entry("updates", 0, -1),
+        "negative n_train": set_meta(("n_train",), -1),
+        "n_train zero": set_meta(("n_train",), 0),
+        "n_train text": set_meta(("n_train",), "45"),
+        "n_train missing": lambda a, m: m.pop("n_train"),
         "per-machine member one short": replace("kkt_gap", lambda a: a[:-1]),
         "gamma null on rbf": set_meta(("kernel", "gamma"), None),
         "gamma text": set_meta(("kernel", "gamma"), "x"),
@@ -374,9 +422,7 @@ class TestSvmValidation:
         training rows loads, with no array of that size, and predicts as before."""
         arrays, meta = parts
         original = deserialize_model(rebundle(arrays, meta))[0]
-        arrays = {name: arr.copy() for name, arr in arrays.items()}
-        arrays["n_train"][:] = 2**40
-        loaded = deserialize_model(rebundle(arrays, meta))[0]
+        loaded = deserialize_model(rebundle(arrays, {**meta, "n_train": 2**40}))[0]
         assert all(m.n_train == 2**40 for m in loaded.machines)
         X, _ = sample_problem(seed=3)
         np.testing.assert_array_equal(predict(loaded, X), predict(original, X))

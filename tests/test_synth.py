@@ -58,6 +58,10 @@ class TestSpecValidation:
             SynthClassSpec("x", (0.0,) * 3, tuple(map(tuple, np.eye(M))), (0.0,) * M, (5, 5), 1)
         with pytest.raises(UsageError):
             SynthClassSpec("x", (0.0,) * M, tuple(map(tuple, np.eye(M))), (-1.0,) * M, (5, 5), 1)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(UsageError, match="noise_scale"):
+                SynthClassSpec("x", (0.0,) * M, tuple(map(tuple, np.eye(M))), (bad,) * M,
+                               (5, 5), 1)
         with pytest.raises(UsageError):
             SynthClassSpec("x", (0.0,) * M, tuple(map(tuple, np.eye(M))), (0.0,) * M, (5, 4), 1)
         with pytest.raises(UsageError):
@@ -198,8 +202,9 @@ class TestDefaultSpecs:
         assert abs(unet - 143) <= 3
         assert by_name["PNA"] == 3
         assert min(by_name.values()) >= 3
-        with pytest.raises(UsageError):
-            default_26_class_spec(seed=0, scale=0.0)
+        for bad in (0.0, float("nan"), float("inf")):
+            with pytest.raises(UsageError, match="scale"):
+                default_26_class_spec(seed=0, scale=bad)
 
     def test_scaled_job_count_rounding(self):
         assert scaled_job_count(165, 0.1) == 17

@@ -177,6 +177,19 @@ class TestTree:
         with pytest.raises(UsageError, match="min_leaf"):
             train_forest(X, y, n_trees=3, seed=0, min_leaf=0)
 
+    def test_tree_count_and_seed_are_integers(self):
+        X, y = np.arange(8.0).reshape(4, 2), np.array([0, 1, 0, 1])
+        for n_trees in (2.5, 0, "3"):
+            with pytest.raises(UsageError, match="n_trees"):
+                train_forest(X, y, n_trees=n_trees, seed=0)
+        for seed in (1.5, -1):
+            with pytest.raises(UsageError, match="seed"):
+                train_forest(X, y, n_trees=2, seed=seed)
+        forest = train_forest(X, y, n_trees=np.int64(2), seed=np.int64(3),
+                              max_depth=np.int64(4), min_leaf=np.int64(1))
+        loaded, _ = deserialize_model(serialize_model(forest))  # meta holds plain ints
+        assert (loaded.n_trees, loaded.seed, loaded.max_depth) == (2, 3, 4)
+
     def test_adjacent_floats_split_apart(self):
         # the midpoint of these two neighbours rounds up to the larger one
         lo = 1.0 + 2.0**-52
