@@ -10,7 +10,7 @@ import numpy as np
 from wlclass.synth import default_4_class_spec, default_26_class_spec, generate_corpus
 
 spec = default_4_class_spec(seed=7, jobs_per_class=5, noise=0.3)
-corpus = generate_corpus(spec, threads=2)
+corpus = generate_corpus(spec)
 print(f"{len(corpus)} trials, classes: {sorted({t.label_name for t in corpus})}")
 
 first = corpus[0]

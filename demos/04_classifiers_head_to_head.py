@@ -17,7 +17,7 @@ from wlclass.synth import default_4_class_spec, generate_corpus
 from wlclass.windowing import WindowPolicy, build_challenge_dataset
 
 dataset = build_challenge_dataset(
-    generate_corpus(default_4_class_spec(seed=9, jobs_per_class=20), threads=2),
+    generate_corpus(default_4_class_spec(seed=9, jobs_per_class=20)),
     WindowPolicy("middle", length=540),
     split_ratio=0.8,
     split_seed=0,

@@ -16,7 +16,7 @@ from wlclass.synth import default_4_class_spec, generate_corpus
 from wlclass.windowing import WindowPolicy, build_challenge_dataset
 
 dataset = build_challenge_dataset(
-    generate_corpus(default_4_class_spec(seed=21, jobs_per_class=15), threads=2),
+    generate_corpus(default_4_class_spec(seed=21, jobs_per_class=15)),
     WindowPolicy("middle", length=540),
     split_ratio=0.8,
     split_seed=0,

@@ -3,8 +3,9 @@
 A model file is one `dataset_io.write_bundle` zip: a stored `.npy`
 member per array, then `meta.json` holding `format` (4), `kind`
 (forest, gbt or svm), caller-supplied `provenance` and the model's
-scalar fields. Members are int64 or float64, so floats survive exactly
-and equal models give equal bytes. Each fact is stored once.
+scalar fields, where an infinite float is the string "inf". Members are
+int64 or float64, so floats survive exactly and equal models give equal
+bytes. Each fact is stored once.
 
 Tree models store their stacked node table (tree.NodeTable) as members
 feature, threshold, left, right, roots (one per tree) and value (one row
@@ -108,6 +109,14 @@ def _table(bundle, n_trees, feature_count, width, boosted) -> NodeTable:
     return NodeTable(feature, threshold, left, right, value, roots, feature_count, gain)
 
 
+def _json_inf(value):
+    """value with every +inf float, in nested dicts too, spelled "inf":
+    JSON has no inf, and a GBT gamma of inf means "never split"."""
+    if isinstance(value, dict):
+        return {key: _json_inf(item) for key, item in value.items()}
+    return "inf" if isinstance(value, float) and value == math.inf else value
+
+
 def _table_arrays(table: NodeTable) -> dict:
     return {name: getattr(table, name) for name in _TABLE + ("gain",)
             if getattr(table, name) is not None}
@@ -177,8 +186,7 @@ def _svm_from(meta, bundle) -> SvmEnsemble:
 
 
 def _gbt_parts(model: GbtModel):
-    params = dataclasses.asdict(model.params)
-    params["gamma"] = "inf" if math.isinf(params["gamma"]) else params["gamma"]  # JSON has no inf
+    params = _json_inf(dataclasses.asdict(model.params))
     arrays = {**_table_arrays(model.table), "train_loss": model.train_loss}
     return arrays, {"params": params, "feature_count": model.feature_count,
                     "class_count": model.class_count}
@@ -216,8 +224,8 @@ def save_model(model, path, provenance: dict | None = None) -> None:
             arrays, meta = parts(model)
             arrays = {name: np.asarray(a, np.float64 if np.asarray(a).dtype.kind == "f"
                                        else np.int64) for name, a in arrays.items()}
-            meta = {"format": FORMAT_VERSION, "kind": kind, "provenance": provenance or {},
-                    **meta}
+            meta = {"format": FORMAT_VERSION, "kind": kind,
+                    "provenance": _json_inf(provenance or {}), **meta}
             return write_bundle(path, arrays, meta)
     raise ModelFormatError(f"cannot serialize {type(model).__name__}")
 

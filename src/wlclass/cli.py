@@ -14,7 +14,6 @@ import csv
 import hashlib
 import json
 import logging
-import os
 import resource
 import sys
 import time
@@ -142,20 +141,12 @@ def _write_jsonl(path, records) -> None:
 
 
 def _resolve_threads(value) -> int:
-    if value is not None:
-        threads = value
-    else:
-        env = os.environ.get("WLCLASS_THREADS", "").strip()
-        if env:
-            try:
-                threads = int(env)
-            except ValueError:
-                raise UsageError(f"WLCLASS_THREADS must be an integer, got {env!r}") from None
-        else:
-            threads = os.cpu_count() or 1
-    if threads < 1:
-        raise UsageError(f"threads must be >= 1, got {threads}")
-    return threads
+    """The CLI's thread count, which is always 1: every stage runs serially.
+
+    Nothing in the package calls this; its only reader is the benchmark's
+    load guard (perfbench/run.py), which reports it as process.threads.
+    """
+    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +311,8 @@ def _write_corpus_csv(path, trials) -> None:
 def cmd_synth(args) -> StageResult:
     if not args.out and not args.emit_archive:
         raise UsageError("synth needs --out (CSV) and/or --emit-archive (windowed archive)")
-    threads = _resolve_threads(args.threads)
     spec = _synth_spec(args)
-    trials = generate_corpus(spec, physical=not args.no_physical, threads=threads)
+    trials = generate_corpus(spec, physical=not args.no_physical)
     log.info("generated %d trials over %d classes", len(trials), len(spec.classes))
     result = StageResult(seeds={"master": args.seed})
     if args.out:
@@ -574,6 +564,8 @@ def cmd_reproduce(args) -> StageResult:
     for name in DATASET_COLUMNS:
         path = manifest.get(name)
         if path is None:
+            if args.strict:
+                raise MissingArchiveError(f"dataset {name!r} missing from the archive manifest")
             missing.append(name)
         elif not Path(path).is_file():
             if args.strict:
@@ -591,7 +583,6 @@ def cmd_reproduce(args) -> StageResult:
         folds=args.folds,
         grids=grids,
         pca_ks=tuple(_values(args.pca_ks)),
-        require_all=args.strict,
     )
     records = []
     for name in missing:
@@ -659,8 +650,6 @@ def build_parser():
     synth.add_argument("--policy", choices=("start", "middle", "random"), default="middle")
     synth.add_argument("--length", type=int, default=540)
     synth.add_argument("--split-ratio", type=float, default=0.8)
-    synth.add_argument("--threads", type=int, default=None,
-                       help="trial generation pool (default: WLCLASS_THREADS or all cores)")
     _add_common(synth, out_required=False, out_help="corpus CSV path")
     synth.set_defaults(func=cmd_synth)
     registry["synth"] = synth

@@ -546,28 +546,23 @@ def reproduce_table(
     grids: dict | None = None,
     pca_ks=PCA_GRID_KS,
     loader=read_challenge_archive,
-    require_all: bool = True,
 ):
     """Grid-search and score every (variant, dataset) pair of the accuracy table.
 
     archives maps DATASET_COLUMNS names to archive paths. Returns a dict
     with the column names, one row per variant carrying accuracies and
-    reference deltas, and the per-archive provenance. With require_all
-    off, absent datasets shrink the table to the columns provided.
+    reference deltas, and the per-archive provenance. The table has one
+    column per recognized name provided; whether an absent dataset is an
+    error is the caller's policy (``reproduce --strict``).
 
     Raises:
         UsageError: no family, or one outside MODEL_FAMILIES.
-        MissingArchiveError: a required dataset name is absent (always,
-            when no recognized name is present at all).
+        MissingArchiveError: no recognized dataset name is present.
     """
     if not families or not set(families) <= set(MODEL_FAMILIES):
         raise UsageError(f"families must be among {', '.join(MODEL_FAMILIES)}, got {families}")
     grids = grids or BASELINE_GRIDS
     columns = [name for name in DATASET_COLUMNS if name in archives]
-    if require_all:
-        for name in DATASET_COLUMNS:
-            if name not in archives:
-                raise MissingArchiveError(f"dataset {name!r} missing from the archive manifest")
     if not columns:
         raise MissingArchiveError(
             f"no recognized dataset names among {sorted(archives)}; expected {DATASET_COLUMNS}"

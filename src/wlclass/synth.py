@@ -8,12 +8,10 @@ noise; shrinking noise_scale makes the corpus arbitrarily separable.
 
 Generation is deterministic: every job draws from its own stream seeded
 by (corpus seed, class index, job index), so the corpus is byte-identical
-across runs and across thread counts, and trials always come out in
-(class, job) order.
+across runs, and trials always come out in (class, job) order.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,7 +112,6 @@ class SynthCorpusSpec:
     classes: tuple  # SynthClassSpec entries
     seed: int
     warmup_samples: int = 0
-    total_memory: float = GPU_TOTAL_MEMORY_MIB
 
     def __post_init__(self):
         if not self.classes:
@@ -124,8 +121,6 @@ class SynthCorpusSpec:
             raise UsageError("class names must be unique")
         if self.warmup_samples < 0:
             raise UsageError("warmup_samples must be >= 0")
-        if self.total_memory <= 0:
-            raise UsageError("total_memory must be positive")
 
     @property
     def warmup_profile(self) -> np.ndarray:
@@ -137,14 +132,14 @@ def _job_rng(seed: int, class_index: int, job_index: int):
     return np.random.default_rng(np.random.SeedSequence([seed, class_index, job_index]))
 
 
-def _apply_physical(series: np.ndarray, total_memory: float) -> np.ndarray:
+def _apply_physical(series: np.ndarray) -> np.ndarray:
     out = series.copy()
     for i in _PCT_SENSORS:
         out[:, i] = np.clip(out[:, i], 0.0, 100.0)
     for i in _NONNEGATIVE:
         out[:, i] = np.maximum(out[:, i], 0.0)
-    out[:, _MEM_USED] = np.clip(out[:, _MEM_USED], 0.0, total_memory)
-    out[:, _MEM_FREE] = total_memory - out[:, _MEM_USED]
+    out[:, _MEM_USED] = np.clip(out[:, _MEM_USED], 0.0, GPU_TOTAL_MEMORY_MIB)
+    out[:, _MEM_FREE] = GPU_TOTAL_MEMORY_MIB - out[:, _MEM_USED]
     return out
 
 
@@ -162,7 +157,7 @@ def _generate_job(corpus: SynthCorpusSpec, class_index: int, job_index: int, phy
     if w:
         series[:w] = warmup_profile + rng.standard_normal((w, len(mean)))
     if physical:
-        series = _apply_physical(series, corpus.total_memory)
+        series = _apply_physical(series)
     return RawTrial(
         job_id=f"{cls.class_name}-{job_index:05d}",
         label=class_index,
@@ -172,7 +167,7 @@ def _generate_job(corpus: SynthCorpusSpec, class_index: int, job_index: int, phy
     )
 
 
-def generate_corpus(spec: SynthCorpusSpec, physical: bool = True, threads: int = 1) -> list:
+def generate_corpus(spec: SynthCorpusSpec, physical: bool = True) -> list:
     """Sample every job of every class, in canonical (class, job) order.
 
     physical=False skips clipping and the complementary memory pair,
@@ -183,22 +178,11 @@ def generate_corpus(spec: SynthCorpusSpec, physical: bool = True, threads: int =
     """
     factors = [cls.cholesky for cls in spec.classes]
     warmup_profile = spec.warmup_profile
-    jobs = [
-        (class_index, job_index)
+    return [
+        _generate_job(spec, class_index, job_index, physical, factors[class_index], warmup_profile)
         for class_index, cls in enumerate(spec.classes)
         for job_index in range(cls.job_count)
     ]
-
-    def run(job):
-        class_index, job_index = job
-        return _generate_job(
-            spec, class_index, job_index, physical, factors[class_index], warmup_profile
-        )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, jobs))
-    return [run(job) for job in jobs]
 
 
 def _random_correlation(rng, eigenvalues) -> np.ndarray:

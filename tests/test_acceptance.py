@@ -46,11 +46,11 @@ DATA_DIR = Path(os.environ.get("WLCLASS_DATA_DIR", Path(__file__).parent.parent 
 E2E_SEED = 42
 
 
-def run_full_chain(d, threads):
+def run_full_chain(d):
     """The desk-scale pipeline: 400 synthetic jobs through to a report."""
     start = time.perf_counter()
     assert main(["synth", "--classes", "4", "--noise", "0.3", "--seed", str(E2E_SEED),
-                 "--threads", str(threads), "--out", str(d / "corpus.csv")]) == 0
+                 "--out", str(d / "corpus.csv")]) == 0
     assert main(["window", "--in", str(d / "corpus.csv"), "--policy", "middle",
                  "--seed", str(E2E_SEED), "--out", str(d / "arc.npz")]) == 0
     assert main(["featurize", "--in", str(d / "arc.npz"), "--reduction", "cov",
@@ -66,7 +66,7 @@ def run_full_chain(d, threads):
 @pytest.fixture(scope="module")
 def e2e(tmp_path_factory):
     d = tmp_path_factory.mktemp("e2e")
-    elapsed = run_full_chain(d, threads=4)
+    elapsed = run_full_chain(d)
     return {"dir": d, "elapsed": elapsed}
 
 
@@ -74,7 +74,7 @@ def e2e(tmp_path_factory):
 def boosting_features():
     spec = default_4_class_spec(seed=5, jobs_per_class=25)
     dataset = build_challenge_dataset(
-        generate_corpus(spec, threads=4), WindowPolicy("middle", length=540),
+        generate_corpus(spec), WindowPolicy("middle", length=540),
         split_ratio=0.8, split_seed=0,
     )
     _, features = fit_reduction(ReductionSpec("cov"), dataset.x_train)
@@ -248,7 +248,7 @@ def test_middle_windows_beat_start_windows_on_warmup_corpus():
         ["w", "x", "y", "z"], [30, 30, 30, 30], seed=11,
         noise=0.3, length_range=(180, 220), warmup_samples=60,
     )
-    corpus = generate_corpus(spec, threads=4)
+    corpus = generate_corpus(spec)
     accuracy = {}
     for policy in ("start", "middle"):
         dataset = build_challenge_dataset(
@@ -331,14 +331,7 @@ def test_mutated_archives_raise_typed_errors_quickly(tmp_path):
         assert elapsed < 5.0, f"input {i} took {elapsed:.2f}s"
 
 
-def test_repeat_runs_and_thread_counts_are_byte_identical(e2e, tmp_path):
-    reference = {
-        name: (e2e["dir"] / name).read_bytes()
-        for name in ("model.wlc1", "report.jsonl")
-    }
-    for threads in (1, 4, 8):
-        d = tmp_path / f"threads{threads}"
-        d.mkdir()
-        run_full_chain(d, threads=threads)
-        for name, expected in reference.items():
-            assert (d / name).read_bytes() == expected, f"{name} differs at --threads {threads}"
+def test_repeat_runs_are_byte_identical(e2e, tmp_path):
+    run_full_chain(tmp_path)
+    for name in ("model.wlc1", "report.jsonl"):
+        assert (tmp_path / name).read_bytes() == (e2e["dir"] / name).read_bytes(), name

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import re
 import shlex
 from pathlib import Path
@@ -40,12 +41,11 @@ def read_jsonl(path):
     return [json.loads(line) for line in path.read_text().splitlines()]
 
 
-def run_chain(d, seed=7, threads=None):
+def run_chain(d, seed=7):
     """synth -> window -> featurize -> train -> evaluate, small sizes."""
-    extra = [] if threads is None else ["--threads", str(threads)]
     assert main(["synth", "--classes", "4", "--jobs-per-class", "6",
                  "--length-min", "60", "--length-max", "70", "--noise", "0.3",
-                 "--seed", str(seed), "--out", str(d / "corpus.csv")] + extra) == 0
+                 "--seed", str(seed), "--out", str(d / "corpus.csv")]) == 0
     assert main(["window", "--in", str(d / "corpus.csv"), "--policy", "middle",
                  "--length", "50", "--seed", str(seed),
                  "--out", str(d / "arc.npz")]) == 0
@@ -106,18 +106,6 @@ class TestExitCodes:
         bad.write_bytes(b"this is not a zip archive")
         assert main(["featurize", "--in", str(bad),
                      "--out", str(tmp_path / "f.npz")]) == 2
-
-    def test_bad_threads_env_is_usage(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("WLCLASS_THREADS", "lots")
-        assert main(["synth", "--classes", "4", "--jobs-per-class", "3",
-                     "--length-min", "20", "--length-max", "20",
-                     "--out", str(tmp_path / "c.csv")]) == 1
-
-    def test_threads_env_is_used_when_flag_absent(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("WLCLASS_THREADS", "2")
-        assert main(["synth", "--classes", "4", "--jobs-per-class", "3",
-                     "--length-min", "20", "--length-max", "20",
-                     "--out", str(tmp_path / "c.csv")]) == 0
 
     def test_nonconverged_svm_exits_3_unless_allowed(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
@@ -363,14 +351,6 @@ class TestDeterminism:
         for name in ("corpus.csv", "arc.npz", "feat.npz", "model.wlc1", "report.jsonl"):
             assert sha256(a / name) == sha256(b / name), name
 
-    def test_thread_count_does_not_change_bytes(self, tmp_path):
-        a, b = tmp_path / "t1", tmp_path / "t4"
-        a.mkdir(), b.mkdir()
-        run_chain(a, seed=9, threads=1)
-        run_chain(b, seed=9, threads=4)
-        for name in ("corpus.csv", "arc.npz", "feat.npz", "model.wlc1", "report.jsonl"):
-            assert sha256(a / name) == sha256(b / name), name
-
 
 class TestGridsearchCli:
     def setup_archive(self, d):
@@ -505,6 +485,23 @@ class TestFamilyParameterFlags:
                      "--out", str(tmp_path / "t.jsonl")]) == 1
         assert "'a'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "gridsearch"])
+    def test_infinite_min_split_loss_saves_and_loads(self, data, tmp_path, command):
+        """gamma = inf, "never split", is valid: its model file spells it "inf",
+        in the model's parameters and in the provenance alike."""
+        model = tmp_path / "m.wlc1"
+        argv = {
+            "train": ["train", "--in", str(data / "feat.npz"), "--model", "gbt",
+                      "--out", str(model)],
+            "gridsearch": ["gridsearch", "--in", str(data / "arc.npz"), "--family", "gbt",
+                           "--folds", "2", "--out", str(tmp_path / "cv.jsonl"),
+                           "--model-out", str(model)],
+        }[command]
+        assert main([*argv, "--rounds", "2", "--min-split-loss", "inf"]) == 0
+        loaded, provenance = load_model(model)
+        assert loaded.params.gamma == math.inf
+        assert provenance["params"]["gamma"] == "inf"
+
     @pytest.mark.parametrize("argv", [
         ["train", "--model", "svm", "--c", "inf"],
         ["train", "--model", "svm", "--c", "nan"],
@@ -569,12 +566,19 @@ class TestReproduceCli:
                     cell["accuracy"] - cell["reference"]
                 )
 
-    def test_strict_mode_requires_all_archives(self, tmp_path):
+    def test_strict_mode_requires_all_archives(self, tmp_path, capsys):
         self.make_archive(tmp_path / "m1.npz", seed=1)
         manifest = tmp_path / "archives.json"
-        manifest.write_text(json.dumps({"60-middle-1": str(tmp_path / "m1.npz")}))
-        assert main(["reproduce", "--manifest", str(manifest), "--strict",
-                     "--out", str(tmp_path / "t.jsonl")]) == 2
+        out = tmp_path / "t.jsonl"
+        for name, file, message in [
+            ("60-middle-1", "m1.npz", "'60-start-1' missing from the archive manifest"),
+            ("60-start-1", "absent.npz", "'60-start-1' not found at"),
+        ]:
+            manifest.write_text(json.dumps({name: str(tmp_path / file)}))
+            assert main(["reproduce", "--manifest", str(manifest), "--strict",
+                         "--out", str(out)]) == 2
+            assert message in capsys.readouterr().err
+            assert not out.exists()
 
     def test_unknown_family_is_usage(self, tmp_path):
         self.make_archive(tmp_path / "m1.npz", seed=1)

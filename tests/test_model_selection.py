@@ -567,7 +567,7 @@ class TestReproduceTable:
         datasets = tiny_suite(seed=9)
         archives = {name: name for name in DATASET_COLUMNS[:2]}
         options = dict(folds=2, grids={"rf": {"n_trees": [2]}, "svm": {"C": [1.0]}},
-                       pca_ks=(4,), require_all=False)
+                       pca_ks=(4,))
         calls = []
 
         def loader(name):
@@ -594,11 +594,8 @@ class TestReproduceTable:
         assert calls == []
 
     def test_missing_archive_is_an_error(self):
-        archives = {name: name for name in DATASET_COLUMNS[:-1]}
         with pytest.raises(MissingArchiveError):
-            reproduce_table(archives, families=("rf",))
-        with pytest.raises(MissingArchiveError):
-            reproduce_table({}, families=("rf",), require_all=False)
+            reproduce_table({}, families=("rf",))
 
     def test_partial_table_covers_only_provided_columns(self):
         datasets = tiny_suite(seed=5)
@@ -609,7 +606,6 @@ class TestReproduceTable:
             grids={"rf": {"n_trees": [3]}},
             pca_ks=(4,),
             loader=lambda name: datasets[name],
-            require_all=False,
         )
         assert table["columns"] == ["60-middle-1"]
         for row in table["rows"]:

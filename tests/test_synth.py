@@ -100,7 +100,6 @@ class TestBookkeeping:
         spec = make_corpus_spec(["a", "b", "c"], [4, 4, 4], seed=9, length_range=(50, 70))
         base = corpus_bytes(generate_corpus(spec))
         assert corpus_bytes(generate_corpus(spec)) == base
-        assert corpus_bytes(generate_corpus(spec, threads=4)) == base
         other = make_corpus_spec(["a", "b", "c"], [4, 4, 4], seed=10, length_range=(50, 70))
         assert corpus_bytes(generate_corpus(other)) != base
 

@@ -28,9 +28,11 @@ def test_every_hook_target_resolves():
 
 
 def test_names_the_benchmark_calls_directly():
-    # the serving harness loads reductions, and the load guard sizes the pool
+    # the serving harness loads reductions, and the load guard reports the
+    # CLI's thread count, which is 1: every command runs serially
     assert callable(wlclass.cli.read_reduction_bundle)
     assert callable(wlclass.cli._resolve_threads)
+    assert wlclass.cli._resolve_threads(None) == 1
 
 
 def test_traced_commands_fire_the_feature_and_selection_spans(tmp_path):
