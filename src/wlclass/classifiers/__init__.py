@@ -1,7 +1,7 @@
 """The three baseline model families, trained from scratch."""
 
 from ..errors import ShapeMismatchError
-from .forest import ForestModel, forest_votes, predict_forest, train_forest
+from .forest import ForestModel, forest_votes, train_forest
 from .gbt import GbtModel, GbtParams, feature_importance_report, train_gbt
 from .serialize import deserialize_model, load_model, save_model, serialize_model
 from .svm import (
@@ -33,7 +33,6 @@ __all__ = [
     "kernel_matrix",
     "load_model",
     "predict",
-    "predict_forest",
     "save_model",
     "serialize_model",
     "stack_tables",

@@ -1,8 +1,15 @@
 """The input contract every trainer and predictor shares."""
 
+import numbers
+
 import numpy as np
 
 from ..errors import DegenerateInputError, EmptyInputError, LabelOutOfRangeError, ShapeMismatchError
+
+
+def is_integer(value) -> bool:
+    """value is an integer of any integer type but bool, an Integral too."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def integer_labels(y) -> np.ndarray:

@@ -9,13 +9,12 @@ of them at once.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import UsageError
-from ._checks import labelled_rows, query_rows
+from ._checks import is_integer, labelled_rows, query_rows
 from .tree import NodeTable, TreeParams, grow_cart
 from .tree import train_tree  # noqa: F401  perfbench/tracer.py hooks it by this module's name
 
@@ -23,7 +22,6 @@ from .tree import train_tree  # noqa: F401  perfbench/tracer.py hooks it by this
 @dataclass
 class ForestModel:
     table: NodeTable  # every tree; value rows are class histograms
-    n_trees: int
     seed: int
     class_count: int
     max_depth: int | None = None
@@ -37,8 +35,13 @@ class ForestModel:
     def feature_count(self) -> int:
         return self.table.feature_count
 
+    @property
+    def n_trees(self) -> int:
+        return len(self.table.roots)
+
     def predict(self, X) -> np.ndarray:
-        return predict_forest(self, X)
+        """Majority vote over trees; ties go to the lowest class index."""
+        return np.argmax(forest_votes(self, X), axis=1).astype(np.int64)
 
 
 def train_forest(
@@ -56,9 +59,9 @@ def train_forest(
     Raises:
         UsageError: n_trees, seed, max_depth or min_leaf not an integer in range.
     """
-    if not isinstance(n_trees, numbers.Integral) or n_trees < 1:
+    if not is_integer(n_trees) or n_trees < 1:
         raise UsageError(f"n_trees must be an integer >= 1, got {n_trees!r}")
-    if not isinstance(seed, numbers.Integral) or seed < 0:
+    if not is_integer(seed) or seed < 0:
         raise UsageError(f"seed must be an integer >= 0, got {seed!r}")
     X, y, n_classes = labelled_rows(X, y, n_classes)
     d = X.shape[1]
@@ -71,8 +74,7 @@ def train_forest(
     samples = np.stack([rng.integers(0, len(y), size=len(y)) for rng in rngs])
     return ForestModel(
         table=grow_cart(X, y, n_classes, params, rngs, samples),
-        n_trees=int(n_trees),  # plain ints: the model file's meta is JSON
-        seed=int(seed),
+        seed=int(seed),  # plain ints: the model file's meta is JSON
         class_count=n_classes,
         max_depth=max_depth if max_depth is None else int(max_depth),
         min_leaf=int(min_leaf),
@@ -86,8 +88,3 @@ def forest_votes(model: ForestModel, X) -> np.ndarray:
     labels = model.node_labels[model.table.apply(X)]
     cells = (np.arange(n)[:, None] * k + labels).ravel()
     return np.bincount(cells, minlength=n * k).reshape(n, k)
-
-
-def predict_forest(model: ForestModel, X) -> np.ndarray:
-    """Majority vote over trees; ties go to the lowest class index."""
-    return np.argmax(forest_votes(model, X), axis=1).astype(np.int64)

@@ -16,14 +16,13 @@ table.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from ..errors import ShapeMismatchError, UsageError
-from ._checks import labelled_rows, query_rows
+from ._checks import is_integer, labelled_rows, query_rows
 from .tree import LEAF, NodeTable, grow, rank_columns, stack_tables
 
 
@@ -38,10 +37,12 @@ class GbtParams:
     base_score: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.rounds, numbers.Integral) or self.rounds < 1:
+        if not is_integer(self.rounds) or self.rounds < 1:
             raise UsageError(f"rounds must be an integer >= 1, got {self.rounds!r}")
-        if not isinstance(self.max_depth, numbers.Integral) or self.max_depth < 0:
+        if not is_integer(self.max_depth) or self.max_depth < 0:
             raise UsageError(f"max_depth must be an integer >= 0, got {self.max_depth!r}")
+        for name in ("rounds", "max_depth"):  # plain ints: the model file's meta is JSON
+            object.__setattr__(self, name, int(getattr(self, name)))
         if not 0 < self.learning_rate < math.inf:
             raise UsageError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         if not (0 <= self.alpha < math.inf and 0 <= self.reg_lambda < math.inf

@@ -11,11 +11,10 @@ Tree models store their stacked node table (tree.NodeTable) as members
 feature, threshold, left, right, roots (one per tree) and value (one row
 per node: the class histogram for forests, (weight, g_sum, h_sum) for
 boosted trees); boosted models add each split's gain and train_loss. An
-SVM ensemble stores the union of its machines' support rows once
-(SvmEnsemble._support): support_rows, support_vectors and support_coef
-(rows x machines, alpha * y, 0 off a machine's support), plus one bias,
-converged flag (0/1), update count and KKT gap per machine and n_train
-in meta; loading rebuilds each machine from its nonzero coefficients.
+SVM ensemble's fields are its members: support_rows, support_vectors and
+support_coef (SvmEnsemble.coef: rows x machines, alpha * y, 0 off a
+machine's support), plus one bias, converged flag (0/1), update count
+and KKT gap per machine, and n_train in meta.
 
 Loading accepts exactly one bundle, with nothing before its first member
 or after its end record, and checks every member before it builds a
@@ -34,16 +33,16 @@ from pathlib import Path
 
 import numpy as np
 
-from ..dataset_io import read_bundle, write_bundle
+from ..dataset_io import read_bundle, spell_nonfinite, write_bundle
 from ..errors import ArchiveIoError, DataError, ModelFormatError, UsageError
 from .forest import ForestModel
 from .gbt import GbtModel, GbtParams
-from .svm import KernelSpec, SvmBinary, SvmEnsemble
+from .svm import KernelSpec, SolverRecord, SvmEnsemble
 from .tree import LEAF, NodeTable
 
 FORMAT_VERSION = 4
 _FOREST_FIELDS = ("seed", "feature_count", "class_count", "max_depth", "min_leaf")
-#: Per-machine SVM members and their element kinds.
+#: Per-machine SVM members and their element kinds: the bias, then the SolverRecord fields.
 _MACHINE = {"bias": "f", "converged": "i", "updates": "i", "kkt_gap": "f"}
 _TABLE = ("feature", "threshold", "left", "right", "value", "roots")
 _MEMBERS = {
@@ -109,14 +108,6 @@ def _table(bundle, n_trees, feature_count, width, boosted) -> NodeTable:
     return NodeTable(feature, threshold, left, right, value, roots, feature_count, gain)
 
 
-def _json_inf(value):
-    """value with every +inf float, in nested dicts too, spelled "inf":
-    JSON has no inf, and a GBT gamma of inf means "never split"."""
-    if isinstance(value, dict):
-        return {key: _json_inf(item) for key, item in value.items()}
-    return "inf" if isinstance(value, float) and value == math.inf else value
-
-
 def _table_arrays(table: NodeTable) -> dict:
     return {name: getattr(table, name) for name in _TABLE + ("gain",)
             if getattr(table, name) is not None}
@@ -130,23 +121,16 @@ def _forest_from(meta, bundle) -> ForestModel:
     feature_count, class_count = (_count(meta, name) for name in ("feature_count", "class_count"))
     n_trees = len(bundle["roots"])  # one tree per root
     return ForestModel(table=_table(bundle, n_trees, feature_count, class_count, False),
-                       n_trees=n_trees,
                        **{name: meta[name] for name in _FOREST_FIELDS if name != "feature_count"})
 
 
 def _svm_parts(model: SvmEnsemble):
-    rows, vectors, coef = model._support
-    arrays = {
-        "support_rows": rows,
-        "support_vectors": vectors,
-        "support_coef": coef,
-        **{name: np.array([getattr(m, name) for m in model.machines],
-                          np.float64 if kind == "f" else np.int64)
-           for name, kind in _MACHINE.items()},
-    }
+    arrays = {"support_rows": model.support_rows, "support_vectors": model.support_vectors,
+              "support_coef": model.coef, "bias": model.bias,
+              **{name: [getattr(m, name) for m in model.machines] for name in list(_MACHINE)[1:]}}
     kernel = {"name": model.kernel.name, "gamma": model.kernel.gamma}
     return arrays, {"class_count": model.class_count, "kernel": kernel, "C": model.C,
-                    "n_train": model.machines[0].n_train}
+                    "n_train": model.n_train}
 
 
 def _svm_from(meta, bundle) -> SvmEnsemble:
@@ -172,21 +156,18 @@ def _svm_from(meta, bundle) -> SvmEnsemble:
         raise ModelFormatError("support vectors and biases must be finite")
     if not (np.abs(coef) <= C).all():  # NaN fails too
         raise ModelFormatError("support coefficients must be finite with |coef| <= C")
-    used = coef != 0
-    if not used.any(axis=1).all():
+    if not (coef != 0).any(axis=1).all():
         raise ModelFormatError("every support row must be some machine's")
     if not (np.isin(converged, (0, 1)).all() and (updates >= 0).all()):
         raise ModelFormatError("need converged 0 or 1 and updates >= 0")
-    machines = [SvmBinary(
-        alphas=np.abs(coef[on, c]), bias=float(bias[c]), support_indices=rows[on],
-        support_vectors=vectors[on], support_labels=np.sign(coef[on, c]), kernel=kernel, C=C,
-        converged=bool(converged[c]), n_train=n_train, updates=int(updates[c]),
-        kkt_gap=float(kkt_gap[c])) for c, on in enumerate(used.T)]
-    return SvmEnsemble(machines=machines, class_count=class_count, kernel=kernel, C=C)
+    machines = [SolverRecord(bool(c), int(u), float(g))
+                for c, u, g in zip(converged, updates, kkt_gap, strict=True)]
+    return SvmEnsemble(support_rows=rows, support_vectors=vectors, coef=coef, bias=bias,
+                       kernel=kernel, C=C, n_train=n_train, machines=machines)
 
 
 def _gbt_parts(model: GbtModel):
-    params = _json_inf(dataclasses.asdict(model.params))
+    params = spell_nonfinite(dataclasses.asdict(model.params))
     arrays = {**_table_arrays(model.table), "train_loss": model.train_loss}
     return arrays, {"params": params, "feature_count": model.feature_count,
                     "class_count": model.class_count}
@@ -225,7 +206,7 @@ def save_model(model, path, provenance: dict | None = None) -> None:
             arrays = {name: np.asarray(a, np.float64 if np.asarray(a).dtype.kind == "f"
                                        else np.int64) for name, a in arrays.items()}
             meta = {"format": FORMAT_VERSION, "kind": kind,
-                    "provenance": _json_inf(provenance or {}), **meta}
+                    "provenance": spell_nonfinite(provenance or {}), **meta}
             return write_bundle(path, arrays, meta)
     raise ModelFormatError(f"cannot serialize {type(model).__name__}")
 

@@ -12,16 +12,18 @@ largest v over I_up and M the smallest over I_low (Keerthi et al. 2001:
 one gap, not Platt's single threshold). The bias is the mean v over the
 free multipliers, or the midpoint of m and M when none is free.
 Multiclass is one-vs-rest with argmax over decision values; every
-machine is solved against one shared kernel matrix.
+machine is solved against one shared kernel matrix. The ensemble holds
+the union of the machines' support rows once, as LIBSVM does: one
+vector per row and a rows x classes matrix of alpha * y (model format 4
+stores exactly these arrays).
 
 Hitting the update cap (max_iter x n_train pair updates) is not an
-error; the machine is returned with converged=False and callers decide
+error; the machine is recorded with converged=False and callers decide
 what that means.
 """
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -77,6 +79,15 @@ def kernel_matrix(spec: KernelSpec, A, B) -> np.ndarray:
 
 
 @dataclass
+class SolverRecord:
+    """How a machine's solve ended: m - M < tol?, pair updates taken, final m - M."""
+
+    converged: bool
+    updates: int
+    kkt_gap: float
+
+
+@dataclass
 class SvmBinary:
     """One trained binary machine; f(x) = sum_i alpha_i y_i K(x_i, x) + bias.
 
@@ -108,8 +119,9 @@ class SvmBinary:
         return np.where(self.decision_function(X) >= 0.0, 1, -1).astype(np.int64)
 
 
-def _solve_dual(K, X, y, C, kernel, tol, max_iter) -> SvmBinary:
-    """Second-order SMO on the precomputed kernel K of X; y holds -1/+1."""
+def _solve_dual(K, y, C, tol, max_iter) -> tuple:
+    """Second-order SMO on the precomputed kernel K; y holds -1/+1.
+    Returns (alpha, bias, SolverRecord)."""
     n = len(y)
     y = y.astype(np.float64)
     pos = y > 0
@@ -141,20 +153,7 @@ def _solve_dual(K, X, y, C, kernel, tol, max_iter) -> SvmBinary:
         updates += 1
     free = (alpha > 0.0) & (alpha < C)
     bias = float(v[free].mean()) if free.any() else float((m + M) / 2.0)
-    support = np.nonzero(alpha > 0.0)[0]
-    return SvmBinary(
-        alphas=alpha[support],
-        bias=bias,
-        support_indices=support,
-        support_vectors=X[support],
-        support_labels=y[support],
-        kernel=kernel,
-        C=float(C),
-        converged=bool(m - M < tol),
-        n_train=n,
-        updates=updates,
-        kkt_gap=float(m - M),
-    )
+    return alpha, bias, SolverRecord(bool(m - M < tol), updates, float(m - M))
 
 
 def train_svm_binary(
@@ -178,7 +177,11 @@ def train_svm_binary(
     _check_solver(C, tol)
     if kernel is None:
         kernel = KernelSpec("rbf", default_gamma(X))
-    return _solve_dual(kernel_matrix(kernel, X, X), X, y, C, kernel, tol, max_iter)
+    alpha, bias, record = _solve_dual(kernel_matrix(kernel, X, X), y, C, tol, max_iter)
+    support = np.nonzero(alpha > 0.0)[0]
+    return SvmBinary(alphas=alpha[support], bias=bias, support_indices=support,
+                     support_vectors=X[support], support_labels=y[support].astype(np.float64),
+                     kernel=kernel, C=float(C), n_train=len(y), **asdict(record))
 
 
 def dual_objective(machine: SvmBinary, X, y) -> float:
@@ -194,38 +197,31 @@ def dual_objective(machine: SvmBinary, X, y) -> float:
 
 @dataclass
 class SvmEnsemble:
-    machines: list
-    class_count: int
+    """One-vs-rest machines over one support set. support_rows are the
+    increasing training rows (< n_train) that some machine uses, and
+    support_vectors their rows of X; coef[r, c] is alpha * y of row r in
+    machine c, 0 off c's support. Machine c has bias[c] and machines[c]."""
+
+    support_rows: np.ndarray
+    support_vectors: np.ndarray
+    coef: np.ndarray
+    bias: np.ndarray
     kernel: KernelSpec
     C: float
+    n_train: int
+    machines: list
+
+    @property
+    def class_count(self) -> int:
+        return len(self.bias)
 
     @property
     def converged(self) -> bool:
         return all(m.converged for m in self.machines)
 
-    @cached_property
-    def _support(self) -> tuple:
-        """(support rows, their vectors, support x class coefficients).
-
-        Every machine was trained on the same rows, so a training index
-        names one row across machines; the rows are ordered by it. A row
-        that is not machine c's support row has coefficient 0 in column c.
-        """
-        rows, first = np.unique(
-            np.concatenate([m.support_indices for m in self.machines]), return_index=True
-        )
-        vectors = np.vstack([m.support_vectors for m in self.machines])[first]
-        coef = np.zeros((len(rows), len(self.machines)))
-        for c, m in enumerate(self.machines):
-            at = np.searchsorted(rows, m.support_indices)
-            coef[at, c] = m.alphas * m.support_labels
-        return rows, vectors, coef
-
     def decision_matrix(self, X) -> np.ndarray:
-        _, vectors, coef = self._support
-        X = query_rows(X, vectors.shape[1])
-        bias = np.array([m.bias for m in self.machines])
-        return kernel_matrix(self.kernel, X, vectors) @ coef + bias
+        X = query_rows(X, self.support_vectors.shape[1])
+        return kernel_matrix(self.kernel, X, self.support_vectors) @ self.coef + self.bias
 
     def predict(self, X) -> np.ndarray:
         return np.argmax(self.decision_matrix(X), axis=1).astype(np.int64)
@@ -260,8 +256,11 @@ def train_svm_multiclass(
     if kernel is None:
         kernel = KernelSpec("rbf", default_gamma(X))
     K = kernel_matrix(kernel, X, X)
-    machines = [
-        _solve_dual(K, X, np.where(y == c, 1, -1), C, kernel, tol, max_iter)
-        for c in range(n_classes)
-    ]
-    return SvmEnsemble(machines=machines, class_count=n_classes, kernel=kernel, C=float(C))
+    labels = np.where(y[:, None] == np.arange(n_classes), 1.0, -1.0)
+    alpha, bias, machines = zip(*(_solve_dual(K, labels[:, c], C, tol, max_iter)
+                                  for c in range(n_classes)))
+    alpha = np.column_stack(alpha)
+    rows = np.nonzero((alpha > 0.0).any(axis=1))[0]
+    coef = np.where(alpha[rows] > 0.0, alpha[rows] * labels[rows], 0.0)  # no -0.0 off support
+    return SvmEnsemble(support_rows=rows, support_vectors=X[rows], coef=coef, bias=np.array(bias),
+                       kernel=kernel, C=float(C), n_train=len(y), machines=list(machines))

@@ -31,6 +31,7 @@ from .dataset_io import (
     ingest_raw_csv,
     read_bundle,
     read_challenge_archive,
+    spell_nonfinite,
     write_bundle,
     write_challenge_archive,
 )
@@ -117,7 +118,7 @@ def _write_manifest(args, result: StageResult, wall_clock: float) -> None:
         flags[key] = str(value) if isinstance(value, Path) else value
     manifest = {
         "subcommand": args.command,
-        "flags": flags,
+        "flags": spell_nonfinite(flags),
         "input_hashes": {
             str(p): _sha256_file(p) for p in result.inputs if p and Path(p).is_file()
         },
@@ -129,7 +130,7 @@ def _write_manifest(args, result: StageResult, wall_clock: float) -> None:
     primary = Path(result.outputs[0])
     target = primary.with_name(primary.name + ".manifest.json")
     with _text_out(target) as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -284,16 +285,13 @@ def read_feature_set(path):
 # subcommand handlers
 
 def _synth_spec(args):
-    common = dict(
-        seed=args.seed,
-        length_range=(args.length_min, args.length_max),
-        warmup_samples=args.warmup,
-    )
+    common = dict(seed=args.seed, length_range=(args.length_min, args.length_max),
+                  warmup_samples=args.warmup)
+    if args.noise is not None:  # else each spec's own default
+        common["noise"] = args.noise
     if args.classes == 4:
-        noise = 0.3 if args.noise is None else args.noise
-        return default_4_class_spec(noise=noise, jobs_per_class=args.jobs_per_class, **common)
-    noise = 0.5 if args.noise is None else args.noise
-    return default_26_class_spec(scale=args.scale, noise=noise, **common)
+        return default_4_class_spec(jobs_per_class=args.jobs_per_class, **common)
+    return default_26_class_spec(scale=args.scale, **common)
 
 
 def _write_corpus_csv(path, trials) -> None:

@@ -271,6 +271,15 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
+def spell_nonfinite(value):
+    """value with every non-finite float, in nested dicts too, spelled as
+    text ("inf", "-inf", "nan"), since JSON has none of them: a GBT gamma
+    of inf ("never split") reaches model files and manifests this way."""
+    if isinstance(value, dict):
+        return {key: spell_nonfinite(item) for key, item in value.items()}
+    return str(value) if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def write_bundle(path, arrays: dict, meta: dict | None = None) -> None:
     """Write a zip bundle (path or binary file-like): one stored `<key>.npy`
     member per array in the given order, then `meta.json` holding the

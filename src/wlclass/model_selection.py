@@ -34,7 +34,7 @@ from .classifiers import (
     train_gbt,
     train_svm_multiclass,
 )
-from .classifiers._checks import integer_labels
+from .classifiers._checks import integer_labels, is_integer
 from .dataset_io import read_bundle, read_challenge_archive, write_bundle
 from .errors import (
     BadKError,
@@ -106,8 +106,10 @@ class ReductionSpec:
             raise UsageError(f"reduction must be cov or pca, got {self.kind!r}")
         if (self.kind == "pca") != (self.k is not None):
             raise UsageError("k is required for pca and only for pca")
-        if self.k is not None and self.k < 1:
-            raise UsageError(f"k must be >= 1, got {self.k}")
+        if self.k is not None:
+            if not is_integer(self.k) or self.k < 1:
+                raise UsageError(f"k must be an integer >= 1, got {self.k!r}")
+            object.__setattr__(self, "k", int(self.k))  # plain int: bundle meta is JSON
 
     @classmethod
     def parse(cls, token: str) -> "ReductionSpec":
@@ -233,9 +235,11 @@ class GridSpec:
         for name, values in self.hyperparameter_grid.items():
             if not values:
                 raise UsageError(f"grid list for {name!r} is empty")
+        if is_integer(self.folds):
+            object.__setattr__(self, "folds", int(self.folds))
         folds = self.effective_folds
-        if folds < 2:
-            raise BadKError(f"folds must be >= 2, got {folds}")
+        if not is_integer(folds) or folds < 2:
+            raise BadKError(f"folds must be an integer >= 2, got {folds!r}")
 
     @property
     def effective_folds(self) -> int:
@@ -303,11 +307,12 @@ def kfold_indices(n: int, k: int, labels, seed: int) -> list:
     (train_idx, val_idx) pairs whose validation sets partition range(n).
 
     Raises:
-        BadKError: k < 2 or k > n.
+        BadKError: k is not an integer in [2, n].
         LabelOutOfRangeError: a label is not an integer.
     """
-    if k < 2 or k > n:
-        raise BadKError(f"k must be in [2, {n}], got {k}")
+    if not is_integer(k) or k < 2 or k > n:
+        raise BadKError(f"k must be an integer in [2, {n}], got {k!r}")
+    k = int(k)
     labels = integer_labels(labels)
     if len(labels) != n:
         raise ShapeMismatchError(f"{len(labels)} labels for n={n}")

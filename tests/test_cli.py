@@ -502,6 +502,23 @@ class TestFamilyParameterFlags:
         assert loaded.params.gamma == math.inf
         assert provenance["params"]["gamma"] == "inf"
 
+    @pytest.mark.parametrize("flags,key,text", [
+        (["--model", "gbt", "--rounds", "2", "--min-split-loss", "inf"], "min_split_loss", "inf"),
+        (["--model", "rf", "--n-trees", "2", "--c", "nan"], "c", "nan"),  # rf ignores --c
+    ], ids=["gbt-inf", "rf-nan"])
+    def test_manifest_is_strict_json(self, data, tmp_path, flags, key, text):
+        """A non-finite flag value reaches the manifest as text, never as the
+        Infinity or NaN tokens that strict JSON readers refuse."""
+        model = tmp_path / "m.wlc1"
+        assert main(["train", "--in", str(data / "feat.npz"), *flags, "--out", str(model)]) == 0
+
+        def refuse(token):
+            raise ValueError(f"non-JSON token {token}")
+
+        sidecar = tmp_path / "m.wlc1.manifest.json"
+        manifest = json.loads(sidecar.read_text(), parse_constant=refuse)
+        assert manifest["flags"][key] == text
+
     @pytest.mark.parametrize("argv", [
         ["train", "--model", "svm", "--c", "inf"],
         ["train", "--model", "svm", "--c", "nan"],

@@ -5,6 +5,7 @@ import pytest
 
 from wlclass.classifiers import (
     GbtParams,
+    deserialize_model,
     feature_importance_report,
     predict,
     serialize_model,
@@ -139,6 +140,18 @@ class TestGbtTraining:
             with pytest.raises(UsageError):
                 GbtParams(**bad)
         assert GbtParams(gamma=np.inf).gamma == np.inf  # never split
+
+    @pytest.mark.parametrize("name", ["rounds", "max_depth"])
+    def test_integer_params_refuse_bools_and_save_numpy_ints(self, name):
+        """A bool is refused (a model trained with rounds=True could not be
+        loaded); a NumPy integer is stored as a plain int, so its model saves."""
+        with pytest.raises(UsageError, match=name):
+            GbtParams(**{name: True})
+        params = GbtParams(**{name: np.int32(2)})
+        assert type(getattr(params, name)) is int
+        X, y = self.data(seed=3)
+        loaded, _ = deserialize_model(serialize_model(train_gbt(X, y, params)))
+        assert loaded.params == params
 
     def test_predict_shape_check(self):
         X, y = self.data(seed=9)

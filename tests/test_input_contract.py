@@ -110,12 +110,13 @@ def predictors():
     forest = train_forest(X, y, n_trees=2, seed=0)
     gbt = train_gbt(X, y, GbtParams(rounds=1))
     svm = train_svm_multiclass(X, y, C=1.0, kernel=LINEAR)
+    machine = train_svm_binary(X, np.where(y == 0, 1, -1), C=1.0, kernel=LINEAR)
     return {
         "tree_predict": lambda Q: tree_predict(train_tree(X, y), Q),
         "forest_votes": lambda Q: forest_votes(forest, Q),
         "GbtModel.predict_scores": gbt.predict_scores,
         "SvmEnsemble.decision_matrix": svm.decision_matrix,
-        "SvmBinary.decision_function": svm.machines[0].decision_function,
+        "SvmBinary.decision_function": machine.decision_function,
     }
 
 

@@ -27,8 +27,10 @@ from wlclass.model_selection import (
     format_table,
     grid_search,
     kfold_indices,
+    read_reduction_bundle,
     reproduce_table,
     train_family,
+    write_reduction_bundle,
 )
 
 
@@ -91,6 +93,20 @@ class TestKfold:
         with pytest.raises(BadKError):
             kfold_indices(10, 11, labels, seed=0)
 
+    @pytest.mark.parametrize("k", [2.5, np.float64(2.0), True, "2", np.int64(2)])
+    def test_k_must_be_an_integer(self, k):
+        """A fractional, bool or text k is a BadKError, not a raw TypeError
+        from range(k); a NumPy integer deals the folds as a plain int."""
+        labels = np.arange(10) % 2
+        if isinstance(k, np.integer):
+            folds = kfold_indices(10, k, labels, seed=0)
+            assert len(folds) == 2
+            np.testing.assert_array_equal(np.sort(np.concatenate([v for _, v in folds])),
+                                          np.arange(10))
+        else:
+            with pytest.raises(BadKError, match="integer"):
+                kfold_indices(10, k, labels, seed=0)
+
     def test_small_class_warns_but_still_partitions(self):
         labels = np.array([0] * 20 + [1] * 2)
         with pytest.warns(RuntimeWarning):
@@ -145,6 +161,16 @@ class TestGridSpec:
             GridSpec("rf", {"n_trees": []}, reductions)
         with pytest.raises(BadKError):
             GridSpec("rf", {"n_trees": [5]}, reductions, folds=1)
+
+    @pytest.mark.parametrize("folds", [2.5, np.float64(3.0), True, "3", np.int64(3)])
+    def test_folds_must_be_an_integer(self, folds):
+        reductions = (ReductionSpec("cov"),)
+        if isinstance(folds, np.integer):
+            spec = GridSpec("rf", {"n_trees": [5]}, reductions, folds=folds)
+            assert type(spec.folds) is int and spec.effective_folds == 3
+        else:
+            with pytest.raises(BadKError, match="integer"):
+                GridSpec("rf", {"n_trees": [5]}, reductions, folds=folds)
 
     def test_unknown_parameter_names_are_usage_errors(self, monkeypatch):
         monkeypatch.setattr(wlclass.model_selection, "fit_reduction", None)  # nothing is fit
@@ -206,6 +232,20 @@ class TestGridSpec:
         for token in ("pca", "pca-0", "pca--1", "pca-+3", "pca-x", "cov,pca-4", "cov,centered", ""):
             with pytest.raises(UsageError):
                 ReductionSpec.parse(token)
+
+    @pytest.mark.parametrize("k", [2.5, np.float64(3.0), True, "3", np.int64(3)])
+    def test_reduction_k_must_be_an_integer(self, k, tmp_path):
+        """k is stored as a plain int, so the spec's bundle reads back; a
+        fractional, bool or text k is refused before anything is fit."""
+        if not isinstance(k, np.integer):
+            with pytest.raises(UsageError, match="k must be an integer"):
+                ReductionSpec("pca", k)
+            return
+        spec = ReductionSpec("pca", k)
+        assert type(spec.k) is int and spec.describe() == "pca-3"
+        x, _ = make_windows(6, 2, length=8, sensors=4, seed=1)
+        write_reduction_bundle(tmp_path / "r.npz", fit_reduction(spec, x)[0])
+        assert read_reduction_bundle(tmp_path / "r.npz").spec == spec
 
     def test_reduction_token_digits_are_ascii(self):
         """describe() writes ASCII digits, so parse reads only those: the

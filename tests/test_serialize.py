@@ -13,6 +13,7 @@ from wlclass.classifiers import (
     serialize_model,
     train_forest,
     train_gbt,
+    train_svm_binary,
     train_svm_multiclass,
 )
 from wlclass.classifiers.serialize import _MEMBERS
@@ -34,6 +35,12 @@ def trained_models():
         "svm": train_svm_multiclass(X, y, C=1.0, kernel=KernelSpec("linear")),
         "gbt": train_gbt(X, y, GbtParams(rounds=3)),
     }
+
+
+def binary_machines(X, y):
+    """The one-vs-rest machines of trained_models' SVM, one train_svm_binary each."""
+    return [train_svm_binary(X, np.where(y == c, 1, -1), C=1.0, kernel=KernelSpec("linear"))
+            for c in range(3)]
 
 
 def unbundle(raw):
@@ -93,18 +100,23 @@ class TestRoundTrip:
                     assert a.dtype == b.dtype
 
     def test_svm_alphas_reconstructed(self):
+        """Column c of the ensemble is the binary machine of class c against the rest."""
         X, y, models = trained_models()
         svm = models["svm"]
         loaded, _ = deserialize_model(serialize_model(svm))
         assert loaded.kernel == svm.kernel and loaded.C == svm.C
         assert loaded.class_count == svm.class_count
-        for a, b in zip(svm.machines, loaded.machines, strict=True):
-            np.testing.assert_array_equal(a.alphas, b.alphas)
-            np.testing.assert_array_equal(a.support_indices, b.support_indices)
-            np.testing.assert_array_equal(a.support_vectors, b.support_vectors)
-            np.testing.assert_array_equal(a.support_labels, b.support_labels)
-            assert a.bias == b.bias and a.converged == b.converged and a.n_train == b.n_train
-            assert a.updates == b.updates and a.kkt_gap == b.kkt_gap
+        machines = binary_machines(X, y)
+        for model in (svm, loaded):
+            for c, (a, record) in enumerate(zip(machines, model.machines, strict=True)):
+                on = model.coef[:, c] != 0
+                np.testing.assert_array_equal(a.alphas, np.abs(model.coef[on, c]))
+                np.testing.assert_array_equal(a.support_indices, model.support_rows[on])
+                np.testing.assert_array_equal(a.support_vectors, model.support_vectors[on])
+                np.testing.assert_array_equal(a.support_labels, np.sign(model.coef[on, c]))
+                assert a.bias == model.bias[c] and a.converged == record.converged
+                assert a.n_train == model.n_train
+                assert a.updates == record.updates and a.kkt_gap == record.kkt_gap
 
     def test_magic_starts_file(self, tmp_path):
         """A model file is a bundle: its first member's header opens it."""
@@ -119,11 +131,12 @@ class TestRoundTrip:
         _, _, models = trained_models()
         svm = models["svm"]
         arrays, meta = unbundle(serialize_model(svm))
-        distinct = np.unique(np.concatenate([m.support_indices for m in svm.machines]))
+        X, y = sample_problem()
+        distinct = np.unique(np.concatenate([m.support_indices for m in binary_machines(X, y)]))
         np.testing.assert_array_equal(arrays["support_rows"], distinct)
         assert arrays["support_vectors"].shape == (len(distinct), 3)
         assert arrays["support_coef"].shape == (len(distinct), svm.class_count)
-        assert meta["n_train"] == svm.machines[0].n_train
+        assert meta["n_train"] == svm.n_train == len(y)
 
 
 class TestMalformedModelFiles:
@@ -405,7 +418,7 @@ class TestSvmValidation:
     def parts(self):
         X, y = sample_problem()
         svm = train_svm_multiclass(X, y, C=1.0, kernel=KernelSpec("rbf", 0.5))
-        assert all(len(m.support_indices) >= 2 for m in svm.machines)
+        assert ((svm.coef != 0).sum(axis=0) >= 2).all()  # every machine has 2+ support rows
         return unbundle(serialize_model(svm))
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -423,7 +436,7 @@ class TestSvmValidation:
         arrays, meta = parts
         original = deserialize_model(rebundle(arrays, meta))[0]
         loaded = deserialize_model(rebundle(arrays, {**meta, "n_train": 2**40}))[0]
-        assert all(m.n_train == 2**40 for m in loaded.machines)
+        assert loaded.n_train == 2**40
         X, _ = sample_problem(seed=3)
         np.testing.assert_array_equal(predict(loaded, X), predict(original, X))
 

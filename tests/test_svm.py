@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -239,8 +240,7 @@ class TestMulticlass:
         ensemble = train_svm_multiclass(X, y, C=1.0, kernel=KernelSpec("rbf", 0.2))
         queries = np.random.default_rng(15).uniform(-2, 10, size=(30, 2))
         before = predict(ensemble, queries)
-        for machine in ensemble.machines:
-            machine.bias += 7.25
+        ensemble.bias += 7.25
         after = predict(ensemble, queries)
         np.testing.assert_array_equal(before, after)
 
@@ -257,11 +257,13 @@ class TestMulticlass:
 
     def test_shared_kernel_decision_matrix_matches_per_machine(self):
         X, y = blobs(seed=18, n_per=20)
-        ensemble = train_svm_multiclass(X, y, C=1.0, kernel=KernelSpec("rbf", 0.2))
+        kernel = KernelSpec("rbf", 0.2)
+        ensemble = train_svm_multiclass(X, y, C=1.0, kernel=kernel)
         loaded, _ = deserialize_model(serialize_model(ensemble))
         queries = np.random.default_rng(19).uniform(-2, 10, size=(50, 2))
+        machines = [train_svm_binary(X, np.where(y == c, 1, -1), 1.0, kernel) for c in range(3)]
+        stacked = np.column_stack([m.decision_function(queries) for m in machines])
         for model in (ensemble, loaded):
-            stacked = np.column_stack([m.decision_function(queries) for m in model.machines])
             shared = model.decision_matrix(queries)
             np.testing.assert_allclose(shared, stacked, rtol=0, atol=1e-12)
             np.testing.assert_array_equal(predict(model, queries), np.argmax(stacked, axis=1))
@@ -283,3 +285,33 @@ def test_every_machine_converges_at_realistic_scale():
         assert machine.converged, f"class {c}: gap {machine.kkt_gap} after {machine.updates}"
         assert machine.kkt_gap <= tol
         assert 0 < machine.updates <= 2000 * len(y)
+
+
+#: sha256 of serialize_model(train_svm_multiclass(X, y, **params)) on cov_matrix():
+#: a change to how an ensemble is built or held must leave its model file's bytes alone.
+PINNED_MODELS = {
+    "rbf defaults": ({"C": 1.0},
+                     "8b10c78293ff5ef962cb4a9d9d0573235ee99b2c36aab7aa50fbf3e030b1402c"),
+    "linear, C=10": ({"C": 10.0, "kernel": KernelSpec("linear")},
+                     "a66b5ed7a63f65d380db6b04ef9c9a4e4c2f6d77472517a25cc65db5a71b3a5c"),
+    "5 machines at max_iter": ({"C": 100.0, "tol": 1e-5, "max_iter": 1},
+                               "57f231cfdc00e8b6f3bb406f428b62dc131af1daa2b87fb3cf6c88274dabff47"),
+}
+
+
+def cov_matrix():
+    """Covariance features of a seeded 26-class corpus: 181 rows x 28."""
+    trials = generate_corpus(default_26_class_spec(seed=7, scale=0.05))
+    x = np.stack([extract_window(t, WindowPolicy("middle", length=540)).data for t in trials])
+    return covariance_feature_matrix(x, fit_standardizer(x)), np.array([t.label for t in trials])
+
+
+@pytest.mark.parametrize("setting", sorted(PINNED_MODELS))
+def test_models_keep_their_pinned_bytes(setting):
+    X, y = cov_matrix()
+    params, digest = PINNED_MODELS[setting]
+    assert X.shape == (181, 28) and len(np.unique(y)) == 26
+    model = train_svm_multiclass(X, y, **params)
+    stalled = sum(not m.converged for m in model.machines)
+    assert stalled == (5 if "max_iter" in params else 0)
+    assert hashlib.sha256(serialize_model(model)).hexdigest() == digest

@@ -6,7 +6,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import wlclass.cli
+from wlclass.classifiers import KernelSpec, deserialize_model, serialize_model, train_svm_multiclass
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -33,6 +36,13 @@ def test_names_the_benchmark_calls_directly():
     assert callable(wlclass.cli.read_reduction_bundle)
     assert callable(wlclass.cli._resolve_threads)
     assert wlclass.cli._resolve_threads(None) == 1
+    # ok_ops_pct and the classifiers.svm counters read one record per class
+    # from each model, and that record's converged flag
+    X, y = np.arange(12.0)[:, None], np.repeat(np.arange(3), 4)
+    model = train_svm_multiclass(X, y, C=1.0, kernel=KernelSpec("linear"))
+    loaded, _ = deserialize_model(serialize_model(model))
+    assert len(loaded.machines) == loaded.class_count == 3
+    assert all(type(machine.converged) is bool for machine in loaded.machines)
 
 
 def test_traced_commands_fire_the_feature_and_selection_spans(tmp_path):

@@ -179,10 +179,10 @@ class TestTree:
 
     def test_tree_count_and_seed_are_integers(self):
         X, y = np.arange(8.0).reshape(4, 2), np.array([0, 1, 0, 1])
-        for n_trees in (2.5, 0, "3"):
+        for n_trees in (2.5, 0, "3", True):
             with pytest.raises(UsageError, match="n_trees"):
                 train_forest(X, y, n_trees=n_trees, seed=0)
-        for seed in (1.5, -1):
+        for seed in (1.5, -1, False):
             with pytest.raises(UsageError, match="seed"):
                 train_forest(X, y, n_trees=2, seed=seed)
         forest = train_forest(X, y, n_trees=np.int64(2), seed=np.int64(3),
@@ -271,9 +271,8 @@ class TestForest:
                 roots=np.zeros(1, dtype=np.int64), feature_count=2,
             )
 
-        forest = ForestModel(
-            table=stack_tables([leaf_for(2), leaf_for(1)]), n_trees=2, seed=0, class_count=3,
-        )
+        forest = ForestModel(table=stack_tables([leaf_for(2), leaf_for(1)]), seed=0, class_count=3)
+        assert forest.n_trees == 2
         assert predict(forest, np.zeros((1, 2)))[0] == 1
 
     def test_all_trees_reference_valid_features(self):
