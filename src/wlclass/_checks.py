@@ -1,15 +1,41 @@
-"""The input contract every trainer and predictor shares."""
+"""The checks every layer shares: one rule for numeric parameters, and the
+input contract of every trainer and predictor.
 
+A count, seed, rate or bound goes through `integer` or `real`: a number
+of the right kind, never a bool, finite and in range. Each returns the
+plain Python int or float for its holder to store, because model and
+bundle meta are JSON. The error is a UsageError unless the caller names
+another: the model loader's ModelFormatError, a fold count's BadKError.
+"""
+
+import math
 import numbers
 
 import numpy as np
 
-from ..errors import DegenerateInputError, EmptyInputError, LabelOutOfRangeError, ShapeMismatchError
+from .errors import (DegenerateInputError, EmptyInputError, LabelOutOfRangeError,
+                     ShapeMismatchError, UsageError)
 
 
-def is_integer(value) -> bool:
-    """value is an integer of any integer type but bool, an Integral too."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+def integer(value, name: str, low: int, error=UsageError) -> int:
+    """value as a plain int; raises error unless it is an Integral, not a bool, >= low."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise error(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def real(value, name: str, low=-math.inf, above=False, error=UsageError) -> float:
+    """value as a plain float; raises error unless it is a Real that a finite
+    float holds, not a bool, >= low (> low when above is set)."""
+    is_real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        number = float(value) if is_real else math.nan
+    except OverflowError:  # an int beyond every float
+        number = math.inf
+    if not math.isfinite(number) or number < low or above and number == low:
+        bound = "" if low == -math.inf else f" {'>' if above else '>='} {low}"
+        raise error(f"{name} must be a finite number{bound}, got {value!r}")
+    return number
 
 
 def integer_labels(y) -> np.ndarray:

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import UsageError
-from ._checks import is_integer, labelled_rows, query_rows
+from .._checks import integer, labelled_rows, query_rows
 from .tree import NodeTable, TreeParams, grow_cart
 from .tree import train_tree  # noqa: F401  perfbench/tracer.py hooks it by this module's name
 
@@ -59,10 +58,7 @@ def train_forest(
     Raises:
         UsageError: n_trees, seed, max_depth or min_leaf not an integer in range.
     """
-    if not is_integer(n_trees) or n_trees < 1:
-        raise UsageError(f"n_trees must be an integer >= 1, got {n_trees!r}")
-    if not is_integer(seed) or seed < 0:
-        raise UsageError(f"seed must be an integer >= 0, got {seed!r}")
+    n_trees, seed = integer(n_trees, "n_trees", 1), integer(seed, "seed", 0)
     X, y, n_classes = labelled_rows(X, y, n_classes)
     d = X.shape[1]
     params = TreeParams(
@@ -74,10 +70,10 @@ def train_forest(
     samples = np.stack([rng.integers(0, len(y), size=len(y)) for rng in rngs])
     return ForestModel(
         table=grow_cart(X, y, n_classes, params, rngs, samples),
-        seed=int(seed),  # plain ints: the model file's meta is JSON
+        seed=seed,
         class_count=n_classes,
-        max_depth=max_depth if max_depth is None else int(max_depth),
-        min_leaf=int(min_leaf),
+        max_depth=params.max_depth,
+        min_leaf=params.min_leaf,
     )
 
 

@@ -21,8 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
-from ..errors import ShapeMismatchError, UsageError
-from ._checks import is_integer, labelled_rows, query_rows
+from .._checks import integer, labelled_rows, query_rows, real
+from ..errors import ShapeMismatchError
 from .tree import LEAF, NodeTable, grow, rank_columns, stack_tables
 
 
@@ -31,25 +31,23 @@ class GbtParams:
     rounds: int = 40
     learning_rate: float = 0.3
     max_depth: int = 6
-    gamma: float = 0.0  # minimum loss reduction to split
+    gamma: float = 0.0  # minimum loss reduction to split; inf never splits
     alpha: float = 0.0  # l1 on leaf weights
     reg_lambda: float = 1.0  # l2 on leaf weights
     base_score: float = 0.0
 
-    def __post_init__(self):
-        if not is_integer(self.rounds) or self.rounds < 1:
-            raise UsageError(f"rounds must be an integer >= 1, got {self.rounds!r}")
-        if not is_integer(self.max_depth) or self.max_depth < 0:
-            raise UsageError(f"max_depth must be an integer >= 0, got {self.max_depth!r}")
-        for name in ("rounds", "max_depth"):  # plain ints: the model file's meta is JSON
-            object.__setattr__(self, name, int(getattr(self, name)))
-        if not 0 < self.learning_rate < math.inf:
-            raise UsageError(f"learning_rate must be finite and positive, got {self.learning_rate}")
-        if not (0 <= self.alpha < math.inf and 0 <= self.reg_lambda < math.inf
-                and self.gamma >= 0):  # gamma inf never splits
-            raise UsageError("regularization constants must be non-negative, and alpha and "
-                             f"lambda finite; got gamma {self.gamma}, alpha {self.alpha}, "
-                             f"lambda {self.reg_lambda}")
+    def __post_init__(self):  # plain values: the model file's meta is JSON
+        checked = {
+            "rounds": integer(self.rounds, "rounds", 1),
+            "learning_rate": real(self.learning_rate, "learning_rate", 0, above=True),
+            "max_depth": integer(self.max_depth, "max_depth", 0),
+            "gamma": math.inf if self.gamma == math.inf else real(self.gamma, "gamma", 0),
+            "alpha": real(self.alpha, "alpha", 0),
+            "reg_lambda": real(self.reg_lambda, "reg_lambda", 0),
+            "base_score": real(self.base_score, "base_score"),
+        }
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass

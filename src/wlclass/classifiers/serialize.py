@@ -27,12 +27,12 @@ is a ModelFormatError.
 
 import dataclasses
 import io
-import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
+from .._checks import integer, real
 from ..dataset_io import read_bundle, spell_nonfinite, write_bundle
 from ..errors import ArchiveIoError, DataError, ModelFormatError, UsageError
 from .forest import ForestModel
@@ -53,19 +53,6 @@ _MEMBERS = {
 #: Zip end-of-central-directory record: signature, two disk numbers, two
 #: entry counts, directory size, directory offset, comment length.
 _END = struct.Struct("<4s4H2LH")
-
-
-def _count(obj, key) -> int:
-    value = obj[key]
-    if type(value) is not int or value < 1:
-        raise ModelFormatError(f"{key} must be a positive integer, got {value!r}")
-    return value
-
-
-def _number(value, what):
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise ModelFormatError(f"{what} must be a finite number, got {value!r}")
-    return value
 
 
 def _array(bundle, name, kind, ndim=1) -> np.ndarray:
@@ -118,7 +105,8 @@ def _forest_parts(model: ForestModel):
 
 
 def _forest_from(meta, bundle) -> ForestModel:
-    feature_count, class_count = (_count(meta, name) for name in ("feature_count", "class_count"))
+    feature_count, class_count = (integer(meta[name], name, 1, ModelFormatError)
+                                  for name in ("feature_count", "class_count"))
     n_trees = len(bundle["roots"])  # one tree per root
     return ForestModel(table=_table(bundle, n_trees, feature_count, class_count, False),
                        **{name: meta[name] for name in _FOREST_FIELDS if name != "feature_count"})
@@ -134,13 +122,10 @@ def _svm_parts(model: SvmEnsemble):
 
 
 def _svm_from(meta, bundle) -> SvmEnsemble:
-    gamma, C = meta["kernel"]["gamma"], _number(meta["C"], "C")
-    kernel = KernelSpec(meta["kernel"]["name"], gamma if gamma is None else _number(gamma, "gamma"))
-    if C <= 0:
-        raise ModelFormatError(f"C must be positive, got {C!r}")
-    class_count, n_train = _count(meta, "class_count"), _count(meta, "n_train")
-    if class_count < 2:
-        raise ModelFormatError(f"an SVM needs at least 2 classes, got {class_count}")
+    kernel = KernelSpec(meta["kernel"]["name"], meta["kernel"]["gamma"])
+    C = real(meta["C"], "C", 0, above=True, error=ModelFormatError)
+    class_count = integer(meta["class_count"], "class_count", 2, ModelFormatError)
+    n_train = integer(meta["n_train"], "n_train", 1, ModelFormatError)
     per_machine = [_array(bundle, name, kind) for name, kind in _MACHINE.items()]
     if any(a.shape != (class_count,) for a in per_machine):
         raise ModelFormatError("per-machine members must hold one entry per class")
@@ -175,10 +160,9 @@ def _gbt_parts(model: GbtModel):
 
 def _gbt_from(meta, bundle) -> GbtModel:
     p = meta["params"]
-    _count(p, "rounds")
-    _number(p["base_score"], "base_score")  # GbtParams checks the rest
     params = GbtParams(**{**p, "gamma": float("inf") if p["gamma"] == "inf" else p["gamma"]})
-    feature_count, class_count = _count(meta, "feature_count"), _count(meta, "class_count")
+    feature_count, class_count = (integer(meta[name], name, 1, ModelFormatError)
+                                  for name in ("feature_count", "class_count"))
     train_loss = _array(bundle, "train_loss", "f")
     if len(train_loss) != params.rounds:
         raise ModelFormatError("train_loss needs one entry per round")

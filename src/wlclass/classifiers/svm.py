@@ -22,13 +22,12 @@ error; the machine is recorded with converged=False and callers decide
 what that means.
 """
 
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .._checks import integer, labelled_rows, query_rows, real
 from ..errors import ClassAbsentError, UsageError
-from ._checks import labelled_rows, query_rows
 
 #: Curvature used for a pair whose kernel distance a is not positive (LIBSVM's TAU).
 TAU = 1e-12
@@ -42,17 +41,16 @@ class KernelSpec:
     def __post_init__(self):
         if self.name not in ("linear", "rbf"):
             raise UsageError(f"kernel must be linear or rbf, got {self.name!r}")
-        if self.name == "rbf" and (self.gamma is None or not 0 < self.gamma < math.inf):
-            raise UsageError(f"rbf kernel needs a finite gamma > 0, got {self.gamma}")
         if self.name == "linear" and self.gamma is not None:
             raise UsageError("linear kernel takes no gamma")
+        if self.name == "rbf":  # a plain float: the model file's meta is JSON
+            object.__setattr__(self, "gamma", real(self.gamma, "gamma", 0, above=True))
 
 
-def _check_solver(C, tol) -> None:
-    if not 0 < C < math.inf:
-        raise UsageError(f"C must be finite and positive, got {C}")
-    if not math.isfinite(tol):
-        raise UsageError(f"tol must be finite, got {tol}")
+def _check_solver(C, tol, max_iter) -> tuple:
+    """(C, tol, max_iter) as plain values: C > 0, tol > 0, max_iter >= 1."""
+    return (real(C, "C", 0, above=True), real(tol, "tol", 0, above=True),
+            integer(max_iter, "max_iter", 1))
 
 
 def default_gamma(X) -> float:
@@ -166,7 +164,7 @@ def train_svm_binary(
 
     Raises:
         ClassAbsentError: only one sign present.
-        UsageError: C not finite and positive, tol not finite, or labels not -1/+1.
+        UsageError: C or tol not finite and positive, max_iter below 1, or labels not -1/+1.
     """
     y = np.asarray(y)
     X, _, _ = labelled_rows(X, y == 1, 2)  # shape, rows, finite; the signs are checked next
@@ -174,14 +172,14 @@ def train_svm_binary(
         raise UsageError("binary labels must be -1 or +1")
     if len(np.unique(y)) < 2:
         raise ClassAbsentError("need at least one example of each sign")
-    _check_solver(C, tol)
+    C, tol, max_iter = _check_solver(C, tol, max_iter)
     if kernel is None:
         kernel = KernelSpec("rbf", default_gamma(X))
     alpha, bias, record = _solve_dual(kernel_matrix(kernel, X, X), y, C, tol, max_iter)
     support = np.nonzero(alpha > 0.0)[0]
     return SvmBinary(alphas=alpha[support], bias=bias, support_indices=support,
                      support_vectors=X[support], support_labels=y[support].astype(np.float64),
-                     kernel=kernel, C=float(C), n_train=len(y), **asdict(record))
+                     kernel=kernel, C=C, n_train=len(y), **asdict(record))
 
 
 def dual_objective(machine: SvmBinary, X, y) -> float:
@@ -242,13 +240,13 @@ def train_svm_multiclass(
     checked by labelled_rows.
 
     Raises:
-        UsageError: fewer than 2 classes, C not finite and positive, or tol not finite.
+        UsageError: fewer than 2 classes, C or tol not positive, or max_iter below 1.
         ClassAbsentError: some class index in [0, n_classes) has no rows.
     """
     X, y, n_classes = labelled_rows(X, y, n_classes)
     if n_classes < 2:
         raise UsageError("multiclass training needs at least 2 classes")
-    _check_solver(C, tol)
+    C, tol, max_iter = _check_solver(C, tol, max_iter)
     present = np.bincount(y, minlength=n_classes)
     for c in range(n_classes):
         if present[c] == 0:
@@ -263,4 +261,4 @@ def train_svm_multiclass(
     rows = np.nonzero((alpha > 0.0).any(axis=1))[0]
     coef = np.where(alpha[rows] > 0.0, alpha[rows] * labels[rows], 0.0)  # no -0.0 off support
     return SvmEnsemble(support_rows=rows, support_vectors=X[rows], coef=coef, bias=np.array(bias),
-                       kernel=kernel, C=float(C), n_train=len(y), machines=list(machines))
+                       kernel=kernel, C=C, n_train=len(y), machines=list(machines))

@@ -22,13 +22,11 @@ are then strictly smaller, which keeps growth finite and lets depth-2
 trees represent XOR.
 """
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import UsageError
-from ._checks import labelled_rows, query_rows
+from .._checks import integer, labelled_rows, query_rows
 
 LEAF = -1  # feature and child index of a leaf
 
@@ -262,17 +260,11 @@ class TreeParams:
     min_leaf: int = 1
     feature_subsample: int | None = None  # features considered per split
 
-    def __post_init__(self):
-        if self.max_depth is not None and (
-                not isinstance(self.max_depth, numbers.Integral) or self.max_depth < 0):
-            raise UsageError(f"max_depth must be None or an integer >= 0, got {self.max_depth!r}")
-        if not isinstance(self.min_leaf, numbers.Integral) or self.min_leaf < 1:
-            raise UsageError(f"min_leaf must be an integer >= 1, got {self.min_leaf!r}")
-        if self.feature_subsample is not None and (
-                not isinstance(self.feature_subsample, numbers.Integral)
-                or self.feature_subsample < 1):
-            raise UsageError("feature_subsample must be None or an integer >= 1, "
-                             f"got {self.feature_subsample!r}")
+    def __post_init__(self):  # plain ints: the model file's meta is JSON
+        for name, low in (("max_depth", 0), ("min_leaf", 1), ("feature_subsample", 1)):
+            value = getattr(self, name)
+            if value is not None or name == "min_leaf":
+                object.__setattr__(self, name, integer(value, name, low))
 
 
 class _Gini:

@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._checks import integer
 from .classifiers import load_model, predict, save_model
 from .dataset_io import (
     GPU_SENSORS,
@@ -774,6 +775,7 @@ def main(argv=None) -> int:
 
     start = time.monotonic()
     try:
+        integer(args.seed, "--seed", 0)  # every stage seeds a SeedSequence with it
         result = args.func(args)
         _write_manifest(args, result, time.monotonic() - start)
     except UsageError as exc:

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import integer
 from .dataset_io import GPU_SENSORS
-from .errors import DegenerateInputError, ShapeMismatchError, UsageError
+from .errors import DegenerateInputError, ShapeMismatchError
 
 
 @dataclass(frozen=True)
@@ -175,14 +176,13 @@ def fit_pca(matrix: np.ndarray, k: int) -> PcaModel:
     larger k, so one fit at the largest k serves every smaller k.
 
     Raises:
-        UsageError: k < 1.
+        UsageError: k is not an integer >= 1.
         DegenerateInputError: fewer rows than k.
     """
     x = np.asarray(matrix, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeMismatchError(f"expected a trials x features matrix, got {x.shape}")
-    if k < 1:
-        raise UsageError(f"k must be >= 1, got {k}")
+    k = integer(k, "k", 1)
     n, d = x.shape
     if n < k:
         raise DegenerateInputError(f"need at least k={k} rows, got {n}")

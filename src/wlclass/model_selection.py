@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import integer, integer_labels
 from .classifiers import (
     GbtParams,
     KernelSpec,
@@ -34,7 +35,6 @@ from .classifiers import (
     train_gbt,
     train_svm_multiclass,
 )
-from .classifiers._checks import integer_labels, is_integer
 from .dataset_io import read_bundle, read_challenge_archive, write_bundle
 from .errors import (
     BadKError,
@@ -106,10 +106,8 @@ class ReductionSpec:
             raise UsageError(f"reduction must be cov or pca, got {self.kind!r}")
         if (self.kind == "pca") != (self.k is not None):
             raise UsageError("k is required for pca and only for pca")
-        if self.k is not None:
-            if not is_integer(self.k) or self.k < 1:
-                raise UsageError(f"k must be an integer >= 1, got {self.k!r}")
-            object.__setattr__(self, "k", int(self.k))  # plain int: bundle meta is JSON
+        if self.k is not None:  # a plain int: bundle meta is JSON
+            object.__setattr__(self, "k", integer(self.k, "k", 1))
 
     @classmethod
     def parse(cls, token: str) -> "ReductionSpec":
@@ -235,11 +233,9 @@ class GridSpec:
         for name, values in self.hyperparameter_grid.items():
             if not values:
                 raise UsageError(f"grid list for {name!r} is empty")
-        if is_integer(self.folds):
-            object.__setattr__(self, "folds", int(self.folds))
-        folds = self.effective_folds
-        if not is_integer(folds) or folds < 2:
-            raise BadKError(f"folds must be an integer >= 2, got {folds!r}")
+        if self.folds is not None:
+            object.__setattr__(self, "folds", integer(self.folds, "folds", 2, BadKError))
+        object.__setattr__(self, "seed", integer(self.seed, "seed", 0))
 
     @property
     def effective_folds(self) -> int:
@@ -308,11 +304,12 @@ def kfold_indices(n: int, k: int, labels, seed: int) -> list:
 
     Raises:
         BadKError: k is not an integer in [2, n].
+        UsageError: seed is not an integer >= 0.
         LabelOutOfRangeError: a label is not an integer.
     """
-    if not is_integer(k) or k < 2 or k > n:
-        raise BadKError(f"k must be an integer in [2, {n}], got {k!r}")
-    k = int(k)
+    k, seed = integer(k, "k", 2, BadKError), integer(seed, "seed", 0)
+    if k > n:
+        raise BadKError(f"k must be an integer in [2, {n}], got {k}")
     labels = integer_labels(labels)
     if len(labels) != n:
         raise ShapeMismatchError(f"{len(labels)} labels for n={n}")
@@ -561,11 +558,15 @@ def reproduce_table(
     error is the caller's policy (``reproduce --strict``).
 
     Raises:
-        UsageError: no family, or one outside MODEL_FAMILIES.
+        UsageError: no family, one outside MODEL_FAMILIES, or no pca_ks
+            while svm or rf puts a pca row in the table.
         MissingArchiveError: no recognized dataset name is present.
     """
     if not families or not set(families) <= set(MODEL_FAMILIES):
         raise UsageError(f"families must be among {', '.join(MODEL_FAMILIES)}, got {families}")
+    variants = [v for v, (fam, _) in TABLE_VARIANTS.items() if fam in families]
+    if not pca_ks and any(TABLE_VARIANTS[v][1] == "pca" for v in variants):
+        raise UsageError("pca_ks must be non-empty for the pca rows of svm and rf")
     grids = grids or BASELINE_GRIDS
     columns = [name for name in DATASET_COLUMNS if name in archives]
     if not columns:
@@ -573,7 +574,6 @@ def reproduce_table(
             f"no recognized dataset names among {sorted(archives)}; expected {DATASET_COLUMNS}"
         )
 
-    variants = [v for v, (fam, _) in TABLE_VARIANTS.items() if fam in families]
     accuracies = {variant: {} for variant in variants}
     provenance = {}
     for column in columns:

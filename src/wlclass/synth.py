@@ -11,11 +11,11 @@ by (corpus seed, class index, job index), so the corpus is byte-identical
 across runs, and trials always come out in (class, job) order.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import integer, real
 from .dataset_io import GPU_SENSORS, RawTrial
 from .errors import NotPositiveDefiniteError, UsageError
 
@@ -92,15 +92,15 @@ class SynthClassSpec:
             raise UsageError(f"mean_profile needs {m} entries, got {len(self.mean_profile)}")
         if len(self.noise_scale) != m:
             raise UsageError(f"noise_scale needs {m} entries, got {len(self.noise_scale)}")
-        if not all(0 <= s < math.inf for s in self.noise_scale):
-            raise UsageError("noise_scale entries must be finite and non-negative, "
-                             f"got {self.noise_scale}")
         _cholesky_or_raise(self.correlation, self.class_name)
         lo, hi = self.length_range
-        if not (1 <= lo <= hi):
-            raise UsageError(f"length_range must satisfy 1 <= min <= max, got {self.length_range}")
-        if self.job_count < 1:
-            raise UsageError(f"job_count must be >= 1, got {self.job_count}")
+        checked = {  # plain values, whatever numbers the caller passed
+            "noise_scale": tuple(real(s, "noise_scale", 0) for s in self.noise_scale),
+            "length_range": (integer(lo, "length_range min", 1), integer(hi, "length_range", lo)),
+            "job_count": integer(self.job_count, "job_count", 1),
+        }
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
 
     @property
     def cholesky(self) -> np.ndarray:
@@ -119,8 +119,8 @@ class SynthCorpusSpec:
         names = [c.class_name for c in self.classes]
         if len(set(names)) != len(names):
             raise UsageError("class names must be unique")
-        if self.warmup_samples < 0:
-            raise UsageError("warmup_samples must be >= 0")
+        for name in ("seed", "warmup_samples"):
+            object.__setattr__(self, name, integer(getattr(self, name), name, 0))
 
     @property
     def warmup_profile(self) -> np.ndarray:
@@ -232,6 +232,7 @@ def make_corpus_spec(
 ) -> SynthCorpusSpec:
     """Corpus spec with distinct seeded correlations and a shared mean profile."""
     names = list(class_names)
+    seed = integer(seed, "seed", 0)
     correlations = _build_correlations(len(names), seed)
     m = len(GPU_SENSORS)
     classes = tuple(
@@ -241,7 +242,7 @@ def make_corpus_spec(
             correlation=tuple(map(tuple, correlations[i])),
             noise_scale=(noise,) * m,
             length_range=tuple(length_range),
-            job_count=int(count),
+            job_count=count,
         )
         for i, (name, count) in enumerate(zip(names, job_counts))
     )
@@ -260,8 +261,7 @@ def default_26_class_spec(
     warmup_samples: int = 0,
 ) -> SynthCorpusSpec:
     """The full taxonomy with job counts scaled proportionally (minimum 3)."""
-    if not 0 < scale < math.inf:
-        raise UsageError(f"scale must be finite and positive, got {scale}")
+    scale = real(scale, "scale", 0, above=True)
     names = [name for name, _ in CLASS_JOB_COUNTS]
     counts = [scaled_job_count(count, scale) for _, count in CLASS_JOB_COUNTS]
     return make_corpus_spec(

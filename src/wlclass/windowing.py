@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import integer
 from .dataset_io import ChallengeDataset, RawTrial
 from .errors import (
     EmptyInputError,
@@ -38,10 +39,11 @@ class WindowPolicy:
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
             raise UsageError(f"policy kind must be one of {POLICY_KINDS}, got {self.kind!r}")
-        if self.length < 1:
-            raise UsageError(f"window length must be >= 1, got {self.length}")
+        object.__setattr__(self, "length", integer(self.length, "length", 1))
         if (self.seed is None) == (self.kind == "random"):
             raise UsageError("seed is required for the random policy and only for it")
+        if self.seed is not None:
+            object.__setattr__(self, "seed", integer(self.seed, "seed", 0))
 
 
 @dataclass
@@ -102,10 +104,12 @@ def split_jobs_by_class(trials, split_ratio: float, split_seed: int):
     is round(ratio * n_jobs) clamped to [1, n_jobs - 1].
 
     Raises:
+        UsageError: split_ratio outside (0, 1), or split_seed not an integer >= 0.
         TooFewTrialsError: some class has fewer than two jobs.
     """
     if not 0.0 < split_ratio < 1.0:
         raise UsageError(f"split ratio must be in (0, 1), got {split_ratio}")
+    split_seed = integer(split_seed, "split_seed", 0)
     job_label: dict[str, int] = {}
     for t in trials:
         prior = job_label.setdefault(t.job_id, t.label)

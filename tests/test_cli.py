@@ -59,6 +59,13 @@ def run_chain(d, seed=7):
                  "--in", str(d / "feat.npz"), "--out", str(d / "report.jsonl")]) == 0
 
 
+@pytest.fixture(scope="module")
+def chain(tmp_path_factory):
+    d = tmp_path_factory.mktemp("chain")
+    run_chain(d)
+    return d
+
+
 class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
@@ -120,15 +127,27 @@ class TestExitCodes:
         assert "2 of 2 SVM machines did not converge" in capsys.readouterr().err
         assert main(args + ["--allow-nonconverged"]) == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--classes", "4", "--jobs-per-class", "3", "--length-min", "20",
+         "--length-max", "20"],
+        ["window", "--in", "{d}/corpus.csv", "--policy", "random"],
+        ["gridsearch", "--in", "{d}/arc.npz", "--family", "rf", "--n-trees", "2",
+         "--folds", "2"],
+        ["reproduce", "--manifest", "{t}/archives.json", "--families", "rf",
+         "--rf-trees", "2", "--pca-ks", "4", "--folds", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed_is_usage(self, chain, tmp_path, capsys, argv):
+        """Every stage seeds a SeedSequence, which takes no negative seed."""
+        (tmp_path / "archives.json").write_text(json.dumps({"60-middle-1": str(chain / "arc.npz")}))
+        out = tmp_path / "out"
+        argv = [arg.format(d=chain, t=tmp_path) for arg in argv]
+        assert main([*argv, "--seed", "-1", "--out", str(out)]) == 1
+        assert "usage error: --seed" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFileErrors:
     """A path the OS refuses is a data error (exit 2), never a traceback."""
-
-    @pytest.fixture(scope="class")
-    def chain(self, tmp_path_factory):
-        d = tmp_path_factory.mktemp("chain")
-        run_chain(d)
-        return d
 
     @pytest.mark.parametrize("argv", [
         ["train", "--in", "{d}/feat.npz", "--model", "rf", "--n-trees", "2",
@@ -532,6 +551,9 @@ class TestFamilyParameterFlags:
         ["gridsearch", "--family", "svm", "--c", "inf"],
         ["synth", "--classes", "26", "--scale", "nan"],
         ["synth", "--noise", "nan"],
+        ["train", "--model", "svm", "--tol", "-1", "--allow-nonconverged"],
+        ["train", "--model", "svm", "--max-iter", "0", "--allow-nonconverged"],
+        ["gridsearch", "--family", "svm", "--max-iter", "0", "--allow-nonconverged"],
         ["gridsearch", "--family", "rf", "--n-trees", "2", "--reductions", "pca-\u0663"],
     ], ids=" ".join)
     def test_bad_parameter_values_are_usage(self, data, tmp_path, capsys, argv):
@@ -605,6 +627,17 @@ class TestReproduceCli:
         assert main(["reproduce", "--manifest", str(manifest), "--families", "xgb",
                      "--out", str(out)]) == 1
         assert not out.exists()
+
+    def test_empty_pca_ks_is_usage(self, tmp_path, capsys):
+        self.make_archive(tmp_path / "m1.npz", seed=1)
+        manifest = tmp_path / "archives.json"
+        manifest.write_text(json.dumps({"60-middle-1": str(tmp_path / "m1.npz")}))
+        out = tmp_path / "t.jsonl"
+        for ks in ("", ","):
+            assert main(["reproduce", "--manifest", str(manifest), "--families", "rf",
+                         "--pca-ks", ks, "--out", str(out)]) == 1
+            assert "usage error: pca_ks" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_bad_manifest_is_data_error(self, tmp_path):
         manifest = tmp_path / "archives.json"

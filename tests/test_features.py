@@ -322,6 +322,8 @@ class TestPca:
         x = np.zeros((5, 4))
         with pytest.raises(UsageError):
             fit_pca(x, 0)
+        with pytest.raises(UsageError, match="k must be an integer"):
+            fit_pca(x, 2.5)
         with pytest.raises(DegenerateInputError):
             fit_pca(x, 6)
         model = fit_pca(np.random.default_rng(0).normal(size=(6, 4)), 2)

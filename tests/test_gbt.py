@@ -140,6 +140,10 @@ class TestGbtTraining:
             with pytest.raises(UsageError):
                 GbtParams(**bad)
         assert GbtParams(gamma=np.inf).gamma == np.inf  # never split
+        for bad in ({"base_score": np.nan}, {"base_score": np.inf}, {"learning_rate": True},
+                    {"learning_rate": 10**400}):  # no float holds it
+            with pytest.raises(UsageError, match=next(iter(bad))):
+                GbtParams(**bad)
 
     @pytest.mark.parametrize("name", ["rounds", "max_depth"])
     def test_integer_params_refuse_bools_and_save_numpy_ints(self, name):
@@ -149,6 +153,16 @@ class TestGbtTraining:
             GbtParams(**{name: True})
         params = GbtParams(**{name: np.int32(2)})
         assert type(getattr(params, name)) is int
+        X, y = self.data(seed=3)
+        loaded, _ = deserialize_model(serialize_model(train_gbt(X, y, params)))
+        assert loaded.params == params
+
+    @pytest.mark.parametrize("name", ["learning_rate", "gamma", "alpha", "reg_lambda",
+                                      "base_score"])
+    def test_float_params_save_numpy_floats(self, name):
+        """A NumPy float is stored as a plain float, so its model saves and loads."""
+        params = GbtParams(rounds=2, **{name: np.float32(0.5)})
+        assert type(getattr(params, name)) is float
         X, y = self.data(seed=3)
         loaded, _ = deserialize_model(serialize_model(train_gbt(X, y, params)))
         assert loaded.params == params

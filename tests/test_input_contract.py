@@ -15,7 +15,7 @@ from wlclass.classifiers import (
     train_tree,
     tree_predict,
 )
-from wlclass.classifiers._checks import labelled_rows
+from wlclass._checks import labelled_rows
 from wlclass.errors import (
     DegenerateInputError,
     EmptyInputError,

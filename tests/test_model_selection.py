@@ -92,6 +92,8 @@ class TestKfold:
             kfold_indices(10, 1, labels, seed=0)
         with pytest.raises(BadKError):
             kfold_indices(10, 11, labels, seed=0)
+        with pytest.raises(UsageError, match="seed"):
+            kfold_indices(10, 2, np.arange(10) % 2, seed=-1)
 
     @pytest.mark.parametrize("k", [2.5, np.float64(2.0), True, "2", np.int64(2)])
     def test_k_must_be_an_integer(self, k):
@@ -161,6 +163,8 @@ class TestGridSpec:
             GridSpec("rf", {"n_trees": []}, reductions)
         with pytest.raises(BadKError):
             GridSpec("rf", {"n_trees": [5]}, reductions, folds=1)
+        with pytest.raises(UsageError, match="seed"):
+            GridSpec("rf", {"n_trees": [5]}, reductions, seed=-1)
 
     @pytest.mark.parametrize("folds", [2.5, np.float64(3.0), True, "3", np.int64(3)])
     def test_folds_must_be_an_integer(self, folds):
@@ -632,6 +636,17 @@ class TestReproduceTable:
         with pytest.raises(UsageError):
             reproduce_table(archives, families=(), loader=calls.append)
         assert calls == []
+
+    def test_empty_pca_ks_refused_for_pca_rows(self):
+        """svm and rf have a pca row, which needs a k; a gbt-only table has none."""
+        calls = []
+        archives = {name: name for name in DATASET_COLUMNS}
+        for families in (("svm",), ("rf",), ("gbt", "rf")):
+            with pytest.raises(UsageError, match="pca_ks"):
+                reproduce_table(archives, families=families, pca_ks=(), loader=calls.append)
+        assert calls == []
+        with pytest.raises(MissingArchiveError):  # past the pca_ks check
+            reproduce_table({}, families=("gbt",), pca_ks=())
 
     def test_missing_archive_is_an_error(self):
         with pytest.raises(MissingArchiveError):

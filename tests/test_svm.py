@@ -171,6 +171,12 @@ class TestBinarySmo:
             train_svm_binary(np.zeros((2, 2)), np.array([0, 1]), 1.0, LINEAR)
         with pytest.raises(UsageError):
             train_svm_binary(np.array([[1.0], [-1.0]]), np.array([1, -1]), -1.0, LINEAR)
+        X, y = np.array([[1.0], [-1.0]]), np.array([1, -1])
+        for bad in ({"tol": 0.0}, {"tol": -1.0}, {"max_iter": 0}, {"max_iter": 2.5}):
+            with pytest.raises(UsageError, match=next(iter(bad))):
+                train_svm_binary(X, y, 1.0, LINEAR, **bad)
+            with pytest.raises(UsageError, match=next(iter(bad))):
+                train_svm_multiclass(np.array([[1.0], [0.0], [-1.0]]), [0, 1, 2], 1.0, **bad)
 
 
 class TestKernels:
@@ -199,6 +205,16 @@ class TestKernels:
             KernelSpec("rbf")
         with pytest.raises(UsageError):
             KernelSpec("linear", gamma=0.5)
+        with pytest.raises(UsageError, match="gamma"):
+            KernelSpec("rbf", True)
+
+    def test_numpy_float_gamma_saves(self):
+        """A NumPy float gamma is stored as a plain float, so its model saves and loads."""
+        kernel = KernelSpec("rbf", np.float32(0.5))
+        assert type(kernel.gamma) is float
+        X, y = blobs()
+        loaded, _ = deserialize_model(serialize_model(train_svm_multiclass(X, y, 1.0, kernel)))
+        assert loaded.kernel == kernel
 
 
 def blobs(seed=12, n_per=15, centers=((0, 0), (8, 8), (0, 8))):

@@ -66,6 +66,10 @@ class TestSpecValidation:
             SynthClassSpec("x", (0.0,) * M, tuple(map(tuple, np.eye(M))), (0.0,) * M, (5, 4), 1)
         with pytest.raises(UsageError):
             SynthClassSpec("x", (0.0,) * M, tuple(map(tuple, np.eye(M))), (0.0,) * M, (5, 5), 0)
+        with pytest.raises(UsageError, match="job_count"):
+            SynthClassSpec("x", (0.0,) * M, tuple(map(tuple, np.eye(M))), (0.0,) * M, (5, 5), 2.5)
+        with pytest.raises(UsageError, match="job_count"):
+            default_4_class_spec(seed=0, jobs_per_class=2.5)
 
     def test_corpus_validation(self):
         cls = one_class_spec(np.eye(M)).classes[0]
@@ -75,6 +79,10 @@ class TestSpecValidation:
             SynthCorpusSpec(classes=(cls, cls), seed=0)
         with pytest.raises(UsageError):
             SynthCorpusSpec(classes=(cls,), seed=0, warmup_samples=-1)
+        with pytest.raises(UsageError, match="seed"):
+            SynthCorpusSpec(classes=(cls,), seed=-1)
+        with pytest.raises(UsageError, match="seed"):
+            make_corpus_spec(["a", "b"], [3, 3], seed=-1)
 
 
 class TestBookkeeping:

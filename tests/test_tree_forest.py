@@ -168,6 +168,9 @@ class TestTree:
                     {"feature_subsample": 2.5}):
             with pytest.raises(UsageError, match=next(iter(bad))):
                 TreeParams(**bad)
+        for name in ("max_depth", "min_leaf", "feature_subsample"):
+            with pytest.raises(UsageError, match=name):
+                TreeParams(**{name: True})
         assert TreeParams(max_depth=None).max_depth is None
         assert TreeParams(max_depth=0, min_leaf=1).max_depth == 0
         assert TreeParams(feature_subsample=1).feature_subsample == 1

@@ -28,6 +28,8 @@ class TestPolicyValidation:
     def test_random_requires_seed(self):
         with pytest.raises(UsageError):
             WindowPolicy("random")
+        with pytest.raises(UsageError, match="seed"):
+            WindowPolicy("random", seed=-1)
 
     def test_seed_only_for_random(self):
         with pytest.raises(UsageError):
@@ -40,6 +42,9 @@ class TestPolicyValidation:
     def test_bad_length(self):
         with pytest.raises(UsageError):
             WindowPolicy("start", length=0)
+        for bad in (2.5, 30.0, True):
+            with pytest.raises(UsageError, match="length"):
+                WindowPolicy("start", length=bad)
 
 
 class TestFilter:
@@ -177,6 +182,10 @@ class TestSplit:
     def test_bad_ratio(self):
         with pytest.raises(UsageError):
             split_jobs_by_class(labelled_corpus([4]), 1.0, 0)
+        with pytest.raises(UsageError, match="split_seed"):
+            split_jobs_by_class(labelled_corpus([4]), 0.5, -1)
+        with pytest.raises(UsageError, match="split_seed"):
+            build_challenge_dataset(labelled_corpus([4]), WindowPolicy("start"), split_seed=-1)
 
 
 class TestBuildDataset:
