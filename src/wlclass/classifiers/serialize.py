@@ -105,11 +105,15 @@ def _forest_parts(model: ForestModel):
 
 
 def _forest_from(meta, bundle) -> ForestModel:
-    feature_count, class_count = (integer(meta[name], name, 1, ModelFormatError)
-                                  for name in ("feature_count", "class_count"))
+    feature_count, class_count, seed, min_leaf = (
+        integer(meta[name], name, low, ModelFormatError) for name, low in
+        (("feature_count", 1), ("class_count", 1), ("seed", 0), ("min_leaf", 1)))
+    max_depth = meta["max_depth"]  # None: no limit
+    if max_depth is not None:
+        max_depth = integer(max_depth, "max_depth", 0, ModelFormatError)
     n_trees = len(bundle["roots"])  # one tree per root
     return ForestModel(table=_table(bundle, n_trees, feature_count, class_count, False),
-                       **{name: meta[name] for name in _FOREST_FIELDS if name != "feature_count"})
+                       seed=seed, class_count=class_count, max_depth=max_depth, min_leaf=min_leaf)
 
 
 def _svm_parts(model: SvmEnsemble):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import integer
+from ._checks import integer, real
 from .dataset_io import ChallengeDataset, RawTrial
 from .errors import (
     EmptyInputError,
@@ -104,11 +104,12 @@ def split_jobs_by_class(trials, split_ratio: float, split_seed: int):
     is round(ratio * n_jobs) clamped to [1, n_jobs - 1].
 
     Raises:
-        UsageError: split_ratio outside (0, 1), or split_seed not an integer >= 0.
+        UsageError: split_ratio not a number in (0, 1), or split_seed not an integer >= 0.
         TooFewTrialsError: some class has fewer than two jobs.
     """
-    if not 0.0 < split_ratio < 1.0:
-        raise UsageError(f"split ratio must be in (0, 1), got {split_ratio}")
+    split_ratio = real(split_ratio, "split_ratio", 0, above=True)
+    if split_ratio >= 1.0:
+        raise UsageError(f"split_ratio must be in (0, 1), got {split_ratio!r}")
     split_seed = integer(split_seed, "split_seed", 0)
     job_label: dict[str, int] = {}
     for t in trials:

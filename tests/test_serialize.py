@@ -310,6 +310,20 @@ class TestMalformedModelFiles:
         counts[moved] += 1
         np.testing.assert_array_equal(loaded.split_counts, counts)
 
+    @pytest.mark.parametrize("name, value", [
+        ("seed", "x"), ("seed", -1), ("max_depth", -5), ("max_depth", 2.0),
+        ("min_leaf", 2.5), ("min_leaf", 0)])
+    def test_forest_limits_and_seed_checked(self, name, value):
+        _, _, models = trained_models()
+        with pytest.raises(ModelFormatError, match=name):
+            deserialize_model(self.tampered(models["forest"], set_meta((name,), value)))
+
+    def test_forest_without_depth_limit_loads(self):
+        X, y = sample_problem()
+        forest = train_forest(X, y, n_trees=2, seed=3, max_depth=None, min_leaf=2)
+        loaded, _ = deserialize_model(serialize_model(forest))
+        assert (loaded.seed, loaded.max_depth, loaded.min_leaf) == (3, None, 2)
+
     def test_unknown_kind(self):
         _, _, models = trained_models()
         for kind in ("mystery", None, ["forest"]):

@@ -392,3 +392,105 @@ class TestDeepTrees:
         write_feature_set(feat, X, y, X[:10], y[:10], {"class_names": ["even", "odd"]})
         assert main(["train", "--in", str(feat), "--model", "rf", "--n-trees", "3",
                      "--out", str(tmp_path / "model.wlc1")]) == 0
+
+
+def reference_apply(table, X):
+    """apply() one row and one tree at a time: follow left or right until LEAF."""
+    feature, threshold, left, right = (getattr(table, name).tolist()
+                                       for name in ("feature", "threshold", "left", "right"))
+    leaves = np.empty((len(X), len(table.roots)), dtype=np.int64)
+    for r, x in enumerate(X.tolist()):
+        for t, node in enumerate(table.roots.tolist()):
+            while left[node] != LEAF:
+                node = left[node] if x[feature[node]] <= threshold[node] else right[node]
+            leaves[r, t] = node
+    return leaves
+
+
+class TestApply:
+    """apply() reaches the reference walk's leaf for every row and tree."""
+
+    def problem(self, seed=21, n=90, d=4):
+        rng = np.random.default_rng(seed)
+        X = np.round(rng.normal(size=(n, d)), 1)
+        return X, (X[:, 0] + X[:, 1] > 0).astype(int) + 2 * (rng.random(n) < 0.3)
+
+    def queries(self, table, seed=22):
+        """Ordinary rows, rows holding NaN and +-inf, and rows whose every value
+        equals some split threshold on its feature."""
+        rng = np.random.default_rng(seed)
+        d = table.feature_count
+        X = np.round(rng.normal(size=(60, d)), 1)
+        special = rng.random((40, d))
+        odd = np.where(special < 0.2, np.nan, np.where(special < 0.35, np.inf,
+                       np.where(special < 0.5, -np.inf, X[:40])))
+        split = table.feature != LEAF
+        at = [table.threshold[split & (table.feature == f)] for f in range(d)]
+        ties = np.array([[rng.choice(at[f]) if at[f].size else 0.0 for f in range(d)]
+                         for _ in range(40)])
+        return np.vstack([X, odd, ties, np.full((1, d), np.nan), np.full((1, d), np.inf),
+                          np.full((1, d), -np.inf)])
+
+    def assert_exact(self, table, X):
+        leaves = table.apply(X)
+        assert leaves.shape == (len(X), len(table.roots))
+        np.testing.assert_array_equal(leaves, reference_apply(table, X))
+        return leaves
+
+    def test_forests(self):
+        X, y = self.problem()
+        for depth, leaf in ((None, 1), (3, 2)):
+            forest = train_forest(X, y, n_trees=7, seed=4, max_depth=depth, min_leaf=leaf)
+            self.assert_exact(forest.table, self.queries(forest.table))
+
+    def test_gbt_stacked_table(self):
+        X, y = self.problem(seed=23)
+        model = train_gbt(X, y, GbtParams(rounds=4, max_depth=3))
+        table = model.table
+        assert len(table.roots) == 4 * model.class_count
+        self.assert_exact(table, self.queries(table))
+
+    def test_loaded_models(self):
+        X, y = self.problem(seed=24)
+        for model in (train_forest(X, y, n_trees=5, seed=2),
+                      train_gbt(X, y, GbtParams(rounds=3, max_depth=4))):
+            loaded, _ = deserialize_model(serialize_model(model))
+            Q = self.queries(loaded.table)
+            np.testing.assert_array_equal(self.assert_exact(loaded.table, Q), model.table.apply(Q))
+
+    def test_one_class_forest_stays_at_its_roots(self):
+        X, _ = self.problem(seed=25)
+        forest = train_forest(X, np.zeros(len(X), dtype=int), n_trees=3, seed=0)
+        assert (forest.table.feature == LEAF).all()
+        leaves = self.assert_exact(forest.table, self.queries(forest.table))
+        np.testing.assert_array_equal(leaves, np.broadcast_to(forest.table.roots, leaves.shape))
+
+    def test_deep_chain(self):
+        X, y = TestDeepTrees().chain()
+        forest = train_forest(X, y, n_trees=3, seed=0)
+        queries = np.vstack([X, X[::7] + 0.5, [[np.nan], [np.inf], [-np.inf]]])
+        self.assert_exact(forest.table, queries)
+
+    def test_zero_rows(self):
+        X, y = self.problem(seed=26)
+        forest = train_forest(X, y, n_trees=4, seed=1)
+        assert self.assert_exact(forest.table, np.zeros((0, X.shape[1]))).shape == (0, 4)
+
+    def test_nan_and_inf_routing(self):
+        """NaN fails every <= test and goes right, like +inf; -inf goes left."""
+        X, y = self.problem(seed=27)
+        table = train_forest(X, y, n_trees=4, seed=3).table
+
+        def edge_leaves(child):
+            leaves = []
+            for node in table.roots.tolist():
+                while child[node] != LEAF:
+                    node = child[node]
+                leaves.append(node)
+            return leaves
+
+        d = X.shape[1]
+        rows = np.array([[np.nan] * d, [np.inf] * d, [-np.inf] * d])
+        np.testing.assert_array_equal(
+            table.apply(rows), [edge_leaves(table.right), edge_leaves(table.right),
+                                edge_leaves(table.left)])

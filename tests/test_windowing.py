@@ -182,6 +182,9 @@ class TestSplit:
     def test_bad_ratio(self):
         with pytest.raises(UsageError):
             split_jobs_by_class(labelled_corpus([4]), 1.0, 0)
+        for ratio in ("0.5", 0.0, float("nan"), True):
+            with pytest.raises(UsageError, match="split_ratio"):
+                split_jobs_by_class(labelled_corpus([4]), ratio, 0)
         with pytest.raises(UsageError, match="split_seed"):
             split_jobs_by_class(labelled_corpus([4]), 0.5, -1)
         with pytest.raises(UsageError, match="split_seed"):
