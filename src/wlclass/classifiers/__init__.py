@@ -4,16 +4,7 @@ from ..errors import ShapeMismatchError
 from .forest import ForestModel, forest_votes, train_forest
 from .gbt import GbtModel, GbtParams, feature_importance_report, train_gbt
 from .serialize import deserialize_model, load_model, save_model, serialize_model
-from .svm import (
-    KernelSpec,
-    SvmBinary,
-    SvmEnsemble,
-    default_gamma,
-    dual_objective,
-    kernel_matrix,
-    train_svm_binary,
-    train_svm_multiclass,
-)
+from .svm import KernelSpec, SvmEnsemble, default_gamma, kernel_matrix, train_svm_multiclass
 from .tree import NodeTable, TreeParams, stack_tables, train_tree, tree_predict
 
 __all__ = [
@@ -22,12 +13,10 @@ __all__ = [
     "GbtParams",
     "KernelSpec",
     "NodeTable",
-    "SvmBinary",
     "SvmEnsemble",
     "TreeParams",
     "default_gamma",
     "deserialize_model",
-    "dual_objective",
     "feature_importance_report",
     "forest_votes",
     "kernel_matrix",
@@ -38,7 +27,6 @@ __all__ = [
     "stack_tables",
     "train_forest",
     "train_gbt",
-    "train_svm_binary",
     "train_svm_multiclass",
     "train_tree",
     "tree_predict",

@@ -11,8 +11,10 @@ as far as the box allows. It stops when m - M < tol, where m is the
 largest v over I_up and M the smallest over I_low (Keerthi et al. 2001:
 one gap, not Platt's single threshold). The bias is the mean v over the
 free multipliers, or the midpoint of m and M when none is free.
-Multiclass is one-vs-rest with argmax over decision values; every
-machine is solved against one shared kernel matrix. The ensemble holds
+The one model is a one-vs-rest ensemble with argmax over decision
+values: machine c is _solve_dual with labels +1 for class c and -1 for
+the rest, and every machine is solved against one shared kernel matrix
+(tests check _solve_dual itself against a brute-force QP). The ensemble holds
 the union of the machines' support rows once, as LIBSVM does: one
 vector per row and a rows x classes matrix of alpha * y (model format 4
 stores exactly these arrays).
@@ -22,7 +24,7 @@ error; the machine is recorded with converged=False and callers decide
 what that means.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,12 +47,6 @@ class KernelSpec:
             raise UsageError("linear kernel takes no gamma")
         if self.name == "rbf":  # a plain float: the model file's meta is JSON
             object.__setattr__(self, "gamma", real(self.gamma, "gamma", 0, above=True))
-
-
-def _check_solver(C, tol, max_iter) -> tuple:
-    """(C, tol, max_iter) as plain values: C > 0, tol > 0, max_iter >= 1."""
-    return (real(C, "C", 0, above=True), real(tol, "tol", 0, above=True),
-            integer(max_iter, "max_iter", 1))
 
 
 def default_gamma(X) -> float:
@@ -83,38 +79,6 @@ class SolverRecord:
     converged: bool
     updates: int
     kkt_gap: float
-
-
-@dataclass
-class SvmBinary:
-    """One trained binary machine; f(x) = sum_i alpha_i y_i K(x_i, x) + bias.
-
-    Only support rows are kept: alphas[j] is the multiplier of training
-    row support_indices[j]; every other row's is 0. n_train is the
-    training-row count, the bound on support_indices. updates and
-    kkt_gap are the solver's pair updates and final m - M.
-    """
-
-    alphas: np.ndarray
-    bias: float
-    support_indices: np.ndarray
-    support_vectors: np.ndarray
-    support_labels: np.ndarray
-    kernel: KernelSpec
-    C: float
-    converged: bool
-    n_train: int
-    updates: int
-    kkt_gap: float
-
-    def decision_function(self, X) -> np.ndarray:
-        X = query_rows(X, self.support_vectors.shape[1])
-        K = kernel_matrix(self.kernel, X, self.support_vectors)
-        coef = self.alphas * self.support_labels
-        return K @ coef + self.bias
-
-    def predict(self, X) -> np.ndarray:
-        return np.where(self.decision_function(X) >= 0.0, 1, -1).astype(np.int64)
 
 
 def _solve_dual(K, y, C, tol, max_iter) -> tuple:
@@ -152,45 +116,6 @@ def _solve_dual(K, y, C, tol, max_iter) -> tuple:
     free = (alpha > 0.0) & (alpha < C)
     bias = float(v[free].mean()) if free.any() else float((m + M) / 2.0)
     return alpha, bias, SolverRecord(bool(m - M < tol), updates, float(m - M))
-
-
-def train_svm_binary(
-    X, y, C: float, kernel: KernelSpec | None = None, tol: float = 1e-3, max_iter: int = 2000
-) -> SvmBinary:
-    """Solve the dual soft-margin problem for labels in {-1, +1}.
-
-    At most max_iter x len(y) pair updates are taken. Inputs are checked
-    by labelled_rows.
-
-    Raises:
-        ClassAbsentError: only one sign present.
-        UsageError: C or tol not finite and positive, max_iter below 1, or labels not -1/+1.
-    """
-    y = np.asarray(y)
-    X, _, _ = labelled_rows(X, y == 1, 2)  # shape, rows, finite; the signs are checked next
-    if not set(np.unique(y)) <= {-1, 1}:
-        raise UsageError("binary labels must be -1 or +1")
-    if len(np.unique(y)) < 2:
-        raise ClassAbsentError("need at least one example of each sign")
-    C, tol, max_iter = _check_solver(C, tol, max_iter)
-    if kernel is None:
-        kernel = KernelSpec("rbf", default_gamma(X))
-    alpha, bias, record = _solve_dual(kernel_matrix(kernel, X, X), y, C, tol, max_iter)
-    support = np.nonzero(alpha > 0.0)[0]
-    return SvmBinary(alphas=alpha[support], bias=bias, support_indices=support,
-                     support_vectors=X[support], support_labels=y[support].astype(np.float64),
-                     kernel=kernel, C=C, n_train=len(y), **asdict(record))
-
-
-def dual_objective(machine: SvmBinary, X, y) -> float:
-    """Value of the dual at the machine's multipliers (for verification).
-
-    Only support rows carry a nonzero multiplier, so only they enter.
-    """
-    rows = machine.support_indices
-    X = np.asarray(X, dtype=np.float64)[rows]
-    coef = machine.alphas * np.asarray(y, dtype=np.float64)[rows]
-    return float(machine.alphas.sum() - 0.5 * coef @ kernel_matrix(machine.kernel, X, X) @ coef)
 
 
 @dataclass
@@ -246,7 +171,8 @@ def train_svm_multiclass(
     X, y, n_classes = labelled_rows(X, y, n_classes)
     if n_classes < 2:
         raise UsageError("multiclass training needs at least 2 classes")
-    C, tol, max_iter = _check_solver(C, tol, max_iter)
+    C, tol = real(C, "C", 0, above=True), real(tol, "tol", 0, above=True)
+    max_iter = integer(max_iter, "max_iter", 1)
     present = np.bincount(y, minlength=n_classes)
     for c in range(n_classes):
         if present[c] == 0:

@@ -52,7 +52,6 @@ from .model_selection import (
     FAMILY_PARAMS,
     MODEL_FAMILIES,
     PCA_GRID_KS,
-    REFERENCE_ACCURACY,
     GridSpec,
     ReductionSpec,
     evaluate,
@@ -588,14 +587,13 @@ def cmd_reproduce(args) -> StageResult:
         records.append({"record": "missing", "dataset": name})
     for row in table["rows"]:
         variant = row["variant"]
-        reference = dict(zip(DATASET_COLUMNS, REFERENCE_ACCURACY.get(variant, ())))
         for column in table["columns"]:
             records.append({
                 "record": "cell",
                 "variant": variant,
                 "dataset": column,
                 "accuracy": row["accuracies"][column],
-                "reference": reference.get(column),
+                "reference": row["reference"][column],
                 "delta": row["reference_delta"].get(column),
                 "best_cell": table["provenance"][column][variant]["best_cell"],
             })
@@ -617,8 +615,7 @@ def _add_common(sub, out_required=True, out_help="output path"):
     sub.add_argument("--config", default=None, help="key = value file mirroring the flags")
     sub.add_argument("--seed", type=int, default=0, help="master seed for this stage")
     sub.add_argument("-v", "--verbose", action="count", default=0)
-    if out_required is not None:
-        sub.add_argument("--out", required=out_required, help=out_help)
+    sub.add_argument("--out", required=out_required, help=out_help)
 
 
 def build_parser():

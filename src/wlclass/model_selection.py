@@ -29,7 +29,6 @@ from ._checks import integer, integer_labels
 from .classifiers import (
     GbtParams,
     KernelSpec,
-    default_gamma,
     predict,
     train_forest,
     train_gbt,
@@ -61,7 +60,8 @@ log = logging.getLogger(__name__)
 #: Each model family's parameters and their defaults. train_family fills
 #: in what a call leaves out from here, and the CLI reads each family's
 #: flags in this order, which is the order its grid cells enumerate in.
-#: svm gamma None means default_gamma of the training features.
+#: svm gamma None with the rbf kernel leaves the choice to train_svm_multiclass
+#: (default_gamma of the training features).
 FAMILY_PARAMS = {
     "rf": {"n_trees": 100, "max_depth": None, "min_leaf": 1},
     "svm": {"C": 1.0, "kernel": "rbf", "max_iter": 2000, "gamma": None, "tol": 1e-3},
@@ -353,9 +353,7 @@ def train_family(family: str, features, y, params: dict, seed: int, n_classes: i
         return train_forest(features, y, seed=seed, n_classes=n_classes, **p)
     if family == "svm":
         name, gamma = p.pop("kernel"), p.pop("gamma")
-        if name == "rbf" and gamma is None:
-            gamma = default_gamma(features)
-        kernel = KernelSpec(name, gamma)
+        kernel = None if name == "rbf" and gamma is None else KernelSpec(name, gamma)
         return train_svm_multiclass(features, y, kernel=kernel, n_classes=n_classes, **p)
     return train_gbt(features, y, GbtParams(reg_lambda=p.pop("lambda"), **p),
                      n_classes=n_classes)
@@ -552,7 +550,8 @@ def reproduce_table(
     """Grid-search and score every (variant, dataset) pair of the accuracy table.
 
     archives maps DATASET_COLUMNS names to archive paths. Returns a dict
-    with the column names, one row per variant carrying accuracies and
+    with the column names, one row per variant carrying accuracies, the
+    published accuracy of each column (None where the paper has none) and
     reference deltas, and the per-archive provenance. The table has one
     column per recognized name provided; whether an absent dataset is an
     error is the caller's policy (``reproduce --strict``).
@@ -604,12 +603,12 @@ def reproduce_table(
             }
     rows = []
     for variant in variants:
-        reference = REFERENCE_ACCURACY.get(variant) or ()
+        published = dict(zip(DATASET_COLUMNS, REFERENCE_ACCURACY.get(variant) or ()))
+        reference = {column: published.get(column) for column in columns}
         deltas = {column: accuracies[variant][column] - ref
-                  for column, ref in zip(DATASET_COLUMNS, reference)
-                  if ref is not None and column in accuracies[variant]}
+                  for column, ref in reference.items() if ref is not None}
         rows.append({"variant": variant, "accuracies": accuracies[variant],
-                     "reference_delta": deltas})
+                     "reference": reference, "reference_delta": deltas})
     return {"columns": columns, "rows": rows, "provenance": provenance}
 
 

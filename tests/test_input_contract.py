@@ -10,7 +10,6 @@ from wlclass.classifiers import (
     forest_votes,
     train_forest,
     train_gbt,
-    train_svm_binary,
     train_svm_multiclass,
     train_tree,
     tree_predict,
@@ -72,17 +71,6 @@ def test_every_trainer_raises_the_same_error(family, case):
     assert caught.type is expected
 
 
-def test_binary_svm_shares_the_shape_empty_and_finite_checks():
-    X, y = training_set()
-    signs = np.where(y == 0, 1, -1)
-    for bad_X, bad_y, expected in [(X[:, 0], signs, ShapeMismatchError),
-                                   (X, signs[:-1], ShapeMismatchError),
-                                   (X[:0], signs[:0], EmptyInputError),
-                                   (with_nan()[0], signs, DegenerateInputError)]:
-        with pytest.raises(expected):
-            train_svm_binary(bad_X, bad_y, 1.0, LINEAR)
-
-
 def test_checks_run_in_order_and_keep_float64_input_uncopied():
     X, y = training_set()
     X[0, 0] = np.inf
@@ -110,13 +98,11 @@ def predictors():
     forest = train_forest(X, y, n_trees=2, seed=0)
     gbt = train_gbt(X, y, GbtParams(rounds=1))
     svm = train_svm_multiclass(X, y, C=1.0, kernel=LINEAR)
-    machine = train_svm_binary(X, np.where(y == 0, 1, -1), C=1.0, kernel=LINEAR)
     return {
         "tree_predict": lambda Q: tree_predict(train_tree(X, y), Q),
         "forest_votes": lambda Q: forest_votes(forest, Q),
         "GbtModel.predict_scores": gbt.predict_scores,
         "SvmEnsemble.decision_matrix": svm.decision_matrix,
-        "SvmBinary.decision_function": machine.decision_function,
     }
 
 

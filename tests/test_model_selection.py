@@ -9,6 +9,7 @@ from wlclass.classifiers import default_gamma, predict, serialize_model
 from wlclass.errors import (
     BadKError,
     DegenerateInputError,
+    EmptyInputError,
     LabelOutOfRangeError,
     MissingArchiveError,
     ShapeMismatchError,
@@ -202,6 +203,17 @@ class TestGridSpec:
         rbf = train_family("svm", x[:, 0], y, {}, 0, 2).kernel
         assert (rbf.name, rbf.gamma) == ("rbf", default_gamma(x[:, 0]))
         assert train_family("svm", x[:, 0], y, {"gamma": 0.25}, 0, 2).kernel.gamma == 0.25
+
+    def test_svm_default_gamma_comes_after_the_input_checks(self):
+        """The rbf default is picked from checked features, so bad ones raise the
+        trainer's typed error, not a gamma UsageError or a raw IndexError."""
+        X, y = np.ones((6, 3)), np.arange(6) % 2
+        X[0, 0] = np.nan
+        for features, labels, expected in [(X, y, DegenerateInputError),
+                                           (X[:0], y[:0], EmptyInputError),
+                                           (X[:, 0], y, ShapeMismatchError)]:
+            with pytest.raises(expected):
+                train_family("svm", features, labels, {}, 0, 2)
 
     def test_rf_depth_and_leaf_limits_are_usage_errors(self):
         x, y = make_windows(4, 2, length=6, sensors=3, seed=0)
@@ -665,6 +677,7 @@ class TestReproduceTable:
         assert table["columns"] == ["60-middle-1"]
         for row in table["rows"]:
             assert list(row["accuracies"]) == ["60-middle-1"]
+            assert list(row["reference"]) == ["60-middle-1"]
             assert set(row["reference_delta"]) <= {"60-middle-1"}
 
     def test_reference_deltas_follow_the_published_cells(self):
@@ -679,6 +692,7 @@ class TestReproduceTable:
         )
         (row,) = table["rows"]
         assert row["variant"] == "gbt-cov"
+        assert row["reference"] == dict(zip(DATASET_COLUMNS, REFERENCE_ACCURACY["gbt-cov"]))
         assert list(row["reference_delta"]) == ["60-random-1"]
         expected = row["accuracies"]["60-random-1"] - REFERENCE_ACCURACY["gbt-cov"][2]
         assert row["reference_delta"]["60-random-1"] == pytest.approx(expected)

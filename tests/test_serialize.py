@@ -7,16 +7,17 @@ from wlclass.classifiers import (
     GbtParams,
     KernelSpec,
     deserialize_model,
+    kernel_matrix,
     load_model,
     predict,
     save_model,
     serialize_model,
     train_forest,
     train_gbt,
-    train_svm_binary,
     train_svm_multiclass,
 )
 from wlclass.classifiers.serialize import _MEMBERS
+from wlclass.classifiers.svm import _solve_dual
 from wlclass.dataset_io import read_bundle, write_bundle
 from wlclass.errors import ModelFormatError, WlclassError
 
@@ -38,9 +39,11 @@ def trained_models():
 
 
 def binary_machines(X, y):
-    """The one-vs-rest machines of trained_models' SVM, one train_svm_binary each."""
-    return [train_svm_binary(X, np.where(y == c, 1, -1), C=1.0, kernel=KernelSpec("linear"))
-            for c in range(3)]
+    """The one-vs-rest machines of trained_models' SVM, one _solve_dual each:
+    (signs, alpha, bias, SolverRecord) per class."""
+    K = kernel_matrix(KernelSpec("linear"), X, X)
+    signs = [np.where(y == c, 1, -1) for c in range(3)]
+    return [(s, *_solve_dual(K, s, 1.0, 1e-3, 2000)) for s in signs]
 
 
 def unbundle(raw):
@@ -108,15 +111,16 @@ class TestRoundTrip:
         assert loaded.class_count == svm.class_count
         machines = binary_machines(X, y)
         for model in (svm, loaded):
-            for c, (a, record) in enumerate(zip(machines, model.machines, strict=True)):
+            for c, (machine, record) in enumerate(zip(machines, model.machines, strict=True)):
+                signs, alpha, bias, expected = machine
+                support = np.nonzero(alpha > 0.0)[0]
                 on = model.coef[:, c] != 0
-                np.testing.assert_array_equal(a.alphas, np.abs(model.coef[on, c]))
-                np.testing.assert_array_equal(a.support_indices, model.support_rows[on])
-                np.testing.assert_array_equal(a.support_vectors, model.support_vectors[on])
-                np.testing.assert_array_equal(a.support_labels, np.sign(model.coef[on, c]))
-                assert a.bias == model.bias[c] and a.converged == record.converged
-                assert a.n_train == model.n_train
-                assert a.updates == record.updates and a.kkt_gap == record.kkt_gap
+                np.testing.assert_array_equal(alpha[support], np.abs(model.coef[on, c]))
+                np.testing.assert_array_equal(support, model.support_rows[on])
+                np.testing.assert_array_equal(X[support], model.support_vectors[on])
+                np.testing.assert_array_equal(signs[support], np.sign(model.coef[on, c]))
+                assert bias == model.bias[c] and record == expected
+                assert len(y) == model.n_train
 
     def test_magic_starts_file(self, tmp_path):
         """A model file is a bundle: its first member's header opens it."""
@@ -132,7 +136,8 @@ class TestRoundTrip:
         svm = models["svm"]
         arrays, meta = unbundle(serialize_model(svm))
         X, y = sample_problem()
-        distinct = np.unique(np.concatenate([m.support_indices for m in binary_machines(X, y)]))
+        supports = [np.nonzero(alpha > 0.0)[0] for _, alpha, _, _ in binary_machines(X, y)]
+        distinct = np.unique(np.concatenate(supports))
         np.testing.assert_array_equal(arrays["support_rows"], distinct)
         assert arrays["support_vectors"].shape == (len(distinct), 3)
         assert arrays["support_coef"].shape == (len(distinct), svm.class_count)

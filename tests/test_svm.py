@@ -8,27 +8,31 @@ from wlclass.classifiers import (
     KernelSpec,
     default_gamma,
     deserialize_model,
-    dual_objective,
     kernel_matrix,
     predict,
     serialize_model,
-    train_svm_binary,
     train_svm_multiclass,
 )
+from wlclass.classifiers.svm import _solve_dual
 from wlclass.errors import ClassAbsentError, EmptyInputError, ShapeMismatchError, UsageError
 from wlclass.features import covariance_feature_matrix, fit_standardizer
 from wlclass.synth import default_26_class_spec, generate_corpus
 from wlclass.windowing import WindowPolicy, extract_window
 
 
-def qp_oracle(X, y, C, kernel):
+def dual_value(K, y, alpha):
+    """The dual objective sum(alpha) - alpha Q alpha / 2, with Q = (y y^T) * K."""
+    yv = np.asarray(y, dtype=np.float64)
+    return float(alpha.sum() - 0.5 * alpha @ (np.outer(yv, yv) * K) @ alpha)
+
+
+def qp_oracle(K, y, C):
     """Exact dual optimum by enumerating active sets (n <= 8).
 
     Every variable is assigned lower bound, upper bound, or free; the free
     block solves the KKT equalities; infeasible assignments are discarded
-    and the best feasible objective is the optimum.
+    and the best feasible dual_value is the optimum.
     """
-    K = kernel_matrix(kernel, X, X)
     yv = y.astype(np.float64)
     Q = np.outer(yv, yv) * K
     n = len(y)
@@ -60,31 +64,39 @@ def qp_oracle(X, y, C, kernel):
             alpha[fidx] = np.clip(cand, 0.0, C)
         if abs(yv @ alpha) > 1e-8:
             continue
-        value = alpha.sum() - 0.5 * alpha @ Q @ alpha
+        value = dual_value(K, yv, alpha)
         if best is None or value > best:
-            best = float(value)
+            best = value
     return best
 
 
 LINEAR = KernelSpec("linear")
 
 
+def solve(X, y, C, kernel, tol=1e-3, max_iter=2000):
+    """_solve_dual on the training kernel matrix: (K, alpha, bias, SolverRecord).
+    Decision values on the training rows are K @ (alpha * y) + bias."""
+    K = kernel_matrix(kernel, X, X)
+    return (K, *_solve_dual(K, y, C, tol, max_iter))
+
+
 class TestBinarySmo:
     def test_symmetric_pair(self):
         X = np.array([[-1.0], [1.0]])
         y = np.array([-1, 1])
-        machine = train_svm_binary(X, y, C=100.0, kernel=LINEAR, tol=1e-6)
-        assert machine.converged
-        np.testing.assert_allclose(machine.decision_function(np.zeros((1, 1)))[0], 0.0, atol=1e-9)
-        np.testing.assert_allclose(machine.decision_function(X), [-1.0, 1.0], atol=1e-6)
-        np.testing.assert_allclose(machine.alphas, [0.5, 0.5], atol=1e-6)
+        K, alpha, bias, record = solve(X, y, C=100.0, kernel=LINEAR, tol=1e-6)
+        assert record.converged
+        at_origin = kernel_matrix(LINEAR, np.zeros((1, 1)), X) @ (alpha * y) + bias
+        np.testing.assert_allclose(at_origin[0], 0.0, atol=1e-9)
+        np.testing.assert_allclose(K @ (alpha * y) + bias, [-1.0, 1.0], atol=1e-6)
+        np.testing.assert_allclose(alpha, [0.5, 0.5], atol=1e-6)
 
     def test_four_point_dual_matches_oracle(self):
         X = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 3.0], [4.0, 3.0]])
         y = np.array([-1, -1, 1, 1])
-        machine = train_svm_binary(X, y, C=10.0, kernel=LINEAR, tol=1e-6, max_iter=5000)
-        ours = dual_objective(machine, X, y)
-        exact = qp_oracle(X, y, 10.0, LINEAR)
+        K, alpha, _, _ = solve(X, y, C=10.0, kernel=LINEAR, tol=1e-6, max_iter=5000)
+        ours = dual_value(K, y, alpha)
+        exact = qp_oracle(K, y, 10.0)
         assert abs(ours - exact) <= 1e-4 * max(1.0, abs(exact))
 
     def test_dual_optimality_random_small_instances(self):
@@ -100,9 +112,9 @@ class TestBinarySmo:
                 continue
             C = float(rng.choice([0.1, 1.0, 10.0]))
             kernel = LINEAR if trial % 2 == 0 else KernelSpec("rbf", 0.7)
-            machine = train_svm_binary(X, y, C, kernel, tol=1e-6, max_iter=20000)
-            ours = dual_objective(machine, X, y)
-            exact = qp_oracle(X, y, C, kernel)
+            K, alpha, _, _ = solve(X, y, C, kernel, tol=1e-6, max_iter=20000)
+            ours = dual_value(K, y, alpha)
+            exact = qp_oracle(K, y, C)
             assert ours <= exact + 1e-6
             assert exact - ours <= 1e-4 * max(1.0, abs(exact))
 
@@ -113,31 +125,29 @@ class TestBinarySmo:
             y = np.where(X[:, 0] + 0.3 * rng.normal(size=30) > 0, 1, -1)
             if len(np.unique(y)) < 2:
                 continue
-            machine = train_svm_binary(X, y, C, LINEAR)
-            assert (machine.alphas >= 0).all() and (machine.alphas <= C).all()
-            assert abs((machine.alphas * y[machine.support_indices]).sum()) <= 1e-10
+            _, alpha, _, _ = solve(X, y, C, LINEAR)
+            assert (alpha >= 0).all() and (alpha <= C).all()
+            assert abs(alpha @ y) <= 1e-10
 
     def test_feasibility_of_flagged_iterate(self):
         rng = np.random.default_rng(6)
         X = rng.normal(size=(40, 2))
         y = np.where(rng.random(40) > 0.5, 1, -1)
         y[0], y[1] = 1, -1
-        machine = train_svm_binary(X, y, C=1.0, kernel=KernelSpec("rbf", 0.5), max_iter=1)
-        assert (machine.alphas >= 0).all() and (machine.alphas <= 1.0).all()
-        assert abs((machine.alphas * y[machine.support_indices]).sum()) <= 1e-10
+        _, alpha, _, _ = solve(X, y, C=1.0, kernel=KernelSpec("rbf", 0.5), max_iter=1)
+        assert (alpha >= 0).all() and (alpha <= 1.0).all()
+        assert abs(alpha @ y) <= 1e-10
 
     def test_kkt_residuals_within_tolerance(self):
         rng = np.random.default_rng(7)
         X = rng.normal(size=(25, 2))
         y = np.where(X[:, 0] > 0, 1, -1)
         tol = 1e-3
-        machine = train_svm_binary(X, y, C=1.0, kernel=LINEAR, tol=tol, max_iter=10000)
-        assert machine.converged
-        margins = y * machine.decision_function(X)
-        alphas = np.zeros(len(y))
-        alphas[machine.support_indices] = machine.alphas
+        K, alpha, bias, record = solve(X, y, C=1.0, kernel=LINEAR, tol=tol, max_iter=10000)
+        assert record.converged
+        margins = y * (K @ (alpha * y) + bias)
         for i in range(len(y)):
-            a = alphas[i]
+            a = alpha[i]
             if a <= 1e-10:
                 assert margins[i] >= 1.0 - 2 * tol
             elif a >= 1.0 - 1e-10:
@@ -149,34 +159,30 @@ class TestBinarySmo:
         X = np.array([[-2.0], [-1.0], [1.0], [2.0]])
         y = np.array([-1, -1, 1, 1])
         for C in (0.1, 1.0, 10.0):
-            machine = train_svm_binary(X, y, C, LINEAR, tol=1e-6)
-            assert machine.alphas.max() <= C + 1e-12
+            _, alpha, _, _ = solve(X, y, C, LINEAR, tol=1e-6)
+            assert alpha.max() <= C + 1e-12
 
     def test_non_convergence_flag(self):
         rng = np.random.default_rng(8)
         X = rng.normal(size=(60, 2))
         y = np.where(rng.random(60) > 0.5, 1, -1)
         y[:2] = [1, -1]
-        machine = train_svm_binary(X, y, C=10.0, kernel=KernelSpec("rbf", 5.0), max_iter=1)
-        assert not machine.converged
-        assert machine.updates == 60 and machine.kkt_gap >= 1e-3
-        assert machine.predict(X).shape == (60,)
+        K, alpha, bias, record = solve(X, y, C=10.0, kernel=KernelSpec("rbf", 5.0), max_iter=1)
+        assert not record.converged
+        assert record.updates == 60 and record.kkt_gap >= 1e-3
+        assert np.isfinite(K @ (alpha * y) + bias).all()
 
     def test_preconditions(self):
         with pytest.raises(EmptyInputError):
-            train_svm_binary(np.zeros((0, 2)), np.zeros(0), 1.0, LINEAR)
+            train_svm_multiclass(np.zeros((0, 2)), np.zeros(0), 1.0, LINEAR)
         with pytest.raises(ClassAbsentError):
-            train_svm_binary(np.zeros((3, 2)), np.ones(3), 1.0, LINEAR)
-        with pytest.raises(UsageError):
-            train_svm_binary(np.zeros((2, 2)), np.array([0, 1]), 1.0, LINEAR)
-        with pytest.raises(UsageError):
-            train_svm_binary(np.array([[1.0], [-1.0]]), np.array([1, -1]), -1.0, LINEAR)
-        X, y = np.array([[1.0], [-1.0]]), np.array([1, -1])
+            train_svm_multiclass(np.zeros((3, 2)), np.ones(3), 1.0, LINEAR)
+        X, y = np.array([[1.0], [0.0], [-1.0]]), [0, 1, 2]
+        with pytest.raises(UsageError, match="C"):
+            train_svm_multiclass(X, y, -1.0, LINEAR)
         for bad in ({"tol": 0.0}, {"tol": -1.0}, {"max_iter": 0}, {"max_iter": 2.5}):
             with pytest.raises(UsageError, match=next(iter(bad))):
-                train_svm_binary(X, y, 1.0, LINEAR, **bad)
-            with pytest.raises(UsageError, match=next(iter(bad))):
-                train_svm_multiclass(np.array([[1.0], [0.0], [-1.0]]), [0, 1, 2], 1.0, **bad)
+                train_svm_multiclass(X, y, 1.0, **bad)
 
 
 class TestKernels:
@@ -238,13 +244,24 @@ class TestMulticlass:
         agreement = (predict(ensemble, queries) == nearest).mean()
         assert agreement >= 0.9
 
-    def test_two_class_matches_binary(self):
-        X, y = blobs(centers=((0, 0), (8, 8)))
-        ensemble = train_svm_multiclass(X, y, C=10.0, kernel=LINEAR, tol=1e-6)
-        machine = train_svm_binary(X, np.where(y == 1, 1, -1), 10.0, LINEAR, tol=1e-6)
-        ovr = predict(ensemble, X)
-        direct = (machine.predict(X) == 1).astype(np.int64)
-        np.testing.assert_array_equal(ovr, direct)
+    @pytest.mark.parametrize("centers, C, kernel, tol", [
+        (((0, 0), (8, 8)), 10.0, LINEAR, 1e-6),
+        (((0, 0), (8, 8), (0, 8)), 1.0, KernelSpec("rbf", 0.2), 1e-3),
+    ], ids=["2 classes", "3 classes"])
+    def test_each_machine_is_the_solver_on_the_shared_kernel(self, centers, C, kernel, tol):
+        """Machine c is _solve_dual on the ensemble's kernel matrix with labels
+        +1 for class c and -1 for the rest."""
+        X, y = blobs(centers=centers)
+        ensemble = train_svm_multiclass(X, y, C=C, kernel=kernel, tol=tol)
+        K = kernel_matrix(kernel, X, X)
+        for c, record in enumerate(ensemble.machines):
+            signs = np.where(y == c, 1, -1)
+            alpha, bias, expected = _solve_dual(K, signs, C, tol, 2000)
+            coef = np.zeros(len(y))
+            coef[ensemble.support_rows] = ensemble.coef[:, c]
+            np.testing.assert_allclose(coef, alpha * signs, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(ensemble.bias[c], bias, rtol=0, atol=1e-12)
+            assert record == expected
 
     def test_class_absent(self):
         X, y = blobs()
@@ -277,8 +294,13 @@ class TestMulticlass:
         ensemble = train_svm_multiclass(X, y, C=1.0, kernel=kernel)
         loaded, _ = deserialize_model(serialize_model(ensemble))
         queries = np.random.default_rng(19).uniform(-2, 10, size=(50, 2))
-        machines = [train_svm_binary(X, np.where(y == c, 1, -1), 1.0, kernel) for c in range(3)]
-        stacked = np.column_stack([m.decision_function(queries) for m in machines])
+        K, to_queries = kernel_matrix(kernel, X, X), kernel_matrix(kernel, queries, X)
+        stacked = []
+        for c in range(3):
+            signs = np.where(y == c, 1, -1)
+            alpha, bias, _ = _solve_dual(K, signs, 1.0, 1e-3, 2000)
+            stacked.append(to_queries @ (alpha * signs) + bias)
+        stacked = np.column_stack(stacked)
         for model in (ensemble, loaded):
             shared = model.decision_matrix(queries)
             np.testing.assert_allclose(shared, stacked, rtol=0, atol=1e-12)

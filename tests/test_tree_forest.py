@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -356,6 +358,33 @@ class TestForest:
         monkeypatch.setattr(tree_module, "_GROUP_CELLS", 1)  # one tree per group
         monkeypatch.setattr(tree_module, "_CHUNK", 1)  # one node per scoring run
         assert models() == expected
+
+
+def integer_rows(seed, n, d, values):
+    """n x d integer features drawn from a seeded Generator and cast to float,
+    labelled by integer sums: no floating-point BLAS touches them."""
+    X = np.random.default_rng(seed).integers(-values, values, size=(n, d))
+    return X.astype(np.float64), (X[:, 0] + X[:, 1] > 0) + 2 * (X[:, 2] % 3 == 0)
+
+
+#: sha256 of serialize_model(train_forest(X, y, n_trees=8, seed=4, **params)) on
+#: integer_rows(*rows): a change to the grower must leave its model files' bytes alone.
+PINNED_FORESTS = {
+    "default limits": ((31, 120, 6, 50), {},
+                       "ed89045a2d31d000a40ea501428511e6c83619627e3d5f5cc9d5afcc7cf17d8f"),
+    "depth 3, min_leaf 4": ((32, 120, 6, 50), {"max_depth": 3, "min_leaf": 4},
+                            "9396b2504d986c8cd83fbe392e85781a3c0a59f1f33621d4f7ba45e89429198a"),
+    "many ties": ((33, 150, 5, 3), {},
+                  "831971352da4ce9f7e44d0f8f70484a9610cacb3cfa47f94ec2187c4317b48cd"),
+}
+
+
+@pytest.mark.parametrize("setting", sorted(PINNED_FORESTS))
+def test_forests_keep_their_pinned_bytes(setting):
+    rows, params, digest = PINNED_FORESTS[setting]
+    X, y = integer_rows(*rows)
+    model = train_forest(X, y, n_trees=8, seed=4, **params)
+    assert hashlib.sha256(serialize_model(model)).hexdigest() == digest
 
 
 class TestDeepTrees:
