@@ -47,7 +47,8 @@ class NodeTable:
     per level (Asadi, Lin & de Vries 2014): every walk takes a step, and a
     leaf steps to itself. The walk ends because every child index exceeds
     its parent's inside its own tree, which the grower's preorder gives
-    and the model loader checks.
+    and the model loader checks. Its step table (`_walk`) is built on the
+    first `apply`, 50 bytes per node, read-only and never in a file.
     """
 
     feature: np.ndarray
@@ -61,22 +62,29 @@ class NodeTable:
 
     @cached_property
     def _walk(self) -> tuple:
-        """(split mask, split feature with leaves 0, step): node's step[2 * node]
-        is its right child, step[2 * node + 1] its left, a leaf's both itself."""
+        """(split mask, split feature with leaves 0, threshold, step), two slots
+        per node, so a walk carries 2 * node: step[2 * node] is 2 * its right
+        child, step[2 * node + 1] 2 * its left, a leaf's both 2 * itself."""
         split = self.feature != LEAF
-        step = np.repeat(np.arange(len(split)), 2)
-        step[0::2][split], step[1::2][split] = self.right[split], self.left[split]
-        return split, np.where(split, self.feature, 0), step
+        step = np.repeat(2 * np.arange(len(split)), 2)
+        step[0::2][split], step[1::2][split] = 2 * self.right[split], 2 * self.left[split]
+        walk = (*(np.repeat(a, 2) for a in (split, np.where(split, self.feature, 0),
+                                            self.threshold)), step)
+        for a in walk:
+            a.flags.writeable = False
+        return walk
 
     def apply(self, X) -> np.ndarray:
-        """Node index of the leaf each row reaches in each tree: rows x trees."""
-        split, feature, step = self._walk
+        """Node index of the leaf each row reaches in each tree: rows x trees.
+        Walks are tested for a split node every 4 steps; a leaf steps to itself."""
+        split, feature, threshold, step = self._walk
         (n, d), trees = X.shape, len(self.roots)
-        flat, cell = X.ravel(), np.repeat(np.arange(n) * d, trees)
-        node = np.tile(self.roots, n)
+        flat, cell = X.ravel(), (np.arange(n) * d).repeat(trees)
+        node = (2 * self.roots)[None].repeat(n, axis=0).ravel()
         while split[node].any():
-            node = step[2 * node + (flat[cell + feature[node]] <= self.threshold[node])]
-        return node.reshape(n, trees)
+            for _ in range(4):
+                node = step[node + (flat[cell + feature[node]] <= threshold[node])]
+        return (node // 2).reshape(n, trees)
 
 
 def stack_tables(tables) -> NodeTable:

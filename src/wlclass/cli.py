@@ -54,6 +54,7 @@ from .model_selection import (
     PCA_GRID_KS,
     GridSpec,
     ReductionSpec,
+    _family_kwargs,
     evaluate,
     evaluate_pipeline,
     fit_reduction,
@@ -239,6 +240,15 @@ def _family_args(args, family: str, flags=PARAM_FLAGS, grid=False) -> dict:
     return params
 
 
+def _check_every_family(args, grid=False) -> None:
+    """Refuse a value its family could not train with, for every family's flags
+    and not only the chosen one's: a config file may set them all."""
+    for family in MODEL_FAMILIES:
+        for name, value in _family_args(args, family, grid=grid).items():
+            for one in value if grid else [value]:
+                _family_kwargs(family, {name: one})
+
+
 # ---------------------------------------------------------------------------
 # binary sidecar artifacts: feature sets (fitted reductions: model_selection)
 
@@ -385,6 +395,7 @@ def _check_converged(model, allow: bool) -> None:
 
 
 def cmd_train(args) -> StageResult:
+    _check_every_family(args)
     features_train, y_train, _, _, meta = read_feature_set(args.input)
     n_classes = max(len(meta.get("class_names", [])), int(y_train.max()) + 1)
     params = _family_args(args, args.model)
@@ -475,6 +486,7 @@ def _parse_reductions(text: str) -> tuple:
 
 
 def cmd_gridsearch(args) -> StageResult:
+    _check_every_family(args, grid=True)
     dataset = read_challenge_archive(args.input)
     spec = GridSpec(
         model_family=args.family,

@@ -30,6 +30,18 @@ class Standardizer:
     stds: np.ndarray
     constant: np.ndarray  # bool per sensor
 
+    def _tiled(self, length: int) -> tuple:
+        """(means, 1 / std or 0 for constant sensors), each tiled to one flat
+        length x sensors window, 60 KB at 540 x 7: built on first use, rebuilt
+        when another length arrives, read-only, never a field or in a file."""
+        tiles = self.__dict__.get("_tiles", (None,))
+        if tiles[0] != length:
+            inv = np.where(self.constant, 0.0, 1.0 / np.where(self.constant, 1.0, self.stds))
+            tiles = (length, *(np.tile(v, length) for v in (self.means, inv)))
+            tiles[1].flags.writeable = tiles[2].flags.writeable = False
+            self.__dict__["_tiles"] = tiles
+        return tiles[1:]
+
 
 @dataclass(frozen=True)
 class PcaModel:
@@ -45,11 +57,6 @@ class PcaModel:
     def rank_deficient(self) -> bool:
         """Fewer than k nonzero variances: the trailing components span no data."""
         return bool(self.explained_variance[-1] == 0.0)
-
-
-def _inverse_scale(std: Standardizer) -> np.ndarray:
-    """1 / std per sensor, 0 for constant sensors."""
-    return np.where(std.constant, 0.0, 1.0 / np.where(std.constant, 1.0, std.stds))
 
 
 def _check_finite(features: np.ndarray) -> np.ndarray:
@@ -71,19 +78,23 @@ def fit_standardizer(x_train: np.ndarray) -> Standardizer:
     if pooled.shape[0] < 2:
         raise DegenerateInputError(f"need at least 2 pooled samples, got {pooled.shape[0]}")
     means = pooled.mean(axis=0)
-    stds = pooled.std(axis=0)  # population convention, divide by N
+    # the bits of pooled.std(axis=0) (divide by N) without its second mean
+    deviation = x.reshape(len(x), -1) - np.tile(means, x.shape[1])
+    deviation *= deviation
+    stds = np.sqrt(deviation.reshape(pooled.shape).sum(axis=0) / len(pooled))
     constant = stds == 0.0
     return Standardizer(means=means, stds=stds, constant=constant)
 
 
 def apply_standardizer(std: Standardizer, tensor: np.ndarray) -> np.ndarray:
-    """Map (x - mean) / std per sensor; constant sensors go to 0."""
+    """Map (x - mean) / std per sensor, constant sensors to 0: each samples x
+    sensors window in one flat loop against the means and inverse scales
+    tiled to one window (60 KB at 540 x 7), cached on first use per length."""
     x = np.asarray(tensor, dtype=np.float64)
     if x.ndim < 1 or x.shape[-1] != len(std.means):
-        raise ShapeMismatchError(
-            f"trailing dimension must be {len(std.means)}, got {x.shape}"
-        )
-    return (x - std.means) * _inverse_scale(std)
+        raise ShapeMismatchError(f"trailing dimension must be {len(std.means)}, got {x.shape}")
+    means, inv = std._tiled(x.shape[-2] if x.ndim > 1 else 1)
+    return ((x.reshape(x.shape[:-2] + means.shape) - means) * inv).reshape(x.shape)
 
 
 @cache
@@ -115,11 +126,13 @@ def covariance_feature_names(sensor_names=GPU_SENSORS) -> tuple:
 def covariance_feature_matrix(tensor: np.ndarray, standardizer: Standardizer) -> np.ndarray:
     """Standardize a trial tensor and stack per-trial Gram features.
 
-    Trials are standardized one at a time, so no standardized copy of the
-    whole tensor is ever held. For the GPU sensors, column j is
-    covariance_feature_names()[j]. The triangle's indices are built once
-    per sensor count and shared by every call: building them cost about a
-    third of the transform of one served window.
+    Trials are standardized one at a time, each in one flat loop against
+    the means and inverse scales tiled to one trial (Standardizer._tiled,
+    60 KB at 540 x 7, cached on the first call per trial length), so no
+    standardized copy of the whole tensor is ever held. For the GPU
+    sensors, column j is covariance_feature_names()[j]. The triangle's
+    indices are built once per sensor count and shared by every call:
+    building them cost about a third of the transform of one served window.
 
     Raises:
         DegenerateInputError: a feature is not finite.
@@ -130,10 +143,10 @@ def covariance_feature_matrix(tensor: np.ndarray, standardizer: Standardizer) ->
             f"expected trials x samples x {len(standardizer.means)} sensors, got {x.shape}"
         )
     upper = _triangle(x.shape[2])
-    means, inv = standardizer.means, _inverse_scale(standardizer)
+    means, inv = standardizer._tiled(x.shape[1])
     out = np.empty((x.shape[0], len(upper[0])))
     for row, trial in enumerate(x):
-        z = (trial - means) * inv
+        z = ((trial.ravel() - means) * inv).reshape(trial.shape)
         out[row] = (z.T @ z)[upper]
     return _check_finite(out)
 

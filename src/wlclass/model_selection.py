@@ -25,10 +25,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import integer, integer_labels
+from ._checks import integer, integer_labels, real
 from .classifiers import (
     GbtParams,
     KernelSpec,
+    TreeParams,
     predict,
     train_forest,
     train_gbt,
@@ -342,21 +343,33 @@ def _check_params(family: str, names) -> None:
                          f"it reads {', '.join(FAMILY_PARAMS[family])}")
 
 
-def train_family(family: str, features, y, params: dict, seed: int, n_classes: int):
-    """Train one model of the given family with one grid cell's parameters;
-    a parameter the cell leaves out takes its FAMILY_PARAMS default."""
+def _family_kwargs(family: str, params: dict) -> dict:
+    """The family trainer's keyword arguments for params over the FAMILY_PARAMS
+    defaults, each value checked by its owner before any data is touched."""
     if family not in FAMILY_PARAMS:
         raise UsageError(f"unknown model family {family!r}")
     _check_params(family, params)
     p = {**FAMILY_PARAMS[family], **params}
     if family == "rf":
-        return train_forest(features, y, seed=seed, n_classes=n_classes, **p)
+        integer(p["n_trees"], "n_trees", 1)
+        TreeParams(p["max_depth"], p["min_leaf"])
+        return p
     if family == "svm":
-        name, gamma = p.pop("kernel"), p.pop("gamma")
-        kernel = None if name == "rbf" and gamma is None else KernelSpec(name, gamma)
-        return train_svm_multiclass(features, y, kernel=kernel, n_classes=n_classes, **p)
-    return train_gbt(features, y, GbtParams(reg_lambda=p.pop("lambda"), **p),
-                     n_classes=n_classes)
+        name, gamma = p["kernel"], p["gamma"]
+        return {"C": real(p["C"], "C", 0, above=True), "tol": real(p["tol"], "tol", 0, above=True),
+                "max_iter": integer(p["max_iter"], "max_iter", 1),
+                "kernel": None if name == "rbf" and gamma is None else KernelSpec(name, gamma)}
+    return {"params": GbtParams(reg_lambda=p.pop("lambda"), **p)}
+
+
+def train_family(family: str, features, y, params: dict, seed: int, n_classes: int):
+    """Train one model of the given family with one grid cell's parameters;
+    a parameter the cell leaves out takes its FAMILY_PARAMS default."""
+    kwargs = _family_kwargs(family, params)
+    if family == "rf":
+        return train_forest(features, y, seed=seed, n_classes=n_classes, **kwargs)
+    trainer = train_svm_multiclass if family == "svm" else train_gbt
+    return trainer(features, y, n_classes=n_classes, **kwargs)
 
 
 def _annotate(exc: WlclassError, context: str):

@@ -215,6 +215,20 @@ class TestConfigFile:
         assert main(["train", "--in", str(feat), "--model", "rf",
                      "--config", str(cfg), "--out", str(tmp_path / "m.wlc1")]) == 1
 
+    def test_config_may_set_every_family_but_each_value_is_checked(self, tmp_path):
+        """One config file can serve every family; a value no family could
+        train with is refused whichever family the command line picks."""
+        feat = self.feature_set(tmp_path)
+        cfg, out = tmp_path / "train.cfg", tmp_path / "m.wlc1"
+        cfg.write_text("n-trees = 2\nc = 2\nrounds = 2\n")
+        assert main(["train", "--in", str(feat), "--model", "rf",
+                     "--config", str(cfg), "--out", str(out)]) == 0
+        cfg.write_text("n-trees = 2\nc = nan\nrounds = 2\n")
+        out.unlink()
+        assert main(["train", "--in", str(feat), "--model", "rf",
+                     "--config", str(cfg), "--out", str(out)]) == 1
+        assert not out.exists()
+
     def test_boolean_config_toggles_store_true_flag(self, tmp_path):
         feat = self.feature_set(tmp_path)
         cfg, out = tmp_path / "train.cfg", tmp_path / "m.wlc1"
@@ -523,8 +537,7 @@ class TestFamilyParameterFlags:
 
     @pytest.mark.parametrize("flags,key,text", [
         (["--model", "gbt", "--rounds", "2", "--min-split-loss", "inf"], "min_split_loss", "inf"),
-        (["--model", "rf", "--n-trees", "2", "--c", "nan"], "c", "nan"),  # rf ignores --c
-    ], ids=["gbt-inf", "rf-nan"])
+    ], ids=["gbt-inf"])
     def test_manifest_is_strict_json(self, data, tmp_path, flags, key, text):
         """A non-finite flag value reaches the manifest as text, never as the
         Infinity or NaN tokens that strict JSON readers refuse."""
@@ -555,6 +568,12 @@ class TestFamilyParameterFlags:
         ["train", "--model", "svm", "--max-iter", "0", "--allow-nonconverged"],
         ["gridsearch", "--family", "svm", "--max-iter", "0", "--allow-nonconverged"],
         ["gridsearch", "--family", "rf", "--n-trees", "2", "--reductions", "pca-\u0663"],
+        ["train", "--model", "rf", "--n-trees", "2", "--c", "nan"],
+        ["train", "--model", "svm", "--n-trees", "0"],
+        ["train", "--model", "rf", "--n-trees", "2", "--learning-rate", "inf"],
+        ["gridsearch", "--family", "rf", "--n-trees", "2", "--c", "1,-1"],
+        ["gridsearch", "--family", "svm", "--max-depth", "-1"],
+        ["gridsearch", "--family", "gbt", "--rounds", "1", "--n-trees", "0"],
     ], ids=" ".join)
     def test_bad_parameter_values_are_usage(self, data, tmp_path, capsys, argv):
         """A parameter no model file can hold, or a reduction token that

@@ -60,6 +60,41 @@ class TestStandardizer:
         for j in range(7):
             assert z[0, 0, j] == (float(j) - 2.0) / 4.0
 
+    def test_fit_is_numpy_pooled_mean_and_std_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(30, 40, 7)) * rng.uniform(0.01, 500, 7) + rng.uniform(-1e4, 1e4, 7)
+        x[:, :, 3] = 7.25
+        for part in (x, x[:11], x[5:6], x[::3]):
+            std, pooled = fit_standardizer(part), part.reshape(-1, 7)
+            np.testing.assert_array_equal(std.means, pooled.mean(axis=0))
+            np.testing.assert_array_equal(std.stds, pooled.std(axis=0))
+            assert std.constant.tolist() == [False] * 3 + [True] + [False] * 3
+
+    def test_apply_is_the_per_sensor_map_bit_for_bit_at_every_shape(self):
+        """Each shape tiles the constants to its own window length; switching
+        lengths back and forth rebuilds them and never serves stale ones."""
+        rng = np.random.default_rng(6)
+        x = rng.normal(2.0, 3.0, size=(4, 9, 7))
+        x[:, :, 0] = 1.5
+        std = fit_standardizer(x)
+        inverse = np.where(std.constant, 0.0, 1.0 / np.where(std.constant, 1.0, std.stds))
+        for tensor in (x, x[0], x[0, 0], x[:, :4], x[None], x[:2, :9:2], x[:, :0], x):
+            expected = (tensor - std.means) * inverse
+            z = apply_standardizer(std, tensor)
+            assert z.shape == tensor.shape
+            assert z.tobytes() == expected.tobytes()
+
+    def test_tiled_constants_are_read_only_and_no_field(self):
+        from dataclasses import fields
+
+        std = fit_standardizer(np.random.default_rng(7).normal(size=(3, 5, 7)))
+        covariance_feature_matrix(np.ones((2, 5, 7)), std)
+        for cached in std._tiled(5):
+            assert cached.shape == (35,)
+            with pytest.raises(ValueError):
+                cached[0] = 1.0
+        assert [f.name for f in fields(std)] == ["means", "stds", "constant"]
+
     def test_too_few_samples(self):
         with pytest.raises(DegenerateInputError):
             fit_standardizer(np.zeros((1, 1, 7)))

@@ -204,6 +204,20 @@ class TestKernels:
         A, B = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))
         np.testing.assert_allclose(kernel_matrix(LINEAR, A, B), A @ B.T, rtol=1e-12)
 
+    @pytest.mark.parametrize("kernel", [KernelSpec("rbf", 0.4), LINEAR], ids=["rbf", "linear"])
+    def test_decision_matrix_is_the_kernel_matrix_product(self, kernel):
+        """The ensemble's cached support-vector norms give the same bits as
+        kernel_matrix, which computes them afresh; the cache is read-only."""
+        X, y = blobs()
+        ensemble = train_svm_multiclass(X, y, 1.0, kernel)
+        queries = np.random.default_rng(14).uniform(-2, 10, size=(25, 2))
+        for rows in (queries, queries[:1], X):
+            expected = (kernel_matrix(kernel, rows, ensemble.support_vectors) @ ensemble.coef
+                        + ensemble.bias)
+            assert ensemble.decision_matrix(rows).tobytes() == expected.tobytes()
+        with pytest.raises(ValueError):
+            ensemble._norms[0] = 0.0
+
     def test_spec_validation(self):
         with pytest.raises(UsageError):
             KernelSpec("poly")

@@ -479,6 +479,32 @@ class TestApply:
         assert len(table.roots) == 4 * model.class_count
         self.assert_exact(table, self.queries(table))
 
+    def assert_exact_one_row_at_a_time(self, table, X):
+        leaves = np.vstack([table.apply(X[j:j + 1]) for j in range(len(X))])
+        np.testing.assert_array_equal(leaves, reference_apply(table, X))
+
+    def test_single_rows_on_a_deep_chain_forest(self):
+        """Walks hundreds of levels deep, one row per call: the exit test every
+        few steps must neither stop a walk early nor overrun its leaf."""
+        X = np.arange(1000, dtype=np.float64)[:, None]
+        forest = train_forest(X, np.arange(1000) % 2, n_trees=3, seed=0)
+        queries = np.vstack([X[::37], [[-1.0], [999.5], [1e9], [np.nan], [500.5]]])
+        self.assert_exact_one_row_at_a_time(forest.table, queries)
+
+    def test_single_rows_on_a_gbt_stack(self):
+        X, y = self.problem(seed=24)
+        table = train_gbt(X, y, GbtParams(rounds=3, max_depth=4)).table
+        self.assert_exact_one_row_at_a_time(table, self.queries(table))
+
+    def test_walk_table_is_read_only(self):
+        X, y = self.problem()
+        table = train_forest(X, y, n_trees=2, seed=1).table
+        table.apply(X[:1])
+        for cached in table._walk:
+            assert len(cached) == 2 * len(table.feature)
+            with pytest.raises(ValueError):
+                cached[0] = cached[1]
+
     def test_loaded_models(self):
         X, y = self.problem(seed=24)
         for model in (train_forest(X, y, n_trees=5, seed=2),
