@@ -5,7 +5,8 @@ tree's bootstrap sample, then its candidate features depth by depth, so
 each tree depends on (seed, t) alone: the model is byte-identical across
 runs, and a smaller forest is a prefix of a larger one. All the trees
 grow together (tree.grow) into one node table, and prediction walks all
-of them at once.
+of them at once; one row on a table of at most 4096 nodes is labelled
+from its next node at every node instead (NodeTable.apply).
 """
 
 import math
@@ -81,6 +82,7 @@ def forest_votes(model: ForestModel, X) -> np.ndarray:
     """Per-class vote counts, one row per input row."""
     X = query_rows(X, model.feature_count)
     n, k = X.shape[0], model.class_count
-    labels = model.node_labels[model.table.apply(X)]
-    cells = (np.arange(n)[:, None] * k + labels).ravel()
-    return np.bincount(cells, minlength=n * k).reshape(n, k)
+    cells = model.node_labels.take(model.table.apply(X))
+    if n > 1:  # row r votes in cells r * k + label
+        cells = cells + np.arange(n)[:, None] * k
+    return np.bincount(cells.ravel(), minlength=n * k).reshape(n, k)

@@ -38,7 +38,7 @@ from ..errors import ArchiveIoError, DataError, ModelFormatError, UsageError
 from .forest import ForestModel
 from .gbt import GbtModel, GbtParams
 from .svm import KernelSpec, SolverRecord, SvmEnsemble
-from .tree import LEAF, NodeTable
+from .tree import LEAF, NodeTable, TreeParams
 
 FORMAT_VERSION = 4
 _FOREST_FIELDS = ("seed", "feature_count", "class_count", "max_depth", "min_leaf")
@@ -105,15 +105,14 @@ def _forest_parts(model: ForestModel):
 
 
 def _forest_from(meta, bundle) -> ForestModel:
-    feature_count, class_count, seed, min_leaf = (
+    feature_count, class_count, seed = (
         integer(meta[name], name, low, ModelFormatError) for name, low in
-        (("feature_count", 1), ("class_count", 1), ("seed", 0), ("min_leaf", 1)))
-    max_depth = meta["max_depth"]  # None: no limit
-    if max_depth is not None:
-        max_depth = integer(max_depth, "max_depth", 0, ModelFormatError)
+        (("feature_count", 1), ("class_count", 1), ("seed", 0)))
+    params = TreeParams(max_depth=meta["max_depth"], min_leaf=meta["min_leaf"])
     n_trees = len(bundle["roots"])  # one tree per root
     return ForestModel(table=_table(bundle, n_trees, feature_count, class_count, False),
-                       seed=seed, class_count=class_count, max_depth=max_depth, min_leaf=min_leaf)
+                       seed=seed, class_count=class_count, max_depth=params.max_depth,
+                       min_leaf=params.min_leaf)
 
 
 def _svm_parts(model: SvmEnsemble):

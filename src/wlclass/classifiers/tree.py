@@ -30,6 +30,10 @@ import numpy as np
 from .._checks import integer, labelled_rows, query_rows
 
 LEAF = -1  # feature and child index of a leaf
+#: Most nodes of a table whose one-row queries test every node, at about 5 ns a node. On
+#: a 2-core Xeon VM one row took 0.36-0.66x the walk's time on 800-3000 nodes in 20-50
+#: trees, 0.93x on 3900 in 100 and 1.25x on 14700 in 100; temporaries stay in 32 KiB.
+_ONE_ROW_NODES = 4096
 
 
 @dataclass
@@ -48,7 +52,10 @@ class NodeTable:
     leaf steps to itself. The walk ends because every child index exceeds
     its parent's inside its own tree, which the grower's preorder gives
     and the model loader checks. Its step table (`_walk`) is built on the
-    first `apply`, 50 bytes per node, read-only and never in a file.
+    first batch `apply`, 50 bytes per node. One row on at most
+    _ONE_ROW_NODES nodes tests every node once, then follows pointers
+    (QuickScorer, Lucchese et al. 2015), from `_next`, 25 bytes per node,
+    built on the first such query. Both are read-only and never in a file.
     """
 
     feature: np.ndarray
@@ -74,11 +81,32 @@ class NodeTable:
             a.flags.writeable = False
         return walk
 
+    @cached_property
+    def _next(self) -> tuple:
+        """(split feature with leaves 0, left, right, leaf mask), a leaf's
+        left and right being itself: a row's next node from every node."""
+        leaf, at = self.feature == LEAF, np.arange(len(self.feature))
+        arrays = (np.where(leaf, 0, self.feature), np.where(leaf, at, self.left),
+                  np.where(leaf, at, self.right), leaf)
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
+
     def apply(self, X) -> np.ndarray:
         """Node index of the leaf each row reaches in each tree: rows x trees.
-        Walks are tested for a split node every 4 steps; a leaf steps to itself."""
-        split, feature, threshold, step = self._walk
+        Walks are tested for a split node every 4 steps; a leaf steps to itself.
+        One row on a table of at most _ONE_ROW_NODES nodes takes its next node
+        from every node at once (NaN goes right), then one gather per level."""
         (n, d), trees = X.shape, len(self.roots)
+        if n == 1 and len(self.feature) <= _ONE_ROW_NODES:
+            feature, left, right, leaf = self._next
+            nxt = np.where(X.take(feature) <= self.threshold, left, right)
+            node = nxt.take(self.roots)  # a fresh array, never the table's own roots
+            while not leaf.take(node).all():
+                for _ in range(4):
+                    node = nxt.take(node)
+            return node.reshape(1, trees)
+        split, feature, threshold, step = self._walk
         flat, cell = X.ravel(), (np.arange(n) * d).repeat(trees)
         node = (2 * self.roots)[None].repeat(n, axis=0).ravel()
         while split[node].any():

@@ -471,6 +471,7 @@ class TestApply:
         for depth, leaf in ((None, 1), (3, 2)):
             forest = train_forest(X, y, n_trees=7, seed=4, max_depth=depth, min_leaf=leaf)
             self.assert_exact(forest.table, self.queries(forest.table))
+            self.assert_exact_one_row_at_a_time(forest.table, self.queries(forest.table))
 
     def test_gbt_stacked_table(self):
         X, y = self.problem(seed=23)
@@ -496,6 +497,33 @@ class TestApply:
         table = train_gbt(X, y, GbtParams(rounds=3, max_depth=4)).table
         self.assert_exact_one_row_at_a_time(table, self.queries(table))
 
+    def test_single_rows_above_the_one_row_cap(self):
+        """A table too large for the one-row sweep walks one row as a batch does."""
+        X, y = self.problem(seed=28)
+        table = train_gbt(X, y, GbtParams(rounds=40, max_depth=6)).table
+        assert len(table.feature) > tree_module._ONE_ROW_NODES
+        self.assert_exact_one_row_at_a_time(table, self.queries(table))
+
+    def test_one_row_votes_and_scores_equal_the_batch_rows(self):
+        X, y = self.problem(seed=29)
+        forest = train_forest(X, y, n_trees=6, seed=5)
+        gbt = train_gbt(X, y, GbtParams(rounds=3, max_depth=4))
+        Q = self.queries(forest.table)
+        votes, scores = forest_votes(forest, Q), gbt.predict_scores(Q)
+        for j in range(len(Q)):
+            np.testing.assert_array_equal(forest_votes(forest, Q[j:j + 1]), votes[j:j + 1])
+            assert gbt.predict_scores(Q[j:j + 1]).tobytes() == scores[j:j + 1].tobytes()
+        assert forest_votes(forest, Q[:0]).shape == (0, forest.class_count)
+
+    def test_next_table_is_read_only(self):
+        X, y = self.problem()
+        table = train_forest(X, y, n_trees=2, seed=1).table
+        table.apply(X[:1])
+        for cached in table._next:
+            assert len(cached) == len(table.feature)
+            with pytest.raises(ValueError):
+                cached[0] = cached[1]
+
     def test_walk_table_is_read_only(self):
         X, y = self.problem()
         table = train_forest(X, y, n_trees=2, seed=1).table
@@ -519,6 +547,7 @@ class TestApply:
         assert (forest.table.feature == LEAF).all()
         leaves = self.assert_exact(forest.table, self.queries(forest.table))
         np.testing.assert_array_equal(leaves, np.broadcast_to(forest.table.roots, leaves.shape))
+        self.assert_exact_one_row_at_a_time(forest.table, self.queries(forest.table))
 
     def test_deep_chain(self):
         X, y = TestDeepTrees().chain()
