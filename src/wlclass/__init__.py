@@ -48,7 +48,6 @@ from .features import (
     Standardizer,
     apply_standardizer,
     covariance_feature_matrix,
-    covariance_features,
     fit_pca,
     fit_standardizer,
     pca_feature_matrix,
@@ -111,7 +110,6 @@ __all__ = [
     "apply_standardizer",
     "build_challenge_dataset",
     "covariance_feature_matrix",
-    "covariance_features",
     "default_26_class_spec",
     "default_4_class_spec",
     "deserialize_model",

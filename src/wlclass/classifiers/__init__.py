@@ -5,7 +5,7 @@ from .forest import ForestModel, forest_votes, train_forest
 from .gbt import GbtModel, GbtParams, feature_importance_report, train_gbt
 from .serialize import deserialize_model, load_model, save_model, serialize_model
 from .svm import KernelSpec, SvmEnsemble, default_gamma, kernel_matrix, train_svm_multiclass
-from .tree import NodeTable, TreeParams, stack_tables, train_tree, tree_predict
+from .tree import NodeTable, TreeParams, stack_tables, train_tree
 
 __all__ = [
     "ForestModel",
@@ -29,7 +29,6 @@ __all__ = [
     "train_gbt",
     "train_svm_multiclass",
     "train_tree",
-    "tree_predict",
 ]
 
 

@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .._checks import integer, labelled_rows, query_rows
+from .._checks import integer, labelled_rows
 
 LEAF = -1  # feature and child index of a leaf
 #: Most nodes of a table whose one-row queries test every node, at about 5 ns a node. On
@@ -394,10 +394,3 @@ def train_tree(X, y, params: TreeParams | None = None, rng=None, n_classes=None)
     """
     X, y, n_classes = labelled_rows(X, y, n_classes)
     return grow_cart(X, y, n_classes, params or TreeParams(), [rng or np.random.default_rng(0)])
-
-
-def tree_predict(tree: NodeTable, X) -> np.ndarray:
-    """Labels from a table's first tree: argmax of each leaf histogram,
-    ties to the lowest class."""
-    leaves = tree.apply(query_rows(X, tree.feature_count))[:, 0]
-    return np.argmax(tree.value[leaves], axis=1).astype(np.int64)

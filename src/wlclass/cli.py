@@ -167,7 +167,7 @@ def _config_tokens(subparser, path) -> list:
     """
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         subparser.error(f"cannot read config {path}: {exc}")
     actions = {a.dest: a for a in subparser._actions
                if a.option_strings and a.dest not in ("help", "config")}
@@ -556,7 +556,7 @@ def _load_manifest_paths(path) -> dict:
             payload = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read manifest {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise MalformedArchiveError(f"manifest {path} is not valid JSON: {exc}") from None
     if not isinstance(payload, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in payload.items()

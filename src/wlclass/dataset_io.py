@@ -207,10 +207,6 @@ class ChallengeDataset:
                 raise ShapeMismatchError(f"{name} name table is shorter than the label range")
         return self
 
-    @property
-    def class_count(self) -> int:
-        return len(self.model_train)
-
     def equal(self, other: "ChallengeDataset") -> bool:
         return (
             np.array_equal(self.x_train, other.x_train)

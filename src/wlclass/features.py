@@ -106,25 +106,15 @@ def _triangle(n: int) -> tuple:
     return rows, cols
 
 
-def covariance_features(trial: np.ndarray) -> np.ndarray:
-    """Upper triangle of the sensor Gram matrix M'M of one (standardized)
-    samples x sensors trial M, row-major: entry (i, j), i <= j, in the
-    order of np.triu_indices."""
-    m = np.asarray(trial, dtype=np.float64)
-    if m.ndim != 2:
-        raise ShapeMismatchError(f"trial must be samples x sensors, got {m.shape}")
-    if not np.isfinite(m).all():
-        raise DegenerateInputError("trial contains non-finite entries")
-    return (m.T @ m)[_triangle(m.shape[1])]
-
-
 def covariance_feature_names(sensor_names=GPU_SENSORS) -> tuple:
     iu, ju = _triangle(len(sensor_names))
     return tuple(f"cov({sensor_names[i]},{sensor_names[j]})" for i, j in zip(iu, ju))
 
 
 def covariance_feature_matrix(tensor: np.ndarray, standardizer: Standardizer) -> np.ndarray:
-    """Standardize a trial tensor and stack per-trial Gram features.
+    """Standardize a trial tensor and stack per-trial Gram features: row t
+    is the upper triangle of Z'Z, Z trial t standardized, in np.triu_indices
+    order (means 0, stds 1 and no constant sensor give the raw trials' rows).
 
     Trials are standardized one at a time, each in one flat loop against
     the means and inverse scales tiled to one trial (Standardizer._tiled,

@@ -262,6 +262,8 @@ def default_26_class_spec(
 ) -> SynthCorpusSpec:
     """The full taxonomy with job counts scaled proportionally (minimum 3)."""
     scale = real(scale, "scale", 0, above=True)
+    if not np.isfinite(scale * max(count for _, count in CLASS_JOB_COUNTS)):
+        raise UsageError(f"scale {scale!r} makes the job counts overflow")
     names = [name for name, _ in CLASS_JOB_COUNTS]
     counts = [scaled_job_count(count, scale) for _, count in CLASS_JOB_COUNTS]
     return make_corpus_spec(

@@ -48,12 +48,10 @@ class WindowPolicy:
 
 @dataclass
 class WindowedTrial:
+    """One window: a view into its trial's series and where it starts."""
+
     data: np.ndarray  # length x sensors
-    label: int
     source_offset: int
-    job_id: str = ""
-    label_name: str | None = None
-    device_id: str = ""
 
 
 def filter_min_length(trials, length: int):
@@ -87,14 +85,7 @@ def extract_window(trial: RawTrial, policy: WindowPolicy) -> WindowedTrial:
         offset = (n - length) // 2
     else:
         offset = int(_offset_rng(policy.seed, trial.job_id).integers(0, n - length + 1))
-    return WindowedTrial(
-        data=trial.series[offset : offset + length],
-        label=trial.label,
-        source_offset=offset,
-        job_id=trial.job_id,
-        label_name=trial.label_name,
-        device_id=trial.device_id,
-    )
+    return WindowedTrial(data=trial.series[offset : offset + length], source_offset=offset)
 
 
 def split_jobs_by_class(trials, split_ratio: float, split_seed: int):

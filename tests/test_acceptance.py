@@ -25,7 +25,7 @@ from wlclass.classifiers.svm import KernelSpec, _solve_dual, kernel_matrix
 from wlclass.cli import main, read_feature_set
 from wlclass.dataset_io import read_array, read_challenge_archive, write_array, write_challenge_archive
 from wlclass.errors import WlclassError
-from wlclass.features import covariance_features, fit_pca
+from wlclass.features import Standardizer, covariance_feature_matrix, fit_pca
 from wlclass.model_selection import (
     GridSpec,
     ReductionSpec,
@@ -85,7 +85,8 @@ def test_covariance_features_match_naive_gram_oracle():
     start = time.perf_counter()
     for n, m in sizes:
         trial = rng.standard_normal((n, m)) * rng.uniform(0.5, 3.0)
-        got = covariance_features(trial)
+        identity = Standardizer(np.zeros(m), np.ones(m), np.zeros(m, dtype=bool))
+        got = covariance_feature_matrix(trial[None], identity)[0]
         assert len(got) == m * (m + 1) // 2
         rows = trial.tolist()
         oracle = []

@@ -208,6 +208,14 @@ class TestConfigFile:
         assert main(["train", "--in", str(feat), "--model", "rf",
                      "--config", str(cfg), "--out", str(tmp_path / "m.wlc1")]) == 1
 
+    def test_non_utf8_config_is_usage(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.bin"
+        cfg.write_bytes(b"policy = \xff\xfe middle\n")
+        assert main(["window", "--config", str(cfg), "--in", str(tmp_path / "c.csv"),
+                     "--out", str(tmp_path / "arc.npz")]) == 1
+        assert "cannot read config" in capsys.readouterr().err
+        assert not (tmp_path / "arc.npz").exists()
+
     def test_malformed_config_line_is_usage(self, tmp_path):
         feat = self.feature_set(tmp_path)
         cfg = tmp_path / "train.cfg"
@@ -563,6 +571,7 @@ class TestFamilyParameterFlags:
         ["gridsearch", "--family", "gbt", "--learning-rate", "inf"],
         ["gridsearch", "--family", "svm", "--c", "inf"],
         ["synth", "--classes", "26", "--scale", "nan"],
+        ["synth", "--classes", "26", "--scale", "1e308"],
         ["synth", "--noise", "nan"],
         ["train", "--model", "svm", "--tol", "-1", "--allow-nonconverged"],
         ["train", "--model", "svm", "--max-iter", "0", "--allow-nonconverged"],
@@ -664,6 +673,9 @@ class TestReproduceCli:
         assert main(["reproduce", "--manifest", str(manifest),
                      "--out", str(tmp_path / "t.jsonl")]) == 2
         manifest.write_text("{broken")
+        assert main(["reproduce", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "t.jsonl")]) == 2
+        manifest.write_bytes(b"\xff\xfe{}")  # not UTF-8
         assert main(["reproduce", "--manifest", str(manifest),
                      "--out", str(tmp_path / "t.jsonl")]) == 2
         assert main(["reproduce", "--manifest", str(tmp_path / "absent.json"),

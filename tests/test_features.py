@@ -3,10 +3,10 @@ import pytest
 
 from wlclass.errors import DegenerateInputError, ShapeMismatchError, UsageError
 from wlclass.features import (
+    Standardizer,
     apply_standardizer,
     covariance_feature_matrix,
     covariance_feature_names,
-    covariance_features,
     fit_pca,
     fit_standardizer,
     flatten_tensor,
@@ -114,14 +114,22 @@ class TestStandardizer:
         assert pooled.max() > 1e-6
 
 
+def gram_row(trial):
+    """One trial's Gram row, through the stacked transform with an identity
+    standardizer."""
+    m = trial.shape[1]
+    identity = Standardizer(np.zeros(m), np.ones(m), np.zeros(m, dtype=bool))
+    return covariance_feature_matrix(trial[None], identity)[0]
+
+
 class TestCovarianceFeatures:
     def test_zero_trial(self):
-        feats = covariance_features(np.zeros((540, 7)))
+        feats = gram_row(np.zeros((540, 7)))
         assert feats.shape == (28,)
         np.testing.assert_array_equal(feats, 0.0)
 
     def test_three_by_two_oracle(self):
-        feats = covariance_features(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
+        feats = gram_row(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
         np.testing.assert_array_equal(feats, [35.0, 44.0, 56.0])
         assert list(zip(*np.triu_indices(2))) == [(0, 0), (0, 1), (1, 1)]
 
@@ -130,7 +138,7 @@ class TestCovarianceFeatures:
         for _ in range(20):
             n, m = int(rng.integers(2, 60)), int(rng.integers(1, 8))
             trial = rng.normal(size=(n, m))
-            feats = covariance_features(trial)
+            feats = gram_row(trial)
             gram = trial.T @ trial
             pos = 0
             for i in range(m):
@@ -144,8 +152,8 @@ class TestCovarianceFeatures:
         trial = rng.normal(size=(50, 7))
         shuffled = trial[rng.permutation(50)]
         np.testing.assert_allclose(
-            covariance_features(trial),
-            covariance_features(shuffled),
+            gram_row(trial),
+            gram_row(shuffled),
             rtol=1e-10,
         )
 
@@ -155,21 +163,22 @@ class TestCovarianceFeatures:
         c, j = 3.0, 2
         scaled = trial.copy()
         scaled[:, j] *= c
-        base = covariance_features(trial)
-        out = covariance_features(scaled)
+        base = gram_row(trial)
+        out = gram_row(scaled)
         for pos, (a, b) in enumerate(zip(*np.triu_indices(7))):
             factor = c**2 if (a == j and b == j) else c if j in (a, b) else 1.0
             np.testing.assert_allclose(out[pos], base[pos] * factor, rtol=1e-10)
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
     def test_nonfinite_rejected(self):
         trial = np.zeros((5, 7))
         trial[1, 1] = np.inf
         with pytest.raises(DegenerateInputError):
-            covariance_features(trial)
+            gram_row(trial)
 
     def test_feature_count_follows_sensor_count(self):
         for m in (1, 2, 5, 7):
-            feats = covariance_features(np.ones((4, m)))
+            feats = gram_row(np.ones((4, m)))
             assert len(feats) == m * (m + 1) // 2
 
     def test_stacked_matrix_shape_and_names(self):
@@ -188,7 +197,7 @@ class TestCovarianceFeatures:
         tensor[:, :, 4] = 1.5  # a constant sensor
         std = fit_standardizer(tensor)
         z = apply_standardizer(std, tensor)
-        expected = np.vstack([covariance_features(t) for t in z])
+        expected = np.vstack([(t.T @ t)[np.triu_indices(7)] for t in z])
         assert np.array_equal(covariance_feature_matrix(tensor, std), expected)
         with pytest.raises(ShapeMismatchError):
             covariance_feature_matrix(np.zeros((0, 40, 6)), std)

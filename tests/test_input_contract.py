@@ -12,7 +12,6 @@ from wlclass.classifiers import (
     train_gbt,
     train_svm_multiclass,
     train_tree,
-    tree_predict,
 )
 from wlclass._checks import labelled_rows
 from wlclass.errors import (
@@ -99,7 +98,6 @@ def predictors():
     gbt = train_gbt(X, y, GbtParams(rounds=1))
     svm = train_svm_multiclass(X, y, C=1.0, kernel=LINEAR)
     return {
-        "tree_predict": lambda Q: tree_predict(train_tree(X, y), Q),
         "forest_votes": lambda Q: forest_votes(forest, Q),
         "GbtModel.predict_scores": gbt.predict_scores,
         "SvmEnsemble.decision_matrix": svm.decision_matrix,

@@ -209,7 +209,7 @@ class TestDefaultSpecs:
         assert abs(unet - 143) <= 3
         assert by_name["PNA"] == 3
         assert min(by_name.values()) >= 3
-        for bad in (0.0, float("nan"), float("inf")):
+        for bad in (0.0, float("nan"), float("inf"), 1e308):  # 1e308 x a job count overflows
             with pytest.raises(UsageError, match="scale"):
                 default_26_class_spec(seed=0, scale=bad)
 

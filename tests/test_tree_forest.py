@@ -16,7 +16,6 @@ from wlclass.classifiers import (
     train_forest,
     train_gbt,
     train_tree,
-    tree_predict,
 )
 from wlclass.classifiers import tree as tree_module
 from wlclass.classifiers.tree import LEAF
@@ -26,6 +25,11 @@ from wlclass.errors import EmptyInputError, ShapeMismatchError, UsageError
 
 def is_leaf(tree, node):
     return tree.feature[node] == LEAF
+
+
+def tree_labels(tree, X):
+    """Labels of a one-tree table, through a one-tree forest's predict."""
+    return ForestModel(table=tree, seed=0, class_count=tree.value.shape[1]).predict(X)
 
 
 def tree_nodes(table, t):
@@ -112,14 +116,14 @@ class TestTree:
         X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         y = np.array([0, 1, 1, 0])
         tree = train_tree(X, y, TreeParams(max_depth=2))
-        np.testing.assert_array_equal(tree_predict(tree, X), y)
+        np.testing.assert_array_equal(tree_labels(tree, X), y)
 
     def test_memorizes_consistent_data(self):
         rng = np.random.default_rng(2)
         X = rng.normal(size=(60, 4))
         y = rng.integers(0, 5, size=60)
         tree = train_tree(X, y)
-        np.testing.assert_array_equal(tree_predict(tree, X), y)
+        np.testing.assert_array_equal(tree_labels(tree, X), y)
 
     def test_routing_consistency(self):
         rng = np.random.default_rng(3)
@@ -202,7 +206,7 @@ class TestTree:
         y = np.array([0, 1])
         tree = train_tree(X, y, TreeParams(max_depth=3))
         assert is_leaf(tree, tree.left[0]) and is_leaf(tree, tree.right[0])
-        np.testing.assert_array_equal(tree_predict(tree, X), y)
+        np.testing.assert_array_equal(tree_labels(tree, X), y)
 
     def test_candidates_are_drawn_depth_by_depth_left_to_right(self):
         """With one candidate per node, a continuous X and min_leaf 1, every
@@ -239,7 +243,9 @@ class TestForest:
     def test_single_tree_forest_matches_its_tree(self):
         X, y = self.blobs()
         forest = train_forest(X, y, n_trees=1, seed=0)
-        np.testing.assert_array_equal(predict(forest, X), tree_predict(forest.table, X))
+        table = forest.table
+        np.testing.assert_array_equal(
+            predict(forest, X), np.argmax(table.value[table.apply(X)[:, 0]], axis=1))
         assert (predict(forest, X) == y).mean() >= 0.9
 
     def test_determinism_bytes(self):
@@ -398,7 +404,7 @@ class TestDeepTrees:
     def test_tree_and_forest_fit_the_training_labels(self):
         X, y = self.chain()
         tree = train_tree(X, y)
-        np.testing.assert_array_equal(tree_predict(tree, X), y)
+        np.testing.assert_array_equal(tree_labels(tree, X), y)
         forest = train_forest(X, y, n_trees=5, seed=0)
         # bagging leaves rows out of each tree, so each tree must fit its own sample
         leaves = forest.table.apply(X)
