@@ -50,7 +50,6 @@ from .features import (
     covariance_feature_matrix,
     fit_pca,
     fit_standardizer,
-    pca_feature_matrix,
     project_pca,
 )
 from .model_selection import (
@@ -78,7 +77,6 @@ from .windowing import (
     WindowedTrial,
     build_challenge_dataset,
     extract_window,
-    filter_min_length,
     split_jobs_by_class,
 )
 
@@ -117,7 +115,6 @@ __all__ = [
     "evaluate_pipeline",
     "extract_window",
     "feature_importance_report",
-    "filter_min_length",
     "fit_pca",
     "fit_standardizer",
     "generate_corpus",
@@ -126,7 +123,6 @@ __all__ = [
     "kfold_indices",
     "load_model",
     "make_corpus_spec",
-    "pca_feature_matrix",
     "predict",
     "project_pca",
     "read_array",

@@ -531,7 +531,7 @@ def cmd_gridsearch(args) -> StageResult:
         write_reduction_bundle(args.reduction_out, result.pipeline.reduction)
         outputs.append(args.reduction_out)
 
-    print(f"gridsearch: {len(result.cells)} cells x {spec.effective_folds} folds")
+    print(f"gridsearch: {len(result.cells)} cells x {spec.folds} folds")
     for record in records[:-1]:
         print(f"  [{record['index']}] {record['cell']}: "
               f"{record['mean_accuracy']:.4f} +/- {record['std_accuracy']:.4f}")

@@ -180,7 +180,6 @@ class ChallengeDataset:
     x_test: np.ndarray
     y_test: np.ndarray
     model_test: list[str]
-    label_convention: str = "0-based"  # convention found in the source archive
 
     def validate(self) -> "ChallengeDataset":
         if self.x_train.ndim != 3 or self.x_test.ndim != 3:
@@ -206,16 +205,6 @@ class ChallengeDataset:
             if len(y) and y.max() >= len(model):
                 raise ShapeMismatchError(f"{name} name table is shorter than the label range")
         return self
-
-    def equal(self, other: "ChallengeDataset") -> bool:
-        return (
-            np.array_equal(self.x_train, other.x_train)
-            and np.array_equal(self.y_train, other.y_train)
-            and np.array_equal(self.x_test, other.x_test)
-            and np.array_equal(self.y_test, other.y_test)
-            and self.model_train == other.model_train
-            and self.model_test == other.model_test
-        )
 
 
 def _names_to_table(raw: np.ndarray, y: np.ndarray, member: str) -> list[str]:
@@ -353,8 +342,8 @@ def read_bundle(path, required, optional=()) -> dict:
 def read_challenge_archive(path) -> ChallengeDataset:
     """Load a challenge archive (path or binary file-like) into a validated dataset.
 
-    Float payloads are promoted to float64; labels are normalized to 0-based
-    with the source convention recorded on the dataset.
+    Float payloads are promoted to float64; labels are normalized to 0-based,
+    and train and test must use the same source convention.
     """
     arrays = read_bundle(path, ARCHIVE_KEYS)
     xs = {}
@@ -376,7 +365,6 @@ def read_challenge_archive(path) -> ChallengeDataset:
         x_test=xs["X_test"],
         y_test=y_test,
         model_test=_names_to_table(arrays["model_test"], y_test, "model_test"),
-        label_convention=conv_train,
     )
     for label in np.unique(dataset.y_test).tolist():
         if label < len(dataset.model_train):

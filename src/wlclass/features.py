@@ -135,9 +135,10 @@ def covariance_feature_matrix(tensor: np.ndarray, standardizer: Standardizer) ->
     upper = _triangle(x.shape[2])
     means, inv = standardizer._tiled(x.shape[1])
     out = np.empty((x.shape[0], len(upper[0])))
-    for row, trial in enumerate(x):
-        z = ((trial.ravel() - means) * inv).reshape(trial.shape)
-        out[row] = (z.T @ z)[upper]
+    with np.errstate(invalid="ignore", over="ignore"):  # _check_finite gives the verdict
+        for row, trial in enumerate(x):
+            z = ((trial.ravel() - means) * inv).reshape(trial.shape)
+            out[row] = (z.T @ z)[upper]
     return _check_finite(out)
 
 
@@ -192,7 +193,8 @@ def fit_pca(matrix: np.ndarray, k: int) -> PcaModel:
 
     Raises:
         UsageError: k is not an integer >= 1.
-        DegenerateInputError: fewer rows than k.
+        DegenerateInputError: fewer rows than k, k above the feature count,
+            or a Gram entry that is not finite (NaN or inf input, or overflow).
     """
     x = np.asarray(matrix, dtype=np.float64)
     if x.ndim != 2:
@@ -203,10 +205,12 @@ def fit_pca(matrix: np.ndarray, k: int) -> PcaModel:
         raise DegenerateInputError(f"need at least k={k} rows, got {n}")
     if k > d:
         raise DegenerateInputError(f"k={k} exceeds feature count {d}")
-    mean = x.mean(axis=0)
-    centered = x - mean
     wide = n < d
-    eigenvalues, vectors = np.linalg.eigh(centered @ centered.T if wide else centered.T @ centered)
+    with np.errstate(invalid="ignore", over="ignore"):  # _check_finite gives the verdict
+        mean = x.mean(axis=0)
+        centered = x - mean
+        gram = centered @ centered.T if wide else centered.T @ centered
+    eigenvalues, vectors = np.linalg.eigh(_check_finite(gram))
     eigenvalues, vectors = eigenvalues[::-1], vectors[:, ::-1]
     tol = max(n, d) * np.finfo(np.float64).eps * max(eigenvalues[0], 0.0)
     rank = int((eigenvalues > tol).sum())
@@ -236,10 +240,3 @@ def project_pca(model: PcaModel, matrix: np.ndarray) -> np.ndarray:
             f"expected n x {model.components.shape[1]} input, got {x.shape}"
         )
     return _check_finite((x - model.mean) @ model.components.T)
-
-
-def pca_feature_matrix(
-    tensor: np.ndarray, standardizer: Standardizer, model: PcaModel
-) -> np.ndarray:
-    """Standardize a trial tensor, flatten, and project onto components."""
-    return project_pca(model, flatten_tensor(apply_standardizer(standardizer, tensor)))

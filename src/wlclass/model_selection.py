@@ -35,6 +35,9 @@ from .classifiers import (
     train_gbt,
     train_svm_multiclass,
 )
+# project_pca is called as features.project_pca, the one name perfbench/tracer.py
+# wraps, so its span covers training and served projections alike
+from . import features
 from .dataset_io import read_bundle, read_challenge_archive, write_bundle
 from .errors import (
     BadKError,
@@ -52,8 +55,6 @@ from .features import (
     fit_pca,
     fit_standardizer,
     flatten_tensor,
-    pca_feature_matrix,
-    project_pca,
 )
 
 log = logging.getLogger(__name__)
@@ -135,7 +136,8 @@ class FittedReduction:
     def transform(self, tensor) -> np.ndarray:
         if self.spec.kind == "cov":
             return covariance_feature_matrix(tensor, self.standardizer)
-        return pca_feature_matrix(tensor, self.standardizer, self.pca)
+        flat = flatten_tensor(apply_standardizer(self.standardizer, tensor))
+        return features.project_pca(self.pca, flat)
 
     def fingerprint(self) -> str:
         """Hash of every fitted statistic; distinguishes what data fit this object."""
@@ -156,11 +158,12 @@ def fit_reduction(spec: ReductionSpec, x_train) -> tuple:
     """
     standardizer = fit_standardizer(x_train)
     if spec.kind == "cov":
-        features = covariance_feature_matrix(x_train, standardizer)
-        return FittedReduction(spec=spec, standardizer=standardizer), features
+        cov = covariance_feature_matrix(x_train, standardizer)
+        return FittedReduction(spec=spec, standardizer=standardizer), cov
     flat = flatten_tensor(apply_standardizer(standardizer, x_train))
     pca = fit_pca(flat, spec.k)
-    return FittedReduction(spec=spec, standardizer=standardizer, pca=pca), project_pca(pca, flat)
+    reduction = FittedReduction(spec=spec, standardizer=standardizer, pca=pca)
+    return reduction, features.project_pca(pca, flat)
 
 
 _STANDARDIZER_KEYS = ("means", "stds", "constant")
@@ -234,13 +237,9 @@ class GridSpec:
         for name, values in self.hyperparameter_grid.items():
             if not values:
                 raise UsageError(f"grid list for {name!r} is empty")
-        if self.folds is not None:
-            object.__setattr__(self, "folds", integer(self.folds, "folds", 2, BadKError))
+        folds = DEFAULT_FOLDS[self.model_family] if self.folds is None else self.folds
+        object.__setattr__(self, "folds", integer(folds, "folds", 2, BadKError))
         object.__setattr__(self, "seed", integer(self.seed, "seed", 0))
-
-    @property
-    def effective_folds(self) -> int:
-        return self.folds if self.folds is not None else DEFAULT_FOLDS[self.model_family]
 
     def cells(self) -> list:
         names = list(self.hyperparameter_grid)
@@ -362,14 +361,14 @@ def _family_kwargs(family: str, params: dict) -> dict:
     return {"params": GbtParams(reg_lambda=p.pop("lambda"), **p)}
 
 
-def train_family(family: str, features, y, params: dict, seed: int, n_classes: int):
+def train_family(family: str, x, y, params: dict, seed: int, n_classes: int):
     """Train one model of the given family with one grid cell's parameters;
     a parameter the cell leaves out takes its FAMILY_PARAMS default."""
     kwargs = _family_kwargs(family, params)
     if family == "rf":
-        return train_forest(features, y, seed=seed, n_classes=n_classes, **kwargs)
+        return train_forest(x, y, seed=seed, n_classes=n_classes, **kwargs)
     trainer = train_svm_multiclass if family == "svm" else train_gbt
-    return trainer(features, y, n_classes=n_classes, **kwargs)
+    return trainer(x, y, n_classes=n_classes, **kwargs)
 
 
 def _annotate(exc: WlclassError, context: str):
@@ -415,7 +414,7 @@ def grid_search(x, y, spec: GridSpec):
     if x.ndim != 3 or x.shape[0] != len(y):
         raise ShapeMismatchError(f"tensor {x.shape} does not align with {len(y)} labels")
     cells = spec.cells()
-    k = spec.effective_folds
+    k = spec.folds
     folds = kfold_indices(len(y), k, y, spec.seed)
     n_classes = int(y.max()) + 1
 
@@ -438,8 +437,8 @@ def grid_search(x, y, spec: GridSpec):
     best_cell = int(np.argmax(mean_accuracy))
 
     best = cells[best_cell]
-    reduction, features = fit_reduction(best.reduction, x)
-    model = train_family(spec.model_family, features, y, best.params, spec.seed, n_classes)
+    reduction, f_train = fit_reduction(best.reduction, x)
+    model = train_family(spec.model_family, f_train, y, best.params, spec.seed, n_classes)
     return CvResult(
         cells=cells,
         mean_accuracy=mean_accuracy,

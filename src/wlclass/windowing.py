@@ -54,11 +54,6 @@ class WindowedTrial:
     source_offset: int
 
 
-def filter_min_length(trials, length: int):
-    """Keep trials with at least `length` samples, order preserved."""
-    return [t for t in trials if t.n_samples >= length]
-
-
 def _offset_rng(seed: int, job_id: str) -> np.random.Generator:
     digest = hashlib.sha256(job_id.encode("utf-8")).digest()
     job_word = int.from_bytes(digest[:8], "big")
@@ -134,9 +129,10 @@ def build_challenge_dataset(
 
     The split is decided per job (all series of a job land on one side),
     stratified by class. Labels are remapped to a contiguous 0-based range
-    in sorted original order.
+    in sorted original order. Trials shorter than the window are dropped,
+    order preserved.
     """
-    usable = filter_min_length(trials, policy.length)
+    usable = [t for t in trials if t.n_samples >= policy.length]
     if not usable:
         raise EmptyInputError(f"no trial has {policy.length} samples")
     if any(t.label is None for t in usable):

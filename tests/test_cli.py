@@ -114,6 +114,23 @@ class TestExitCodes:
         assert main(["featurize", "--in", str(bad),
                      "--out", str(tmp_path / "f.npz")]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["featurize", "--reduction", "cov"],
+        ["featurize", "--reduction", "pca-3"],
+        ["gridsearch", "--family", "rf", "--n-trees", "2", "--folds", "2", "--reductions", "cov"],
+        ["gridsearch", "--family", "rf", "--n-trees", "2", "--folds", "2", "--reductions", "pca-2"],
+    ], ids=lambda argv: f"{argv[0]}-{argv[-1]}")
+    def test_nonfinite_reading_is_data_error(self, chain, tmp_path, capsys, argv):
+        """A NaN reading in every training window reaches each reduction's fit,
+        on the whole split and on every fold, and exits 2 for both kinds."""
+        dataset = read_challenge_archive(chain / "arc.npz")
+        dataset.x_train = dataset.x_train.copy()
+        dataset.x_train[:, 3, 1] = np.nan
+        write_challenge_archive(dataset, tmp_path / "nan.npz")
+        out = tmp_path / "out"
+        assert main([*argv, "--in", str(tmp_path / "nan.npz"), "--out", str(out)]) == 2
+        assert "data error" in capsys.readouterr().err
+
     def test_nonconverged_svm_exits_3_unless_allowed(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         features = rng.standard_normal((40, 6))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,9 @@ from wlclass.features import (
     fit_pca,
     fit_standardizer,
     flatten_tensor,
-    pca_feature_matrix,
     project_pca,
 )
+from wlclass.model_selection import FittedReduction, ReductionSpec
 
 
 class TestStandardizer:
@@ -169,12 +171,13 @@ class TestCovarianceFeatures:
             factor = c**2 if (a == j and b == j) else c if j in (a, b) else 1.0
             np.testing.assert_allclose(out[pos], base[pos] * factor, rtol=1e-10)
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
     def test_nonfinite_rejected(self):
         trial = np.zeros((5, 7))
         trial[1, 1] = np.inf
-        with pytest.raises(DegenerateInputError):
-            gram_row(trial)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the error is the one verdict, with no warning
+            with pytest.raises(DegenerateInputError):
+                gram_row(trial)
 
     def test_feature_count_follows_sensor_count(self):
         for m in (1, 2, 5, 7):
@@ -374,6 +377,17 @@ class TestPca:
         with pytest.raises(ShapeMismatchError):
             project_pca(model, np.zeros((3, 9)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e200],
+                             ids=["nan", "inf", "-inf", "overflow"])
+    @pytest.mark.parametrize("shape", [(8, 5), (5, 8)], ids=["tall", "wide"])
+    def test_nonfinite_input_is_degenerate(self, value, shape):
+        x = np.random.default_rng(4).normal(size=shape)
+        x[2, 3] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateInputError, match="non-finite"):
+                fit_pca(x, 2)
+
 
 class TestPipelineComposition:
     def test_pca_path_standardizes_then_flattens(self):
@@ -382,7 +396,7 @@ class TestPipelineComposition:
         std = fit_standardizer(train)
         flat = flatten_tensor(apply_standardizer(std, train))
         model = fit_pca(flat, k=6)
-        fm = pca_feature_matrix(train, std, model)
+        fm = FittedReduction(ReductionSpec("pca", 6), std, model).transform(train)
         assert type(fm) is np.ndarray and fm.shape == (20, 6)
         np.testing.assert_allclose(fm, project_pca(model, flat), rtol=1e-12)
 
@@ -399,13 +413,14 @@ class TestPipelineComposition:
         tensor[:, :, 3] = 2.0  # constant, so its scale is 0
         std = fit_standardizer(tensor)
         model = fit_pca(flatten_tensor(apply_standardizer(std, tensor)), k=3)
+        pca = FittedReduction(ReductionSpec("pca", 3), std, model)
         for sensor, value in ((0, np.inf), (3, np.inf), (5, np.nan)):
             bad = tensor.copy()
             bad[4, 7, sensor] = value
             with pytest.raises(DegenerateInputError):
                 covariance_feature_matrix(bad, std)
             with pytest.raises(DegenerateInputError):
-                pca_feature_matrix(bad, std, model)
+                pca.transform(bad)
         huge = np.full((1, 12, 7), 1e200)
         with pytest.raises(DegenerateInputError):
             covariance_feature_matrix(huge, std)  # finite input, overflowing Gram

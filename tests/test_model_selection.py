@@ -150,9 +150,9 @@ class TestGridSpec:
     def test_default_fold_counts_per_family(self):
         grid = {"n_trees": [5]}
         reductions = (ReductionSpec("cov"),)
-        assert GridSpec("rf", grid, reductions).effective_folds == 10
-        assert GridSpec("svm", {"C": [1.0]}, reductions).effective_folds == 10
-        assert GridSpec("gbt", {"gamma": [0.0]}, reductions).effective_folds == 5
+        assert GridSpec("rf", grid, reductions).folds == 10
+        assert GridSpec("svm", {"C": [1.0]}, reductions).folds == 10
+        assert GridSpec("gbt", {"gamma": [0.0]}, reductions).folds == 5
 
     def test_validation(self):
         reductions = (ReductionSpec("cov"),)
@@ -172,7 +172,7 @@ class TestGridSpec:
         reductions = (ReductionSpec("cov"),)
         if isinstance(folds, np.integer):
             spec = GridSpec("rf", {"n_trees": [5]}, reductions, folds=folds)
-            assert type(spec.folds) is int and spec.effective_folds == 3
+            assert type(spec.folds) is int and spec.folds == 3
         else:
             with pytest.raises(BadKError, match="integer"):
                 GridSpec("rf", {"n_trees": [5]}, reductions, folds=folds)

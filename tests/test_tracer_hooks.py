@@ -57,6 +57,8 @@ def test_traced_commands_fire_the_feature_and_selection_spans(tmp_path):
     try:
         assert wlclass.cli.main(["featurize", "--in", str(archive), "--reduction", "pca-3",
                                  "--out", str(tmp_path / "pca.npz")]) == 0
+        # the training split's projection fires the span too, not only the test split's
+        assert [s.name for s in tracer.spans].count("features.pca_project") == 2
         assert wlclass.cli.main(["gridsearch", "--in", str(archive), "--family", "rf",
                                  "--n-trees", "2", "--folds", "2",
                                  "--reductions", "cov,pca-2,pca-3",

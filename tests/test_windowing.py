@@ -1,14 +1,15 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from wlclass.dataset_io import RawTrial
-from wlclass.errors import TooFewTrialsError, TooShortError, UsageError
+from wlclass.errors import EmptyInputError, TooFewTrialsError, TooShortError, UsageError
 from wlclass.windowing import (
     WindowPolicy,
     build_challenge_dataset,
     extract_window,
-    filter_min_length,
     split_jobs_by_class,
 )
 
@@ -47,20 +48,36 @@ class TestPolicyValidation:
                 WindowPolicy("start", length=bad)
 
 
+def kept_trials(trials):
+    """The trials build_challenge_dataset windows, in input order, checking
+    that each side's rows keep that order: a row is matched to its trial by
+    the trial's first 540 samples, so every trial needs its own series."""
+    ds = build_challenge_dataset(trials, WindowPolicy("start"), 0.5, split_seed=0)
+    job_of = {t.series[:540].tobytes(): t.job_id for t in trials}
+    sides = [[job_of[row.tobytes()] for row in x] for x in (ds.x_train, ds.x_test)]
+    kept = [t for t in trials if any(t.job_id in side for side in sides)]
+    for side in sides:
+        assert side == [t.job_id for t in kept if t.job_id in side]
+    assert sum(map(len, sides)) == len(kept)
+    return kept
+
+
 class TestFilter:
     def test_boundary_inclusion(self):
-        trials = [make_trial(f"j{n}", n) for n in (539, 540, 541)]
-        kept = filter_min_length(trials, 540)
+        trials = [make_trial(f"j{n}", n, seed=n) for n in (539, 540, 541)]
+        kept = kept_trials(trials)
         assert [t.n_samples for t in kept] == [540, 541]
 
     def test_empty_input(self):
-        assert filter_min_length([], 540) == []
+        for trials in ([], [make_trial("j", 539)]):
+            with pytest.raises(EmptyInputError):
+                build_challenge_dataset(trials, WindowPolicy("start"))
 
     def test_count_matches_linear_scan(self):
         rng = np.random.default_rng(42)
         lengths = rng.integers(100, 900, size=60)
-        trials = [make_trial(f"j{i}", int(n)) for i, n in enumerate(lengths)]
-        kept = filter_min_length(trials, 540)
+        trials = [make_trial(f"j{i}", int(n), seed=i) for i, n in enumerate(lengths)]
+        kept = kept_trials(trials)
         assert len(kept) == int((lengths >= 540).sum())
         assert [t.job_id for t in kept] == [t.job_id for t in trials if t.n_samples >= 540]
 
@@ -209,7 +226,7 @@ class TestBuildDataset:
         trials = labelled_corpus([6, 7], n=640)
         a = build_challenge_dataset(trials, WindowPolicy("random", seed=4), 0.8, 3)
         b = build_challenge_dataset(trials, WindowPolicy("random", seed=4), 0.8, 3)
-        assert a.equal(b)
+        assert all(np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
 
     def test_multi_device_jobs_stay_together(self):
         trials = labelled_corpus([6, 6], devices=3)
