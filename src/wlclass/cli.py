@@ -221,32 +221,30 @@ PARAM_FLAGS = {
 REPRODUCE_PARAM_FLAGS = {**PARAM_FLAGS, ("rf", "n_trees"): "rf_trees", ("svm", "C"): "svm_c"}
 
 
-def _family_args(args, family: str, flags=PARAM_FLAGS, grid=False) -> dict:
-    """The family's parameters that args set, in FAMILY_PARAMS order.
+def _family_params(args, flags=PARAM_FLAGS, grid=False) -> dict:
+    """{family: the parameters args set, in FAMILY_PARAMS order} for every
+    family, each value (each list item with grid) checked alone by
+    _family_kwargs: a config file may set every family's flags, so a value
+    no family could train with is refused whichever family runs.
 
     A parameter whose flag the subcommand lacks, or left at None, is
     skipped. With grid, each value becomes a list: the text of a numeric
     parameter's flag is a comma list, any other value one value.
     """
-    params = {}
-    for name, default in FAMILY_PARAMS[family].items():
-        value = getattr(args, flags.get((family, name), name), None)
-        if value is None:
-            continue
-        if grid:
-            numeric = isinstance(value, str) and not isinstance(default, str)
-            value = _values(value, type(default)) if numeric else [value]
-        params[name] = value
-    return params
-
-
-def _check_every_family(args, grid=False) -> None:
-    """Refuse a value its family could not train with, for every family's flags
-    and not only the chosen one's: a config file may set them all."""
-    for family in MODEL_FAMILIES:
-        for name, value in _family_args(args, family, grid=grid).items():
+    out = {}
+    for family, defaults in FAMILY_PARAMS.items():
+        params = out[family] = {}
+        for name, default in defaults.items():
+            value = getattr(args, flags.get((family, name), name), None)
+            if value is None:
+                continue
+            if grid:
+                numeric = isinstance(value, str) and not isinstance(default, str)
+                value = _values(value, type(default)) if numeric else [value]
             for one in value if grid else [value]:
                 _family_kwargs(family, {name: one})
+            params[name] = value
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -395,10 +393,10 @@ def _check_converged(model, allow: bool) -> None:
 
 
 def cmd_train(args) -> StageResult:
-    _check_every_family(args)
+    params = _family_params(args)[args.model]
+    _family_kwargs(args.model, params)  # the values together: a linear kernel takes no gamma
     features_train, y_train, _, _, meta = read_feature_set(args.input)
     n_classes = max(len(meta.get("class_names", [])), int(y_train.max()) + 1)
-    params = _family_args(args, args.model)
     model = train_family(args.model, features_train, y_train, params, args.seed, n_classes)
     _check_converged(model, args.allow_nonconverged)
     provenance = {
@@ -478,23 +476,15 @@ def cmd_evaluate(args) -> StageResult:
     return StageResult(outputs=[args.out], inputs=[args.model_path, args.input])
 
 
-def _parse_reductions(text: str) -> tuple:
-    specs = tuple(ReductionSpec.parse(token) for token in str(text).split(",") if token.strip())
-    if not specs:
-        raise UsageError("at least one reduction is required")
-    return specs
-
-
 def cmd_gridsearch(args) -> StageResult:
-    _check_every_family(args, grid=True)
-    dataset = read_challenge_archive(args.input)
     spec = GridSpec(
         model_family=args.family,
-        hyperparameter_grid=_family_args(args, args.family, grid=True),
-        reduction_grid=_parse_reductions(args.reductions),
+        hyperparameter_grid=_family_params(args, grid=True)[args.family],
+        reduction_grid=tuple(_values(args.reductions, ReductionSpec.parse)),
         folds=args.folds,
         seed=args.seed,
     )
+    dataset = read_challenge_archive(args.input)
     result = grid_search(dataset.x_train, dataset.y_train, spec)
     _check_converged(result.pipeline.model, args.allow_nonconverged)
 
@@ -566,6 +556,9 @@ def _load_manifest_paths(path) -> dict:
 
 
 def cmd_reproduce(args) -> StageResult:
+    families = _values(args.families, str.strip)
+    pca_ks = tuple(_values(args.pca_ks))
+    grids = _family_params(args, REPRODUCE_PARAM_FLAGS, grid=True)
     manifest = _load_manifest_paths(args.manifest)
     unknown = sorted(set(manifest) - set(DATASET_COLUMNS))
     if unknown:
@@ -584,16 +577,8 @@ def cmd_reproduce(args) -> StageResult:
             missing.append(name)
         else:
             present[name] = path
-    grids = {f: _family_args(args, f, REPRODUCE_PARAM_FLAGS, grid=True) for f in MODEL_FAMILIES}
-    families = [tok.strip() for tok in args.families.split(",") if tok.strip()]
-    table = reproduce_table(
-        present,
-        families=families,
-        seed=args.seed,
-        folds=args.folds,
-        grids=grids,
-        pca_ks=tuple(_values(args.pca_ks)),
-    )
+    table = reproduce_table(present, families=families, seed=args.seed, folds=args.folds,
+                            grids=grids, pca_ks=pca_ks)
     records = []
     for name in missing:
         records.append({"record": "missing", "dataset": name})
@@ -638,7 +623,6 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"wlclass {__version__}")
     rf, svm, gbt = FAMILY_PARAMS["rf"], FAMILY_PARAMS["svm"], FAMILY_PARAMS["gbt"]
     subs = parser.add_subparsers(dest="command", required=True)
-    registry = {}
 
     synth = subs.add_parser("synth", help="generate a synthetic labelled corpus")
     synth.add_argument("--classes", type=int, choices=(4, 26), default=4)
@@ -660,7 +644,6 @@ def build_parser():
     synth.add_argument("--split-ratio", type=float, default=0.8)
     _add_common(synth, out_required=False, out_help="corpus CSV path")
     synth.set_defaults(func=cmd_synth)
-    registry["synth"] = synth
 
     window = subs.add_parser("window", help="ingest raw CSV, window, and split")
     window.add_argument("--in", dest="input", required=True, help="corpus CSV")
@@ -670,7 +653,6 @@ def build_parser():
     window.add_argument("--nonfinite", choices=("drop", "ffill"), default="drop")
     _add_common(window, out_help="challenge archive path (.npz)")
     window.set_defaults(func=cmd_window)
-    registry["window"] = window
 
     featurize = subs.add_parser("featurize", help="fit a reduction on train, apply to both splits")
     featurize.add_argument("--in", dest="input", required=True, help="challenge archive")
@@ -679,7 +661,6 @@ def build_parser():
                            help="also save the fitted reduction bundle")
     _add_common(featurize, out_help="feature set path (.npz)")
     featurize.set_defaults(func=cmd_featurize)
-    registry["featurize"] = featurize
 
     train = subs.add_parser("train", help="train one model on a feature set")
     train.add_argument("--in", dest="input", required=True, help="feature set")
@@ -702,7 +683,6 @@ def build_parser():
     train.add_argument("--allow-nonconverged", action="store_true")
     _add_common(train, out_help="model path (.wlc1)")
     train.set_defaults(func=cmd_train)
-    registry["train"] = train
 
     pred = subs.add_parser("predict", help="predict labels for a feature set split")
     pred.add_argument("--model-path", required=True)
@@ -710,7 +690,6 @@ def build_parser():
     pred.add_argument("--split", choices=("train", "test"), default="test")
     _add_common(pred, out_help="predictions CSV path")
     pred.set_defaults(func=cmd_predict)
-    registry["predict"] = pred
 
     ev = subs.add_parser("evaluate", help="score a model on a feature set split")
     ev.add_argument("--model-path", required=True)
@@ -718,7 +697,6 @@ def build_parser():
     ev.add_argument("--split", choices=("train", "test"), default="test")
     _add_common(ev, out_help="report path (.jsonl)")
     ev.set_defaults(func=cmd_evaluate)
-    registry["evaluate"] = ev
 
     gs = subs.add_parser("gridsearch", help="cross-validated grid search on an archive")
     gs.add_argument("--in", dest="input", required=True, help="challenge archive")
@@ -743,7 +721,6 @@ def build_parser():
     gs.add_argument("--allow-nonconverged", action="store_true")
     _add_common(gs, out_help="cell records path (.jsonl)")
     gs.set_defaults(func=cmd_gridsearch)
-    registry["gridsearch"] = gs
 
     rep = subs.add_parser("reproduce", help="rebuild the accuracy table from released archives")
     rep.add_argument("--manifest", required=True,
@@ -761,19 +738,18 @@ def build_parser():
                      help="fail instead of skipping absent archives")
     _add_common(rep, out_help="table records path (.jsonl)")
     rep.set_defaults(func=cmd_reproduce)
-    registry["reproduce"] = rep
 
-    return parser, registry
+    return parser, subs.choices
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser, registry = build_parser()
+    parser, commands = build_parser()
     try:
         args = parser.parse_args(argv)
         if args.config:  # the file's flags go first, so the command line's win
             at = argv.index(args.command) + 1
-            argv[at:at] = _config_tokens(registry[args.command], args.config)
+            argv[at:at] = _config_tokens(commands[args.command], args.config)
             args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
@@ -785,6 +761,8 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         integer(args.seed, "--seed", 0)  # every stage seeds a SeedSequence with it
+        if getattr(args, "folds", None) is not None:  # gridsearch and reproduce
+            integer(args.folds, "--folds", 2)
         result = args.func(args)
         _write_manifest(args, result, time.monotonic() - start)
     except UsageError as exc:

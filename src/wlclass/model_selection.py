@@ -541,15 +541,6 @@ TABLE_VARIANTS = {
 }
 
 
-def _reduction_grid(kind: str, pca_ks, max_k=None) -> tuple:
-    if kind == "cov":
-        return (ReductionSpec("cov"),)
-    ks = [k for k in pca_ks if max_k is None or k <= max_k]
-    if not ks:
-        ks = [min(pca_ks)]
-    return tuple(ReductionSpec("pca", k=k) for k in ks)
-
-
 def reproduce_table(
     archives: dict,
     families=("svm", "rf"),
@@ -569,15 +560,20 @@ def reproduce_table(
     error is the caller's policy (``reproduce --strict``).
 
     Raises:
-        UsageError: no family, one outside MODEL_FAMILIES, or no pca_ks
-            while svm or rf puts a pca row in the table.
+        UsageError: before any archive loads, no family, one outside
+            MODEL_FAMILIES, or, while svm or rf puts a pca row in the table,
+            no pca_ks or one that is not an integer >= 1; before a column's
+            first fold, a pca row whose every k exceeds the column's
+            features per window.
         MissingArchiveError: no recognized dataset name is present.
     """
     if not families or not set(families) <= set(MODEL_FAMILIES):
         raise UsageError(f"families must be among {', '.join(MODEL_FAMILIES)}, got {families}")
     variants = [v for v, (fam, _) in TABLE_VARIANTS.items() if fam in families]
-    if not pca_ks and any(TABLE_VARIANTS[v][1] == "pca" for v in variants):
+    pca_rows = any(TABLE_VARIANTS[v][1] == "pca" for v in variants)
+    if pca_rows and not pca_ks:
         raise UsageError("pca_ks must be non-empty for the pca rows of svm and rf")
+    pca_specs = tuple(ReductionSpec("pca", k) for k in pca_ks) if pca_rows else ()
     grids = grids or BASELINE_GRIDS
     columns = [name for name in DATASET_COLUMNS if name in archives]
     if not columns:
@@ -590,13 +586,18 @@ def reproduce_table(
     for column in columns:
         dataset = loader(archives[column])  # once per archive, shared by every variant
         _, length, sensors = dataset.x_train.shape
-        max_k = length * sensors
+        width = length * sensors  # features per flattened window
+        reductions = {"cov": (ReductionSpec("cov"),),
+                      "pca": tuple(r for r in pca_specs if r.k <= width)}
+        if pca_rows and not reductions["pca"]:
+            raise UsageError(f"{column} has {width} features per window, fewer than "
+                             f"every pca k in {', '.join(map(str, pca_ks))}")
         for variant in variants:
             family, reduction_kind = TABLE_VARIANTS[variant]
             spec = GridSpec(
                 model_family=family,
                 hyperparameter_grid=grids[family],
-                reduction_grid=_reduction_grid(reduction_kind, pca_ks, max_k=max_k),
+                reduction_grid=reductions[reduction_kind],
                 folds=folds,
                 seed=seed,
             )

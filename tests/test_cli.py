@@ -28,7 +28,13 @@ from wlclass.dataset_io import (
     write_challenge_archive,
 )
 from wlclass.errors import MalformedArchiveError
-from wlclass.model_selection import FAMILY_PARAMS, ReductionSpec, fit_reduction
+from wlclass.model_selection import (
+    FAMILY_PARAMS,
+    GridPipeline,
+    ReductionSpec,
+    evaluate_pipeline,
+    fit_reduction,
+)
 from wlclass.synth import generate_corpus, make_corpus_spec
 from wlclass.windowing import WindowPolicy, build_challenge_dataset
 
@@ -160,6 +166,39 @@ class TestExitCodes:
         argv = [arg.format(d=chain, t=tmp_path) for arg in argv]
         assert main([*argv, "--seed", "-1", "--out", str(out)]) == 1
         assert "usage error: --seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["reproduce", "--manifest", "{t}/archives.json", "--svm-c", "-1"], "C must be"),
+        (["reproduce", "--manifest", "{t}/archives.json", "--families", "rf", "--svm-c", "-1"],
+         "C must be"),
+        (["reproduce", "--manifest", "{t}/archives.json", "--families", "gbt",
+          "--pca-ks", "4,x"], "'4,x'"),
+        (["reproduce", "--manifest", "{t}/archives.json", "--folds", "1"], "--folds"),
+        (["gridsearch", "--in", "{t}/missing.npz", "--family", "rf", "--reductions", "bogus"],
+         "'bogus'"),
+        (["gridsearch", "--in", "{t}/missing.npz", "--family", "rf", "--reductions", ","],
+         "reduction grid must be non-empty"),
+        (["gridsearch", "--in", "{t}/missing.npz", "--family", "rf", "--folds", "1"],
+         "--folds"),
+        (["train", "--in", "{t}/missing.npz", "--model", "svm", "--kernel", "linear",
+          "--rbf-gamma", "0.5"], "linear kernel takes no gamma"),
+    ], ids=["reproduce-svm-c", "reproduce-other-family", "reproduce-pca-ks",
+            "reproduce-folds", "gridsearch-reduction", "gridsearch-no-reduction",
+            "gridsearch-folds", "train-kernel-gamma"])
+    def test_flags_are_checked_before_any_input_opens(self, tmp_path, monkeypatch, capsys,
+                                                      argv, message):
+        """Every family's grid and every list flag is a usage error before the
+        manifest, archive or feature set is opened, whichever family runs."""
+        def opened(path):
+            raise AssertionError(f"{path} opened before the flags were checked")
+
+        for reader in ("_load_manifest_paths", "read_challenge_archive", "read_feature_set"):
+            monkeypatch.setattr(f"wlclass.cli.{reader}", opened)
+        out = tmp_path / "out"
+        assert main([*(arg.format(t=tmp_path) for arg in argv), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "usage error: " in err and message in err
         assert not out.exists()
 
 
@@ -394,6 +433,26 @@ class TestPipelineArtifacts:
         assert manifest["flags"]["n_trees"] == 15
         assert manifest["wall_clock_s"] >= 0.0
 
+    @pytest.mark.parametrize("stage", ["window", "synth"])
+    def test_random_policy_records_its_offset_seed(self, chain, tmp_path, stage):
+        """--policy random draws window offsets from the window-offset stream
+        of --seed, which the manifest records; a rerun writes the same bytes."""
+        source = {"window": ["window", "--in", str(chain / "corpus.csv"), "--out"],
+                  "synth": ["synth", "--classes", "4", "--jobs-per-class", "6",
+                            "--length-min", "60", "--length-max", "70", "--emit-archive"]}
+        for run in ("a", "b"):
+            assert main([*source[stage], str(tmp_path / f"{run}.npz"), "--policy", "random",
+                         "--length", "50", "--seed", "9"]) == 0
+        assert sha256(tmp_path / "a.npz") == sha256(tmp_path / "b.npz")
+        manifest = json.loads((tmp_path / "a.npz.manifest.json").read_text())
+        assert manifest["seeds"]["window-offset"] == derive_seed(9, "window-offset")
+        assert manifest["seeds"]["split"] == derive_seed(9, "split")
+        middle = tmp_path / "middle.npz"
+        assert main([*source[stage], str(middle), "--length", "50", "--seed", "9"]) == 0
+        assert sha256(middle) != sha256(tmp_path / "a.npz")
+        assert "window-offset" not in json.loads(
+            (tmp_path / "middle.npz.manifest.json").read_text())["seeds"]
+
     def test_derived_seeds_are_stable_and_distinct(self):
         assert derive_seed(7, "split") == derive_seed(7, "split")
         assert derive_seed(7, "split") != derive_seed(7, "window-offset")
@@ -436,6 +495,27 @@ class TestGridsearchCli:
         assert best["index"] == int(np.argmax(means))
         model, provenance = load_model(tmp_path / "best.wlc1")
         assert provenance["cv_mean_accuracy"] == pytest.approx(max(means))
+
+    def test_saved_artifacts_reproduce_the_test_report(self, tmp_path):
+        """The refit reduction and model that --reduction-out and --model-out
+        save, reloaded, score the archive's test split as --report-out did."""
+        arc = self.setup_archive(tmp_path)
+        paths = {flag: tmp_path / name for flag, name in (
+            ("--model-out", "best.wlc1"), ("--reduction-out", "red.npz"),
+            ("--report-out", "report.jsonl"))}
+        assert main(["gridsearch", "--in", str(arc), "--family", "rf", "--n-trees", "3,9",
+                     "--reductions", "cov,pca-4", "--folds", "3",
+                     "--out", str(tmp_path / "cv.jsonl"),
+                     *(str(part) for pair in paths.items() for part in pair)]) == 0
+        pipeline = GridPipeline(reduction=read_reduction_bundle(paths["--reduction-out"]),
+                                model=load_model(paths["--model-out"])[0], family="rf")
+        dataset = read_challenge_archive(arc)
+        report = evaluate_pipeline(pipeline, dataset.x_test, dataset.y_test,
+                                   dataset.model_train)
+        records = read_jsonl(paths["--report-out"])
+        assert records[0]["accuracy"] == report.accuracy
+        assert records[0]["model_provenance"] == report.model_provenance
+        assert records[-1]["matrix"] == report.confusion_matrix.tolist()
 
 
 class TestFamilyParameterFlags:
@@ -682,6 +762,21 @@ class TestReproduceCli:
             assert main(["reproduce", "--manifest", str(manifest), "--families", "rf",
                          "--pca-ks", ks, "--out", str(out)]) == 1
             assert "usage error: pca_ks" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_pca_ks_beyond_every_window_width_is_usage(self, tmp_path, capsys):
+        """A pca row needs a k the window can hold: pca-400 and pca-500 on
+        50 x 7 windows are refused, naming the column, before its first fold."""
+        self.make_archive(tmp_path / "m1.npz", seed=1)
+        manifest = tmp_path / "archives.json"
+        manifest.write_text(json.dumps({"60-middle-1": str(tmp_path / "m1.npz")}))
+        out = tmp_path / "t.jsonl"
+        for ks, message in (("400,500", "60-middle-1 has 350 features per window, fewer than "
+                             "every pca k in 400, 500"), ("0", "k must be an integer >= 1")):
+            assert main(["reproduce", "--manifest", str(manifest), "--families", "rf",
+                         "--rf-trees", "2", "--pca-ks", ks, "--folds", "2",
+                         "--out", str(out)]) == 1
+            assert f"usage error: {message}" in capsys.readouterr().err
             assert not out.exists()
 
     def test_bad_manifest_is_data_error(self, tmp_path):

@@ -474,6 +474,38 @@ class TestChallengeArchive:
                 x_train, y_train, names, x_test[:, :5, :], y_test, names
             ).validate()
 
+    @pytest.mark.parametrize("n_classes,per_trial,mutate,error,match", [
+        (3, False, lambda m: {"X_train": m["X_train"].astype(np.int64)},
+         DtypeMismatchError, "X_train must be a float array"),
+        (3, False, lambda m: {"X_test": m["X_test"].reshape(len(m["X_test"]), -1)},
+         ShapeMismatchError, "X_test must be trials x samples x sensors"),
+        (26, False, lambda m: {"y_test": m["y_test"] + 1},
+         LabelOutOfRangeError, "different label conventions"),
+        (3, False, lambda m: {"model_test": np.array(["net0", "resnet", "net2"])},
+         ShapeMismatchError, "label 1 named 'net1' in train but 'resnet' in test"),
+        (3, True, lambda m: {"model_train": np.array(["net0", "other", *m["model_train"][2:]])},
+         ShapeMismatchError, "model_train maps label 0 to both 'net0' and 'other'"),
+        (3, False, lambda m: {"X_train": m["X_train"][:, :, :6], "X_test": m["X_test"][:, :, :6]},
+         ShapeMismatchError, "trailing dimension must be 7"),
+        (3, False, lambda m: {"y_train": m["y_train"][:-1]},
+         ShapeMismatchError, "train labels do not align with trials"),
+        (3, False, lambda m: {"model_train": m["model_train"][:2]},
+         ShapeMismatchError, "train name table is shorter than the label range"),
+    ], ids=["integer-x", "2d-x", "mixed-label-conventions", "test-names-disagree",
+            "one-label-two-names", "six-sensors", "labels-not-aligned", "short-name-table"])
+    def test_crafted_archive_refusals(self, tmp_path, n_classes, per_trial, mutate, error,
+                                      match):
+        """Each typed refusal of read_challenge_archive, reached from one
+        written archive that differs from a valid one in one respect."""
+        x_train, y_train, model_train, x_test, y_test, model_test = small_dataset(
+            n_classes=n_classes, names_per_trial=per_trial)
+        members = {"X_train": x_train, "y_train": y_train, "model_train": np.array(model_train),
+                   "X_test": x_test, "y_test": y_test, "model_test": np.array(model_test)}
+        path = tmp_path / "crafted.npz"
+        np.savez(path, **{**members, **mutate(members)})
+        with pytest.raises(error, match=re.escape(match)):
+            read_challenge_archive(path)
+
 
 def reference_ingest(path, nonfinite="drop"):
     """The row-by-row reader that ingest_raw_csv replaced: one (timestamp,

@@ -406,7 +406,6 @@ class TestPipelineComposition:
         std = fit_standardizer(tensor)
         assert np.isfinite(covariance_feature_matrix(tensor, std)).all()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_windows_rejected(self):
         rng = np.random.default_rng(23)
         tensor = rng.normal(size=(6, 12, 7))

@@ -1,4 +1,5 @@
 import logging
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -659,6 +660,26 @@ class TestReproduceTable:
         assert calls == []
         with pytest.raises(MissingArchiveError):  # past the pca_ks check
             reproduce_table({}, families=("gbt",), pca_ks=())
+
+    def test_bad_pca_k_refused_before_any_archive_loads(self):
+        calls = []
+        archives = {name: name for name in DATASET_COLUMNS}
+        for pca_ks in ((0,), (4, -1), (2.5,)):
+            with pytest.raises(UsageError, match="k must be an integer >= 1"):
+                reproduce_table(archives, families=("svm",), pca_ks=pca_ks, loader=calls.append)
+        assert calls == []
+
+    def test_pca_ks_beyond_the_window_refused_before_the_first_fold(self, monkeypatch):
+        """Every k above a column's features per window leaves its pca row no
+        cell: a usage error naming the column, never a fit at an unfit k."""
+        datasets = tiny_suite()
+        width = datasets["60-start-1"].x_train[0].size
+        monkeypatch.setattr(wlclass.model_selection, "grid_search", None)  # no fold runs
+        with pytest.raises(UsageError, match=re.escape(
+                f"60-start-1 has {width} features per window, fewer than every pca k in "
+                f"{width + 1}, {width + 2}")):
+            reproduce_table({"60-start-1": "60-start-1"}, families=("rf",),
+                            pca_ks=(width + 1, width + 2), loader=datasets.get)
 
     def test_missing_archive_is_an_error(self):
         with pytest.raises(MissingArchiveError):
