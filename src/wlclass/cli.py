@@ -55,6 +55,7 @@ from .model_selection import (
     GridSpec,
     ReductionSpec,
     _family_kwargs,
+    _table_plan,
     evaluate,
     evaluate_pipeline,
     fit_reduction,
@@ -558,6 +559,7 @@ def _load_manifest_paths(path) -> dict:
 def cmd_reproduce(args) -> StageResult:
     families = _values(args.families, str.strip)
     pca_ks = tuple(_values(args.pca_ks))
+    _table_plan(families, pca_ks)  # judged before the manifest opens, as reproduce_table does
     grids = _family_params(args, REPRODUCE_PARAM_FLAGS, grid=True)
     manifest = _load_manifest_paths(args.manifest)
     unknown = sorted(set(manifest) - set(DATASET_COLUMNS))

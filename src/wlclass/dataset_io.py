@@ -14,9 +14,9 @@ Raw telemetry arrives as delimited text, one row per timestamped sample,
 grouped by job (and device, for multi-GPU jobs).
 """
 
-import array
 import csv
 import io
+import itertools
 import json
 import math
 import operator
@@ -397,9 +397,9 @@ def write_challenge_archive(dataset: ChallengeDataset, path) -> None:
 
 _META_COLUMNS = ("job_id", "timestamp", "device_id", "label")
 
-#: Rows whose readings are held as Python floats before they move into one
-#: float64 block, which bounds that list's per-float overhead.
-_BLOCK_ROWS = 8192
+#: Data lines per block: numpy parses a block in one call, or the csv module
+#: row by row; a block's temporaries are dropped before the next is read.
+_BLOCK_ROWS = 2048
 
 
 def ingest_raw_csv(path, nonfinite: str = "drop") -> list[RawTrial]:
@@ -416,6 +416,11 @@ def ingest_raw_csv(path, nonfinite: str = "drop") -> list[RawTrial]:
     UTF-8 and text the csv module cannot parse (such as an unterminated
     quote running past its field size limit) raise SchemaMismatchError
     naming the line; extra fields are ignored.
+
+    numpy's C reader parses blocks of _BLOCK_ROWS lines. The csv module reads
+    a block numpy refuses (such as a reading of 1_0, which float() accepts)
+    row by row, and from a block holding a quote or undecodable bytes on, the
+    rest of the file, so the result is always the csv module's reading.
     """
     if nonfinite not in ("drop", "ffill"):
         raise SchemaMismatchError(f"unknown non-finite policy {nonfinite!r}")
@@ -426,12 +431,7 @@ def ingest_raw_csv(path, nonfinite: str = "drop") -> list[RawTrial]:
     except OSError as exc:
         raise ArchiveIoError(f"cannot read {path}: {exc}") from None
     with fh:
-        reader = csv.reader(fh)
-        try:
-            keys, codes, ts, values, labels = _csv_columns(reader, path)
-        except (IndexError, UnicodeDecodeError, csv.Error) as exc:
-            problem = "fewer fields than the header" if isinstance(exc, IndexError) else exc
-            raise SchemaMismatchError(f"{path} line {reader.line_num}: {problem}") from None
+        keys, codes, ts, values, labels = _csv_columns(fh, path)
 
     if not keys:
         raise EmptyFileError(f"{path} has a header but no data rows")
@@ -463,13 +463,16 @@ def ingest_raw_csv(path, nonfinite: str = "drop") -> list[RawTrial]:
     return trials
 
 
-def _csv_columns(reader, path) -> tuple:
+def _csv_columns(fh, path) -> tuple:
     """One pass over the rows: the (job, device) keys in first-seen order, then
     per row its key's code, timestamp, readings (an n x 7 array) and label."""
+    reader = csv.reader(fh)
     try:
         header = next(reader)
     except StopIteration:
         raise EmptyFileError(f"{path} is empty") from None
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise SchemaMismatchError(f"{path} line {reader.line_num}: {exc}") from None
     header = [h.strip() for h in header]
     present_sensors = [h for h in header if h not in _META_COLUMNS]
     if set(present_sensors) != set(GPU_SENSORS) or len(present_sensors) != len(GPU_SENSORS):
@@ -482,43 +485,101 @@ def _csv_columns(reader, path) -> tuple:
     col = {name: header.index(name) for name in header}
     job_col, ts_col = col["job_id"], col["timestamp"]
     device_col, label_col = col.get("device_id"), col.get("label")
-    readings = operator.itemgetter(*(col[s] for s in GPU_SENSORS))
-    block_len = len(GPU_SENSORS) * _BLOCK_ROWS
+    sensor_cols = [col[s] for s in GPU_SENSORS]
+    readings = operator.itemgetter(*sensor_cols)
+    dtype = np.dtype([(f"f{i}", np.float64 if i in (ts_col, *sensor_cols) else object)
+                      for i in range(len(header))])
 
     index: dict[tuple[str, str], int] = {}
     label_text: dict[str, str] = {}  # one string object per distinct label
-    codes, ts, labels, blocks, flat = [], array.array("d"), [], [], []
-    for row in reader:
-        if not "".join(row).strip():
-            continue
-        key = (row[job_col].strip(), row[device_col].strip() if device_col is not None else "")
-        codes.append(index.setdefault(key, len(index)))
+    codes, labels = [], []
+    ts, values = [np.empty(0)], [np.empty((0, len(GPU_SENSORS)))]
+
+    def keep(stamps, block_values, jobs, devices, marks):
+        """Add rows from their raw key and label cells, timestamps and readings."""
+        pairs = list(zip(jobs, devices))
+        code = {pair: index.setdefault((pair[0].strip(), pair[1].strip()), len(index))
+                for pair in dict.fromkeys(pairs)}
+        codes.extend(map(code.__getitem__, pairs))
+        label = {mark: label_text.setdefault(mark.strip(), mark.strip()) for mark in set(marks)}
+        labels.extend(map(label.__getitem__, marks))
+        ts.append(np.array(stamps, dtype=np.float64))
+        values.append(np.array(block_values, dtype=np.float64).reshape(-1, len(GPU_SENSORS)))
+
+    def by_numpy(block) -> bool:
+        """Parse a block in C; False where numpy refuses it or a timestamp is not finite."""
         try:
-            t = float(row[ts_col])
+            parsed = np.loadtxt(block, delimiter=",", comments=None, ndmin=1, dtype=dtype)
         except ValueError:
-            t = math.nan
-        if not math.isfinite(t):
-            raise SchemaMismatchError(f"{path} line {reader.line_num}: bad timestamp {row[ts_col]!r}")
-        ts.append(t)
-        cells = readings(row)
-        start = len(flat)
+            return False
+        if not np.isfinite(parsed[f"f{ts_col}"]).all():
+            return False
+        keep(parsed[f"f{ts_col}"], np.column_stack([parsed[f"f{i}"] for i in sensor_cols]),
+             *(parsed[f"f{i}"].tolist() if i is not None else [""] * len(parsed)
+               for i in (job_col, device_col, label_col)))
+        return True
+
+    def by_rows(lines, offset):
+        """The csv module's reading of lines, the first of them line offset + 1."""
+        rows = csv.reader(lines)
+        cells = stamps, flat, jobs, devices, marks = [], [], [], [], []
         try:
-            flat.extend(map(float, cells))
-        except ValueError:  # an empty or unparseable cell is a missing reading
-            del flat[start:]
-            for cell in cells:
-                try:
-                    flat.append(float(cell))
-                except ValueError:
-                    flat.append(math.nan)
-        label = row[label_col].strip() if label_col is not None else ""
-        labels.append(label_text.setdefault(label, label))
-        if len(flat) == block_len:
-            blocks.append(np.array(flat, dtype=np.float64))
-            flat.clear()
-    blocks.append(np.array(flat, dtype=np.float64))
-    values = np.concatenate(blocks).reshape(-1, len(GPU_SENSORS))
-    return list(index), np.array(codes, dtype=np.int64), np.asarray(ts), values, labels
+            for row in rows:
+                if not "".join(row).strip():
+                    continue
+                jobs.append(row[job_col])
+                devices.append(row[device_col] if device_col is not None else "")
+                stamps.append(_number(row[ts_col]))
+                if not math.isfinite(stamps[-1]):
+                    raise SchemaMismatchError(
+                        f"{path} line {offset + rows.line_num}: bad timestamp {row[ts_col]!r}")
+                flat.extend(map(_number, readings(row)))
+                marks.append(row[label_col] if label_col is not None else "")
+                if len(stamps) == _BLOCK_ROWS:
+                    keep(*cells)
+                    for column in cells:
+                        column.clear()
+        except (IndexError, UnicodeDecodeError, csv.Error) as exc:
+            problem = "fewer fields than the header" if isinstance(exc, IndexError) else exc
+            raise SchemaMismatchError(f"{path} line {offset + rows.line_num}: {problem}") from None
+        keep(*cells)
+
+    offset = reader.line_num
+    while True:
+        block, rest = [], fh
+        try:
+            for line in itertools.islice(fh, _BLOCK_ROWS):
+                block.append(line)
+        except UnicodeDecodeError as exc:  # the csv module raises it after the block
+            rest = _raising(exc)
+        text = "".join(block)
+        if '"' in text or rest is not fh:  # a quoted field can span lines
+            by_rows(itertools.chain(block, rest), offset)
+            break
+        if not block:
+            break
+        # An all-blank block has no rows, and numpy would warn that it found none.
+        # numpy has no field size limit, and the csv module of Python 3.10 refuses NUL.
+        if not text.isspace() and ("\0" in text or max(map(len, block)) > csv.field_size_limit()
+                                   or not by_numpy(block)):
+            by_rows(block, offset)
+        offset += len(block)
+    return (list(index), np.array(codes, dtype=np.int64), np.concatenate(ts),
+            np.concatenate(values), labels)
+
+
+def _number(cell: str) -> float:
+    """float(cell), or NaN where float() refuses cell."""
+    try:
+        return float(cell)
+    except ValueError:
+        return math.nan
+
+
+def _raising(exc):
+    """An iterator that raises exc when it is first read."""
+    raise exc
+    yield
 
 
 def _integer_coded(names) -> bool:

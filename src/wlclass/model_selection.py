@@ -541,6 +541,22 @@ TABLE_VARIANTS = {
 }
 
 
+def _table_plan(families, pca_ks) -> tuple:
+    """The table's variants for families and the reductions of its pca rows;
+    reproduce_table's UsageErrors that come before any archive loads."""
+    if not families or not set(families) <= set(MODEL_FAMILIES):
+        raise UsageError(f"families must be among {', '.join(MODEL_FAMILIES)}, got {families}")
+    variants = [v for v, (fam, _) in TABLE_VARIANTS.items() if fam in families]
+    if all(TABLE_VARIANTS[v][1] != "pca" for v in variants):
+        return variants, ()
+    if not pca_ks:
+        raise UsageError("pca_ks must be non-empty for the pca rows of svm and rf")
+    try:
+        return variants, tuple(ReductionSpec("pca", k) for k in pca_ks)
+    except UsageError as exc:
+        raise UsageError(f"{exc} (pca_ks {', '.join(map(str, pca_ks))})") from None
+
+
 def reproduce_table(
     archives: dict,
     families=("svm", "rf"),
@@ -561,19 +577,12 @@ def reproduce_table(
 
     Raises:
         UsageError: before any archive loads, no family, one outside
-            MODEL_FAMILIES, or, while svm or rf puts a pca row in the table,
-            no pca_ks or one that is not an integer >= 1; before a column's
-            first fold, a pca row whose every k exceeds the column's
-            features per window.
+            MODEL_FAMILIES, or a pca row without pca_ks or with one that is
+            not an integer >= 1 (_table_plan); before a column's first fold,
+            a pca row whose every k exceeds the column's features per window.
         MissingArchiveError: no recognized dataset name is present.
     """
-    if not families or not set(families) <= set(MODEL_FAMILIES):
-        raise UsageError(f"families must be among {', '.join(MODEL_FAMILIES)}, got {families}")
-    variants = [v for v, (fam, _) in TABLE_VARIANTS.items() if fam in families]
-    pca_rows = any(TABLE_VARIANTS[v][1] == "pca" for v in variants)
-    if pca_rows and not pca_ks:
-        raise UsageError("pca_ks must be non-empty for the pca rows of svm and rf")
-    pca_specs = tuple(ReductionSpec("pca", k) for k in pca_ks) if pca_rows else ()
+    variants, pca_specs = _table_plan(families, pca_ks)
     grids = grids or BASELINE_GRIDS
     columns = [name for name in DATASET_COLUMNS if name in archives]
     if not columns:
@@ -589,7 +598,7 @@ def reproduce_table(
         width = length * sensors  # features per flattened window
         reductions = {"cov": (ReductionSpec("cov"),),
                       "pca": tuple(r for r in pca_specs if r.k <= width)}
-        if pca_rows and not reductions["pca"]:
+        if pca_specs and not reductions["pca"]:
             raise UsageError(f"{column} has {width} features per window, fewer than "
                              f"every pca k in {', '.join(map(str, pca_ks))}")
         for variant in variants:

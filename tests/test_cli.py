@@ -753,6 +753,26 @@ class TestReproduceCli:
                      "--out", str(out)]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("manifest,argv,message", [
+        ("{}", ["--families", "xgb", "--strict"], "families must be among"),
+        ("{}", ["--families", "rf", "--pca-ks", "0", "--strict"],
+         "k must be an integer >= 1, got 0 (pca_ks 0)"),
+        (None, ["--families", "xgb"], "families must be among"),
+    ], ids=["strict-empty-manifest-family", "strict-empty-manifest-pca-k",
+            "missing-manifest-family"])
+    def test_families_and_pca_ks_judged_before_the_manifest(self, tmp_path, capsys, manifest,
+                                                            argv, message):
+        """A bad --families or --pca-ks is the usage error, not the manifest's
+        missing dataset (exit 2) or its unreadable file (a usage error too)."""
+        path = tmp_path / "m.json"
+        if manifest is not None:
+            path.write_text(manifest)
+        out = tmp_path / "t.jsonl"
+        assert main(["reproduce", "--manifest", str(path), *argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"usage error: {message}" in err and "manifest" not in err
+        assert not out.exists()
+
     def test_empty_pca_ks_is_usage(self, tmp_path, capsys):
         self.make_archive(tmp_path / "m1.npz", seed=1)
         manifest = tmp_path / "archives.json"

@@ -812,6 +812,158 @@ class TestCsvIngest:
         for policy, fields in expected.items():
             assert trial_fields(ingest_raw_csv(path, policy)) == fields
 
+    def count_readers(self, monkeypatch):
+        """Counters of numpy block parses and of csv readers over data lines
+        (the row-by-row path), as opposed to readers over an open file."""
+        counts = {"numpy": 0, "rows": 0}
+        loadtxt, reader = np.loadtxt, csv.reader
+
+        def counting_loadtxt(*args, **kwargs):
+            parsed = loadtxt(*args, **kwargs)
+            counts["numpy"] += 1
+            return parsed
+
+        def counting_reader(lines, *args, **kwargs):
+            counts["rows"] += not isinstance(lines, io.TextIOBase)
+            return reader(lines, *args, **kwargs)
+
+        monkeypatch.setattr(dataset_io.np, "loadtxt", counting_loadtxt)
+        monkeypatch.setattr(dataset_io.csv, "reader", counting_reader)
+        return counts
+
+    def quote_free_mutants(self, tmp_path):
+        """300 seeded mutants of a small file that hold no quote: any other
+        byte value (NUL, CR and 0xff too), commas added or deleted, cells
+        emptied or set to nan, 1_0, ١٢ or x, whitespace-only and blank
+        lines, extra fields, and truncations."""
+        rows = [self.row(f"j{t % 3}", t, device=str(t % 2), label=["vgg", "bert", "4"][t % 3],
+                         values=[t + v / 4 for v in range(7)]) for t in range(12)]
+        base = self.write(tmp_path, rows).read_bytes()
+        rng = np.random.default_rng(2029)
+        path = tmp_path / "mutant.csv"
+
+        def pick(items):
+            return items[int(rng.integers(0, len(items)))]
+
+        def mutate(raw):
+            at = int(rng.integers(0, len(raw) + 1))
+            lines = raw.split(b"\n")
+            i = int(rng.integers(0, len(lines)))
+            kind = int(rng.integers(0, 7))
+            if kind == 0:  # set one byte to any value but the quote (34)
+                value = int(rng.integers(0, 255))
+                return raw[:at] + bytes([value + (value >= 34)]) + raw[at + 1:]
+            if kind == 1:
+                return raw[:at]
+            if kind == 2:  # delete a comma
+                commas = [j for j, c in enumerate(raw) if c == ord(",")]
+                j = pick(commas) if commas else len(raw)
+                return raw[:j] + raw[j + 1:]
+            if kind == 3:
+                return raw[:at] + b"," + raw[at:]
+            if kind == 4:  # set one cell
+                cells = lines[i].split(b",")
+                cells[int(rng.integers(0, len(cells)))] = pick(["", "nan", "1_0", "١٢", "x"]).encode()
+                lines[i] = b",".join(cells)
+            elif kind == 5:  # insert a blank or whitespace-only line
+                lines.insert(i, pick([b"", b"  ", b"\t", b" \r", b"\x0c"]))
+            else:  # extra fields
+                lines[i] += pick([b",9", b",x,", b",surplus,1_0"])
+            return b"\n".join(lines)
+
+        for _ in range(300):
+            raw = base
+            for _ in range(int(rng.integers(1, 4))):
+                raw = mutate(raw)
+            path.write_bytes(raw)
+            yield path
+
+    def test_quote_free_mutants_match_the_row_by_row_reference(self, tmp_path, monkeypatch):
+        """With 3-line blocks, numpy's blocks and row-by-row blocks alternate
+        within a file, and each mutant still reads as the reference reads it."""
+        monkeypatch.setattr(dataset_io, "_BLOCK_ROWS", 3)
+        counts = self.count_readers(monkeypatch)
+        for path in self.quote_free_mutants(tmp_path):
+            assert_matches_reference(path)
+        assert counts["numpy"] > 300 and counts["rows"] > 300, counts
+
+    def test_clean_crlf_file_never_reads_row_by_row(self, tmp_path, monkeypatch):
+        """The csv module's own output, CRLF endings and shortest float reprs,
+        is parsed by numpy alone, in full and in partial blocks."""
+        path = tmp_path / "telemetry.csv"
+        rng = np.random.default_rng(5)
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["job_id", "timestamp", "device_id", "label", *GPU_SENSORS])
+            for t in range(50):
+                writer.writerow([f"job-{t % 4}", t, t % 2, f"class{t % 4}",
+                                 *map(repr, rng.normal(size=7).tolist())])
+        monkeypatch.setattr(dataset_io, "_BLOCK_ROWS", 8)
+        counts = self.count_readers(monkeypatch)
+        trials = ingest_raw_csv(path)
+        assert counts == {"numpy": 7, "rows": 0}
+        assert trial_fields(trials) == trial_fields(reference_ingest(path))
+
+    @pytest.mark.parametrize("bad_row,message", [
+        ("j1,6,0,vgg,1,2,3", "line 7: fewer fields than the header"),
+        ("j1,x,0,vgg,1,2,3,4,5,6,7", "line 7: bad timestamp 'x'"),
+        ("j1,nan,0,vgg,1,2,3,4,5,6,7", "line 7: bad timestamp 'nan'"),
+    ], ids=["short-row", "bad-timestamp", "nan-timestamp"])
+    def test_refused_block_names_the_line(self, tmp_path, monkeypatch, bad_row, message):
+        """Line 7 is the middle line of the second 4-line block."""
+        rows = [self.row("j1", t) for t in range(10)]
+        rows[5] = bad_row
+        path = self.write(tmp_path, rows)
+        monkeypatch.setattr(dataset_io, "_BLOCK_ROWS", 4)
+        with pytest.raises(SchemaMismatchError, match=f"^{re.escape(f'{path} {message}')}$"):
+            ingest_raw_csv(path)
+
+    @pytest.mark.parametrize("shift", [0, 1, 5])
+    def test_undecodable_bytes_past_a_block_name_the_csv_modules_line(self, tmp_path,
+                                                                      monkeypatch, shift):
+        """A decode error names the lines read before it, as the csv module
+        counts them; with shift 0 it meets the first line of a block."""
+        rows = [self.row(f"j{t}", t) for t in range(600)]  # about 17 kB
+        path = self.write(tmp_path, rows)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:15000] + b"\xff" + raw[15001:])
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            with pytest.raises(UnicodeDecodeError) as caught:
+                for _ in reader:
+                    pass
+            line = reader.line_num
+        monkeypatch.setattr(dataset_io, "_BLOCK_ROWS", line - 1 + shift)
+        message = f"{path} line {line}: {caught.value}"
+        with pytest.raises(SchemaMismatchError, match=f"^{re.escape(message)}$"):
+            ingest_raw_csv(path)
+
+    def test_quote_first_in_the_third_block(self, tmp_path, monkeypatch):
+        """From the block holding the first quote on, the csv module reads: a
+        quoted comma is one unparseable reading, and a quoted newline that
+        crosses into the fourth block is part of the label."""
+        rows = [self.row(f"j{t % 2}", t, values=[t] * 7) for t in range(12)]
+        rows[7] = self.row("j1", 7, values=['"1,5"', 2, 3, 4, 5, 6, 7])
+        rows[8] = self.row("j2", 8, label='"vg\ng"')
+        path = self.write(tmp_path, rows)
+        monkeypatch.setattr(dataset_io, "_BLOCK_ROWS", 3)
+        assert_matches_reference(path)
+        assert {t.label_name for t in ingest_raw_csv(path)} == {"vgg", "vg\ng"}
+
+    def test_long_unquoted_field_is_refused(self, tmp_path):
+        path = self.write(tmp_path, [self.row("j" * 200_000, 0), self.row("j1", 1)])
+        with pytest.raises(SchemaMismatchError, match=re.escape(
+                f"{path} line 2: field larger than field limit ({csv.field_size_limit()})")):
+            ingest_raw_csv(path)
+
+    def test_trailing_blank_block_gives_no_warning(self, tmp_path, monkeypatch):
+        path = self.write(tmp_path, [self.row("j1", t) for t in range(3)] + ["", "\r", ""] * 3)
+        monkeypatch.setattr(dataset_io, "_BLOCK_ROWS", 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (trial,) = ingest_raw_csv(path)
+        assert trial.n_samples == 3
+
 
 class TestRawTrial:
     def test_wrong_sensor_count(self):
